@@ -10,7 +10,7 @@ scaling of the perturbation-to-input ratio, checked by dimension_sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -1,20 +1,21 @@
 """Command line interface.
 
 Subcommands: sample, attack, sweep, probe <name>, collapse, kernel.
-A JSON config file provides the same flat keys as the CLI flags; flags
-override config keys one-for-one.  Exit codes: 0 success, 1 config
-error, 2 I/O error, 3 a probe's violation frequency exceeded the
-configured alert level.
+Every ExperimentConfig key is a flag (n_draws -> --n-draws), except that
+master_seed is --seed and theta_0 is --theta0.  A JSON config file
+provides the same flat keys; flags override config keys one-for-one.
+Exit codes: 0 success, 1 config error, 2 I/O error, 3 a probe's violation
+frequency exceeded the configured alert level.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, RelurandError
 from .harness import (
@@ -29,66 +30,41 @@ from .rng import RngStream
 
 __all__ = ["main"]
 
+# Every config key but kind (which the subcommand sets) is a flag: the key
+# with '_' spelled '-', apart from these two.
+_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "kind"]
+_FLAG_NAMES = {"master_seed": "seed", "theta_0": "theta0"}
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
     p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    p.add_argument("--d", type=int, default=None, help="input dimension")
-    p.add_argument("--widths", type=int, nargs="*", default=None, help="hidden widths")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--dims", type=int, nargs="*", default=None, help="dimension list (sweep)")
-    p.add_argument("--theta0", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--n-pairs", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--n-draws", type=int, default=None)
-    p.add_argument("--alert-level", type=float, default=None)
-
-
-_FLAG_TO_KEY = {
-    "seed": "master_seed",
-    "workers": "workers",
-    "d": "d",
-    "widths": "widths",
-    "trials": "trials",
-    "radius": "radius",
-    "alpha": "alpha",
-    "delta": "delta",
-    "t_max": "t_max",
-    "dims": "dims",
-    "theta0": "theta_0",
-    "steps": "steps",
-    "n_pairs": "n_pairs",
-    "width": "width",
-    "depth": "depth",
-    "n_samples": "n_samples",
-    "n_draws": "n_draws",
-    "alert_level": "alert_level",
-}
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key in _KEYS:
+        hint = hints[key]
+        # tuple[int, ...] -> int with nargs="*"; Optional[float] -> float
+        args = typing.get_args(hint)
+        p.add_argument("--" + _FLAG_NAMES.get(key, key).replace("_", "-"), dest=key,
+                       type=args[0] if args else hint, default=None,
+                       nargs="*" if typing.get_origin(hint) is tuple else None)
 
 
 def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     data = {"kind": kind}
     if args.config is not None:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"'config' file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         loaded.pop("kind", None)
         data.update(loaded)
-    for flag, key in _FLAG_TO_KEY.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            data[key] = v
+    for key in _KEYS:
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     return ExperimentConfig.from_dict(data)
 
 
@@ -103,7 +79,7 @@ def _emit(result: dict, out_dir: Path, fmt: str, stem: str) -> None:
 def _cmd_sample(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else 64
     widths = tuple(args.widths) if args.widths else (d,)
-    seed = args.seed if args.seed is not None else 0
+    seed = args.master_seed if args.master_seed is not None else 0
     mode = InitMode.DEPTH_COLLAPSE if args.mode == "depth-collapse" else InitMode.STANDARD
     net = build_network(Architecture(d, widths), mode, RngStream(seed, 0))
     out = args.out if args.out else args.out_dir / "network.rrnn"

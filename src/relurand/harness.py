@@ -12,43 +12,21 @@ from __future__ import annotations
 import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, probes
 from .adversarial import dimension_sweep, flip_search
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError
-from .network import Architecture, InitMode, TiePolicy, build_network, forward, gradient
-from .probes import (
-    probe_activation_margin,
-    probe_dist_equiv,
-    probe_gaussian_spectral,
-    probe_gradient_smoothness,
-    probe_scale_preservation,
-    probe_segment_spectral,
-    probe_sign_flip,
-    probe_value_gradient,
-)
+from .network import Architecture, InitMode, bottleneck_decomposition, build_network
+from .network import forward  # noqa: F401  perfbench's tracer test rebinds harness.forward
 from .rng import RngStream
 
 __all__ = ["ExperimentConfig", "TrialRecord", "run_experiment",
-           "write_csv", "write_summary_json", "PROBE_NAMES"]
-
-PROBE_NAMES = (
-    "value_gradient",
-    "scale_preservation",
-    "activation_margin",
-    "gradient_smoothness",
-    "segment_spectral",
-    "sign_flip",
-    "dist_equiv",
-    "gaussian_spectral",
-)
-
-_KINDS = ("attack", "sweep", "collapse", "kernel") + tuple(f"probe:{n}" for n in PROBE_NAMES)
+           "write_csv", "write_summary_json", "KINDS", "PROBE_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -74,20 +52,21 @@ class ExperimentConfig:
     alert_level: float = 0.05
 
     def validate(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind '{self.kind}'")
         for key in ("d", "trials", "steps", "n_pairs", "width", "depth",
                     "n_samples", "n_draws", "workers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"'{key}' must be positive")
+        for key in ("widths", "dims"):
+            if any(v < 1 for v in getattr(self, key)):
+                raise ConfigError(f"every entry of '{key}' must be positive")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("'delta' must lie in (0, 1)")
         if self.radius < 0.0:
             raise ConfigError("'radius' must be >= 0")
-        if self.kind == "sweep" and not self.dims:
-            raise ConfigError("'dims' must be a nonempty list for sweep")
-        if self.kind == "probe:gaussian_spectral" and len(self.dims) != 2:
-            raise ConfigError("'dims' must be [m, n] for probe:gaussian_spectral")
+        if KINDS[self.kind].invalid(self):
+            raise ConfigError(KINDS[self.kind].error)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -195,94 +174,96 @@ def _run_collapse(cfg: ExperimentConfig):
     return rows, summary
 
 
-def _run_probe(cfg: ExperimentConfig):
-    name = cfg.kind.split(":", 1)[1]
-    arch = _arch(cfg)
+def _records(reports) -> list[TrialRecord]:
+    rows = (row for rep in reports for row in rep.rows)
+    return [TrialRecord(k, seed, values) for k, (seed, values) in enumerate(rows)]
 
-    if name == "value_gradient":
-        rep = probe_value_gradient(arch, cfg.trials, cfg.delta, cfg.master_seed)
-        rows = [TrialRecord(i, i + 1, {"abs_f": float(rep.measurements["abs_f"][i]),
-                                       "grad_norm": float(rep.measurements["grad_norm"][i])})
-                for i in range(cfg.trials)]
-        return rows, {**rep.summary, "violation_frequency": rep.violation_frequency}
 
-    if name == "dist_equiv":
-        out = probe_dist_equiv(arch, cfg.trials, cfg.master_seed)
-        rows = [TrialRecord(0, 0, out)]
-        return rows, {**out, "violation_frequency": 0.0 if out["pass"] else 1.0}
+def _ensemble(probe):
+    """Runner for a probe that samples its own ensemble of `trials` nets or
+    matrices: one call, one report."""
+    def run(cfg: ExperimentConfig):
+        rep = probe(cfg)
+        return _records([rep]), {**rep.summary,
+                                 "violation_frequency": rep.violation_frequency}
+    return run
 
-    if name == "gaussian_spectral":
-        m, n = cfg.dims
-        out = probe_gaussian_spectral(m, n, cfg.delta, cfg.trials, cfg.master_seed)
-        rows = [TrialRecord(0, 0, out)]
-        return rows, {**out, "violation_frequency": out["violations"] / cfg.trials}
 
-    if name == "sign_flip":
-        def trial(i: int) -> TrialRecord:
-            rng = RngStream(cfg.master_seed, i)
-            x = rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
-            y = x + rng.sphere_point(arch.input_dim, norm=cfg.radius)
-            out = probe_sign_flip(x, y, cfg.n_draws, rng)
-            out = {k: v for k, v in out.items() if k != "n_draws"}
-            return TrialRecord(i, i, out)
-        rows = _map_trials(cfg, trial, cfg.trials)
-        excess = [r.values["empirical"] - r.values["bound"]
-                  for r in rows if r.values["bound"] is not None]
-        freq = float(np.mean([e > 0 for e in excess])) if excess else 0.0
-        return rows, {"bound_violation_frequency": freq, "violation_frequency": freq}
+def _per_trial(probe, summarize=lambda reports, freq: {}):
+    """Runner for a probe called once per trial on stream i; the violation
+    frequency is the mean over the trials whose bound applies."""
+    def run(cfg: ExperimentConfig):
+        reports = _map_trials(
+            cfg, lambda i: probe(cfg, RngStream(cfg.master_seed, i)), cfg.trials)
+        freqs = [r.violation_frequency for r in reports if r.violation_frequency is not None]
+        freq = float(np.mean(freqs)) if freqs else 0.0
+        return _records(reports), {**summarize(reports, freq), "violation_frequency": freq}
+    return run
 
-    # per-net probes
-    def trial(i: int) -> TrialRecord:
-        rng = RngStream(cfg.master_seed, i)
-        net = build_network(arch, InitMode.STANDARD, rng)
-        x = rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
-        if name == "scale_preservation":
-            rep = probe_scale_preservation(net, x, cfg.radius, cfg.n_samples, rng)
-            return TrialRecord(i, i, {
-                "norm_violations": rep.summary["norm_violations"],
-                "layers": arch.ell,
-                "violation_frequency": rep.violation_frequency})
-        if name == "activation_margin":
-            rep = probe_activation_margin(net, x, cfg.alpha, rng)
-            return TrialRecord(i, i, {
-                "violations": rep.summary["violations"],
-                "layers": rep.summary["layers"],
-                "violation_frequency": rep.violation_frequency})
-        if name == "gradient_smoothness":
-            rep = probe_gradient_smoothness(net, x, cfg.radius, cfg.n_samples, rng)
-            return TrialRecord(i, i, {
-                "max_drift": rep.summary["max_drift"],
-                "max_drift_ratio": rep.summary["max_drift_ratio"],
-                "violation_frequency": 0.0})
-        if name == "segment_spectral":
-            rep = probe_segment_spectral(net, x, cfg.radius, cfg.n_samples, rng)
-            return TrialRecord(i, i, {
-                "violations": rep.summary["violations"],
-                "fitted_c": rep.summary["fitted_c"],
-                "violation_frequency": rep.violation_frequency})
-        raise ConfigError(f"unknown probe '{name}'")
 
-    rows = _map_trials(cfg, trial, cfg.trials)
-    freq = float(np.mean([r.values["violation_frequency"] for r in rows]))
-    summary = {"violation_frequency": freq}
-    if rows and "max_drift_ratio" in rows[0].values:
-        summary["median_max_drift_ratio"] = float(
-            np.median([r.values["max_drift_ratio"] for r in rows]))
-    return rows, summary
+def _net_and_input(cfg: ExperimentConfig, rng: RngStream):
+    net = build_network(_arch(cfg), InitMode.STANDARD, rng)
+    return net, rng.sphere_point(cfg.d, norm=np.sqrt(cfg.d))
+
+
+def _sign_flip(cfg: ExperimentConfig, rng: RngStream):
+    x = rng.sphere_point(cfg.d, norm=np.sqrt(cfg.d))
+    y = x + rng.sphere_point(cfg.d, norm=cfg.radius)
+    return probes.probe_sign_flip(x, y, cfg.n_draws, rng)
+
+
+class _Kind(NamedTuple):
+    run: Callable                  # config -> (rows, summary)
+    invalid: Callable = lambda cfg: False   # config -> True if this kind cannot run it
+    error: str = ""                # the ConfigError message when invalid
+
+
+# Probe functions are looked up on the module at call time, never stored,
+# so that a tracer rebinding probes.probe_* sees every call.
+KINDS = {
+    "attack": _Kind(_run_attack),
+    "sweep": _Kind(_run_sweep, lambda cfg: not cfg.dims,
+                   "'dims' must be a nonempty list for sweep"),
+    "collapse": _Kind(_run_collapse, lambda cfg: cfg.d < 2 or cfg.width < 8,
+                      "collapse needs 'd' >= 2 and 'width' >= 8"),
+    "kernel": _Kind(_run_kernel),
+    "probe:value_gradient": _Kind(_ensemble(
+        lambda cfg: probes.probe_value_gradient(_arch(cfg), cfg.trials, cfg.delta,
+                                                cfg.master_seed))),
+    "probe:scale_preservation": _Kind(_per_trial(
+        lambda cfg, rng: probes.probe_scale_preservation(
+            *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng))),
+    "probe:activation_margin": _Kind(_per_trial(
+        lambda cfg, rng: probes.probe_activation_margin(
+            *_net_and_input(cfg, rng), cfg.alpha, rng)),
+        lambda cfg: not (0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)),
+        "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin"),
+    "probe:gradient_smoothness": _Kind(_per_trial(
+        lambda cfg, rng: probes.probe_gradient_smoothness(
+            *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng),
+        lambda reports, freq: {"median_max_drift_ratio": float(
+            np.median([r.summary["max_drift_ratio"] for r in reports]))})),
+    "probe:segment_spectral": _Kind(_per_trial(
+        lambda cfg, rng: probes.probe_segment_spectral(
+            *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng)),
+        lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
+        "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
+    "probe:sign_flip": _Kind(_per_trial(
+        _sign_flip, lambda reports, freq: {"bound_violation_frequency": freq})),
+    "probe:dist_equiv": _Kind(_ensemble(
+        lambda cfg: probes.probe_dist_equiv(_arch(cfg), cfg.trials, cfg.master_seed))),
+    "probe:gaussian_spectral": _Kind(_ensemble(
+        lambda cfg: probes.probe_gaussian_spectral(*cfg.dims, cfg.delta, cfg.trials,
+                                                   cfg.master_seed)),
+        lambda cfg: len(cfg.dims) != 2, "'dims' must be [m, n] for probe:gaussian_spectral"),
+}
+
+PROBE_NAMES = tuple(k.removeprefix("probe:") for k in KINDS if k.startswith("probe:"))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     config.validate()
-    if config.kind == "attack":
-        rows, summary = _run_attack(config)
-    elif config.kind == "sweep":
-        rows, summary = _run_sweep(config)
-    elif config.kind == "kernel":
-        rows, summary = _run_kernel(config)
-    elif config.kind == "collapse":
-        rows, summary = _run_collapse(config)
-    else:
-        rows, summary = _run_probe(config)
+    rows, summary = KINDS[config.kind].run(config)
     summary = {"config": config.to_dict(), "version": f"relurand-{__version__}",
                **summary}
     return {"rows": rows, "summary": summary}

@@ -10,7 +10,7 @@ the default randomizes the activation bit with probability 1/2.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

@@ -48,9 +48,12 @@ __all__ = [
 
 @dataclass
 class ProbeReport:
+    """What one probe call measured, and the CSV rows it contributes as
+    (stream id, {column: value}) pairs.  violation_frequency is None when
+    the bound does not apply to the sampled input."""
     name: str
-    params: dict
     measurements: dict            # column name -> list/array of per-trial values
+    rows: list
     summary: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     violation_frequency: Optional[float] = None
@@ -92,17 +95,17 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
     value_ok = float(np.mean(f_vals <= value_bound))
     rep = ProbeReport(
         "value_gradient",
-        {"arch": arch.dims, "trials": trials, "delta": delta, "c": c,
-         "master_seed": master_seed},
         {"abs_f": f_vals, "grad_norm": g_norms, "euler_error": np.array(euler_err)},
+        [(k + 1, {"abs_f": float(f_vals[k]), "grad_norm": float(g_norms[k])})
+         for k in range(trials)],
         bounds={"grad_lower": grad_bound, "value_upper": value_bound},
+        violation_frequency=1.0 - grad_ok,
     )
     rep.summary = {
         "grad_bound_freq": grad_ok,
         "value_bound_freq": value_ok,
         **{f"grad_norm_{k}": v for k, v in rep.quantiles("grad_norm").items()},
     }
-    rep.violation_frequency = 1.0 - grad_ok
     return rep
 
 
@@ -124,21 +127,22 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
             pre_spread[s, i] = np.linalg.norm(trace.preactivations[i] - ty.preactivations[i])
             post_spread[s, i] = np.linalg.norm(trace.postactivations[i] - ty.postactivations[i])
     scale = radius if radius > 0 else 1.0
-    rep = ProbeReport(
+    violations = int(np.sum(norms < bounds))
+    return ProbeReport(
         "scale_preservation",
-        {"arch": dims, "radius": radius, "n_samples": n_samples},
         {"layer_norms": norms,
          "pre_spread_over_radius": pre_spread / scale,
          "post_spread_over_radius": post_spread / scale},
+        [(rng.stream_id, {"norm_violations": violations, "layers": ell,
+                          "violation_frequency": violations / ell})],
+        summary={
+            "norm_violations": violations,
+            "max_pre_spread_over_radius":
+                float(pre_spread.max() / scale) if n_samples else 0.0,
+        },
         bounds={"norm_lower": bounds},
+        violation_frequency=violations / ell,
     )
-    violations = int(np.sum(norms < bounds))
-    rep.summary = {
-        "norm_violations": violations,
-        "max_pre_spread_over_radius": float(pre_spread.max() / scale) if n_samples else 0.0,
-    }
-    rep.violation_frequency = violations / ell
-    return rep
 
 
 def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
@@ -169,15 +173,16 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
     counts = np.array(counts, dtype=np.float64)
     bounds = np.array(bounds)
     violations = int(np.sum(counts < bounds))
-    rep = ProbeReport(
+    freq = violations / max(len(counts), 1)
+    return ProbeReport(
         "activation_margin",
-        {"arch": dims, "alpha": alpha, "include_output": include_output},
         {"counts": counts},
+        [(rng.stream_id, {"violations": violations, "layers": len(counts),
+                          "violation_frequency": freq})],
+        summary={"layers": len(counts), "violations": violations},
         bounds={"count_lower": bounds},
+        violation_frequency=freq,
     )
-    rep.summary = {"layers": len(counts), "violations": violations}
-    rep.violation_frequency = violations / max(len(counts), 1)
-    return rep
 
 
 def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
@@ -200,19 +205,16 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
         for j in range(ell):
             term_norms[s, j] = np.linalg.norm(dec.terms[j])
             flip_counts[s, j] = int(np.sum(np.abs(trace.masks[j] - ty.masks[j])))
-    rep = ProbeReport(
-        "gradient_smoothness",
-        {"arch": net.arch.dims, "radius": radius, "n_samples": n_samples},
-        {"grad_drift": drifts, "term_norms": term_norms, "mask_flips": flip_counts},
-    )
     max_drift = float(drifts.max()) if n_samples else 0.0
-    rep.summary = {
-        "grad_norm_x": g_norm,
-        "max_drift": max_drift,
-        "max_drift_ratio": max_drift / g_norm if g_norm > 0 else np.inf,
-    }
-    rep.violation_frequency = 0.0
-    return rep
+    ratio = max_drift / g_norm if g_norm > 0 else np.inf
+    return ProbeReport(
+        "gradient_smoothness",
+        {"grad_drift": drifts, "term_norms": term_norms, "mask_flips": flip_counts},
+        [(rng.stream_id, {"max_drift": max_drift, "max_drift_ratio": ratio,
+                          "violation_frequency": 0.0})],
+        summary={"grad_norm_x": g_norm, "max_drift": max_drift, "max_drift_ratio": ratio},
+        violation_frequency=0.0,
+    )
 
 
 def _masked_segment(net: Network, trace: ForwardTrace, top: int, bottom: int) -> np.ndarray:
@@ -242,28 +244,30 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
             M = _masked_segment(net, ty, hi, lo)
             norms[s, p] = spectral_norm(M, tol=1e-8, max_iters=10_000)
     violations = int(np.sum(norms > bounds))
-    rep = ProbeReport(
-        "segment_spectral",
-        {"arch": net.arch.dims, "radius": radius, "n_samples": n_samples,
-         "bottlenecks": dec.indices, "c_ref": c_ref},
-        {"segment_norms": norms},
-        bounds={"segment_upper": bounds},
-    )
     # fitted constant: smallest c making every observed norm satisfy the bound
     with np.errstate(divide="ignore"):
         exps = np.array([(hi - lo) / 2.0 for hi, lo in pairs])
         c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
-    rep.summary = {"violations": violations, "fitted_c": c_fit}
-    rep.violation_frequency = violations / norms.size
-    return rep
+    freq = violations / norms.size
+    return ProbeReport(
+        "segment_spectral",
+        {"segment_norms": norms},
+        [(rng.stream_id, {"violations": violations, "fitted_c": c_fit,
+                          "violation_frequency": freq})],
+        summary={"violations": violations, "fitted_c": c_fit},
+        bounds={"segment_upper": bounds},
+        violation_frequency=freq,
+    )
 
 
-def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int, rng: RngStream) -> dict:
+def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
+                    rng: RngStream) -> ProbeReport:
     """Probability that a random gaussian hyperplane separates x and y.
 
     empirical over n_draws gaussian normals; bound 3r/R sqrt(log R/r) with
-    R = ||x||, r = ||x - y|| (absent when r > R or r = 0); oracle is the
-    exact angle/pi by rotational symmetry.
+    R = ||x||, r = ||x - y|| (absent when r > R or r = 0, and then the
+    violation frequency is None); oracle is the exact angle/pi by
+    rotational symmetry.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -285,8 +289,12 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int, rng: RngStream) 
         cos_theta = np.clip(float(x @ y) / (R * ny), -1.0, 1.0)
         oracle = float(np.arccos(cos_theta) / np.pi)
     std_err = float(np.sqrt(max(oracle * (1.0 - oracle), 1.0 / n_draws) / n_draws))
-    return {"empirical": empirical, "bound": bound, "oracle": oracle,
-            "std_error": std_err, "n_draws": n_draws}
+    row = {"empirical": empirical, "bound": bound, "oracle": oracle, "std_error": std_err}
+    return ProbeReport(
+        "sign_flip", {}, [(rng.stream_id, row)],
+        summary={**row, "n_draws": n_draws},
+        violation_frequency=None if bound is None else float(empirical > bound),
+    )
 
 
 def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> float:
@@ -300,7 +308,7 @@ def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> flo
 
 
 def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
-                     level: float = 0.01, control_p: Optional[float] = None) -> dict:
+                     level: float = 0.01, control_p: Optional[float] = None) -> ProbeReport:
     """KS two-sample test of the mask-randomization distributional identity.
 
     Sample A: gradient norms of standard nets with data-dependent masks at
@@ -321,12 +329,17 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
         b.append(_bernoulli_product_norm(arch, p, rng_b))
     stat = ks_two_sample(a, b)
     threshold = ks_critical_value(trials, trials, level)
-    return {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
-            "mask_p": p, "trials": trials}
+    summary = {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
+               "mask_p": p, "trials": trials}
+    return ProbeReport(
+        "dist_equiv", {"masked_grad_norm": np.array(a), "bernoulli_norm": np.array(b)},
+        [(0, summary)], summary=summary,
+        violation_frequency=0.0 if summary["pass"] else 1.0,
+    )
 
 
 def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
-                            master_seed: int) -> dict:
+                            master_seed: int) -> ProbeReport:
     """Violation count of ||A|| <= 3(sqrt m + sqrt n + sqrt(log 1/delta))
     for iid standard gaussian matrices."""
     bound = 3.0 * (np.sqrt(m) + np.sqrt(n) + np.sqrt(np.log(1.0 / delta)))
@@ -336,6 +349,11 @@ def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
         A = gaussian_matrix(m, n, 1.0, rng)
         norms[k] = spectral_norm(A, tol=1e-8, max_iters=10_000)
     violations = int(np.sum(norms > bound))
-    return {"violations": violations, "bound": float(bound), "samples": samples,
-            "mean_norm": float(norms.mean()),
-            "mean_norm_over_edge": float(norms.mean() / (np.sqrt(m) + np.sqrt(n)))}
+    summary = {"violations": violations, "bound": float(bound), "samples": samples,
+               "mean_norm": float(norms.mean()),
+               "mean_norm_over_edge": float(norms.mean() / (np.sqrt(m) + np.sqrt(n)))}
+    return ProbeReport(
+        "gaussian_spectral", {"spectral_norm": norms}, [(0, summary)],
+        summary=summary,
+        violation_frequency=violations / samples,
+    )

@@ -164,8 +164,9 @@ def test_08_hyperplane_flip_probability():
             x = rng.sphere_point(d, norm=np.sqrt(d))
             y = x + rng.sphere_point(d, norm=rr * np.sqrt(d))
             out = probe_sign_flip(x, y, 100_000, rng)
-            bound_ok &= out["empirical"] <= out["bound"]
-            worst_z = max(worst_z, abs(out["empirical"] - out["oracle"]) / out["std_error"])
+            bound_ok &= out.summary["empirical"] <= out.summary["bound"]
+            worst_z = max(worst_z, abs(out.summary["empirical"] - out.summary["oracle"])
+                          / out.summary["std_error"])
     ok = bound_ok and worst_z <= 3.0
     _report(8, "hyperplane flip probability", ok,
             f"all 60 pairs under the bound: {bound_ok}; worst |z| vs oracle "
@@ -176,16 +177,16 @@ def test_09_mask_distribution_equivalence():
     arch = Architecture(128, (128, 128))
     fair = probe_dist_equiv(arch, 2000, master_seed=5)
     biased = probe_dist_equiv(arch, 2000, master_seed=5, control_p=0.9)
-    ok = fair["pass"] and not biased["pass"]
+    ok = fair.summary["pass"] and not biased.summary["pass"]
     _report(9, "mask distribution equivalence", ok,
-            f"KS {fair['ks_statistic']:.4f} <= {fair['threshold']:.4f}; "
-            f"Bernoulli(0.9) control KS {biased['ks_statistic']:.4f} rejected")
+            f"KS {fair.summary['ks_statistic']:.4f} <= {fair.summary['threshold']:.4f}; "
+            f"Bernoulli(0.9) control KS {biased.summary['ks_statistic']:.4f} rejected")
 
 
 def test_10_gaussian_spectral_bound():
     out = probe_gaussian_spectral(200, 300, 0.01, 100, master_seed=10)
-    _report(10, "gaussian spectral norm bound", out["violations"] <= 1,
-            f"{out['violations']}/100 violations of bound {out['bound']:.1f}")
+    _report(10, "gaussian spectral norm bound", out.summary["violations"] <= 1,
+            f"{out.summary['violations']}/100 violations of bound {out.summary['bound']:.1f}")
 
 
 def test_11_kernel_monte_carlo():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from relurand.cli import main
 from relurand.errors import ConfigError
 from relurand.harness import (
+    KINDS,
     ExperimentConfig,
     TrialRecord,
     run_experiment,
@@ -67,8 +69,12 @@ class TestRunExperiment:
         s2 = {k: v for k, v in parallel["summary"].items() if k != "config"}
         assert s1 == s2
 
-    def test_probe_dispatch_all_names(self):
+    def test_probe_dispatch_all_names(self, tmp_path, capsys):
         quick = {
+            "attack": {"d": 16, "widths": [16, 16], "trials": 3},
+            "sweep": {"dims": [8, 16], "trials": 3},
+            "collapse": {"d": 4, "width": 16, "depth": 3, "n_pairs": 2},
+            "kernel": {"steps": 5},
             "probe:value_gradient": {"d": 32, "widths": [32], "trials": 5},
             "probe:scale_preservation": {"d": 32, "widths": [32, 32], "trials": 3,
                                          "radius": 0.5, "n_samples": 3},
@@ -81,11 +87,23 @@ class TestRunExperiment:
             "probe:dist_equiv": {"d": 32, "widths": [32], "trials": 100},
             "probe:gaussian_spectral": {"dims": [20, 30], "trials": 5},
         }
+        assert list(quick) == list(KINDS)
         for kind, extra in quick.items():
             cfg = ExperimentConfig.from_dict({"kind": kind, "master_seed": 3, **extra})
             out = run_experiment(cfg)
             assert out["rows"], kind
-            assert "violation_frequency" in out["summary"], kind
+            if kind.startswith("probe:"):
+                assert "violation_frequency" in out["summary"], kind
+            argv = kind.split(":") + ["--seed", "3", "--out-dir", str(tmp_path)]
+            for key, v in extra.items():
+                argv += ["--" + key.replace("_", "-")]
+                argv += [str(x) for x in v] if isinstance(v, list) else [str(v)]
+            assert main(argv) == 0, kind
+            stem = kind.replace(":", "_")
+            write_csv(out["rows"], tmp_path / "direct.csv")
+            assert (tmp_path / f"{stem}.csv").read_bytes() == \
+                (tmp_path / "direct.csv").read_bytes(), kind
+            assert (tmp_path / f"{stem}_summary.json").exists(), kind
 
 
 class TestOutputs:
@@ -165,6 +183,49 @@ class TestCli:
         summary = json.loads((tmp_path / "kernel_summary.json").read_text())
         assert summary["config"]["steps"] == 7
         assert summary["config"]["theta_0"] == 3.0
+
+    def test_every_config_key_is_a_flag(self, tmp_path, capsys):
+        flags = {
+            "--seed": ("master_seed", ["7"], 7), "--d": ("d", ["5"], 5),
+            "--widths": ("widths", ["3", "4"], [3, 4]), "--trials": ("trials", ["2"], 2),
+            "--radius": ("radius", ["0.25"], 0.25), "--alpha": ("alpha", ["0.2"], 0.2),
+            "--delta": ("delta", ["0.3"], 0.3), "--t-max": ("t_max", ["2.5"], 2.5),
+            "--dims": ("dims", ["6", "7"], [6, 7]), "--theta0": ("theta_0", ["1.0"], 1.0),
+            "--steps": ("steps", ["3"], 3), "--n-pairs": ("n_pairs", ["4"], 4),
+            "--width": ("width", ["9"], 9), "--depth": ("depth", ["2"], 2),
+            "--n-samples": ("n_samples", ["3"], 3), "--n-draws": ("n_draws", ["11"], 11),
+            "--workers": ("workers", ["2"], 2), "--alert-level": ("alert_level", ["0.5"], 0.5),
+        }
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
+        assert {key for key, _, _ in flags.values()} == keys
+        argv = ["kernel", "--out-dir", str(tmp_path)]
+        for flag, (_, values, _) in flags.items():
+            argv += [flag, *values]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "kernel_summary.json").read_text())["config"]
+        assert config == {"kind": "kernel", **{k: v for k, _, v in flags.values()}}
+
+    @pytest.mark.parametrize("argv, key", [
+        ("attack --widths 0", "widths"),
+        ("sweep --dims 8 0", "dims"),
+        ("probe gaussian_spectral --dims 0 3", "dims"),
+        ("probe activation_margin --alpha 0", "alpha"),
+        ("probe segment_spectral --d 16 --widths 16", "widths"),
+        ("collapse --d 1", "d"),
+    ])
+    def test_invalid_config_rejected_before_work(self, tmp_path, capsys, argv, key):
+        rc = main(argv.split() + ["--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_malformed_config_file_exit_one(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{bad")
+        rc = main(["kernel", "--config", str(cfgfile), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_sample_writes_loadable_network(self, tmp_path, capsys):
         from relurand.network import load_network

@@ -149,20 +149,20 @@ class TestSignFlip:
     def test_identical_inputs(self):
         x = np.array([1.0, 2.0])
         out = probe_sign_flip(x, x, 1000, RngStream(0))
-        assert out["empirical"] == 0.0 and out["oracle"] == 0.0
+        assert out.summary["empirical"] == 0.0 and out.summary["oracle"] == 0.0
 
     def test_antipodal(self):
         x = np.array([1.0, 0.0, 0.0])
         out = probe_sign_flip(x, -x, 1000, RngStream(1))
-        assert out["oracle"] == pytest.approx(1.0)
-        assert out["bound"] is None  # r > R: formula precondition violated
+        assert out.summary["oracle"] == pytest.approx(1.0)
+        assert out.summary["bound"] is None  # r > R: formula precondition violated
 
     def test_orthogonal_half(self):
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 1.0])
         out = probe_sign_flip(x, y, 100_000, RngStream(2))
-        assert out["oracle"] == pytest.approx(0.5)
-        assert abs(out["empirical"] - 0.5) <= 3 * out["std_error"]
+        assert out.summary["oracle"] == pytest.approx(0.5)
+        assert abs(out.summary["empirical"] - 0.5) <= 3 * out.summary["std_error"]
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -173,33 +173,33 @@ class TestSignFlip:
         x = rng.sphere_point(50, norm=10.0)
         y = x + rng.sphere_point(50, norm=0.5)
         out = probe_sign_flip(x, y, 100_000, rng)
-        assert out["empirical"] <= out["bound"]
+        assert out.summary["empirical"] <= out.summary["bound"]
 
 
 class TestDistEquiv:
     def test_linear_case_passes(self):
         out = probe_dist_equiv(Architecture(64, ()), 1000, master_seed=6)
-        assert out["pass"]
+        assert out.summary["pass"]
 
     def test_two_layer_passes(self):
         out = probe_dist_equiv(Architecture(128, (128, 128)), 1000, master_seed=7)
-        assert out["pass"]
+        assert out.summary["pass"]
 
     def test_mismatched_control_fails(self):
         out = probe_dist_equiv(Architecture(128, (128, 128)), 1000, master_seed=8,
                                control_p=0.9)
-        assert not out["pass"]
+        assert not out.summary["pass"]
 
 
 class TestGaussianSpectral:
     def test_scalar_case(self):
         out = probe_gaussian_spectral(1, 1, 0.1, 100, master_seed=9)
-        assert out["violations"] == 0  # bound >= 6, |N(0,1)| essentially never
+        assert out.summary["violations"] == 0  # bound >= 6, |N(0,1)| essentially never
 
     def test_stated_bound(self):
         out = probe_gaussian_spectral(200, 300, 0.01, 100, master_seed=10)
-        assert out["violations"] <= 1
+        assert out.summary["violations"] <= 1
 
     def test_marchenko_pastur_edge(self):
         out = probe_gaussian_spectral(500, 500, 0.01, 30, master_seed=11)
-        assert 0.9 <= out["mean_norm_over_edge"] <= 1.1
+        assert 0.9 <= out.summary["mean_norm_over_edge"] <= 1.1
