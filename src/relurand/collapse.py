@@ -10,6 +10,11 @@ The quantitative collapse regime needs depths >= d^3 and widths
 mechanism at feasible scale (kernel tracking, monotone correlation
 convergence, norm preservation, and the constancy trend with depth) and
 makes no claim about a C sqrt(log d / d) constancy rate.
+
+The simulation never forms a layer's weights.  It samples only the
+width x k image of the current k = 2 n_pairs columns
+(linalg.gaussian_times), so a layer draws at most width x k normals
+instead of width x fan_in.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .linalg import gaussian_times
 from .rng import RngStream
 
 __all__ = [
@@ -42,17 +48,18 @@ def kernel_map(theta: float) -> float:
 def kernel_mc_estimate(theta: float, n_draws: int, rng: RngStream) -> dict:
     """Monte Carlo cross-check of kernel_map via its defining 2-d expectation.
 
-    Draws g ~ N(0, I_2) against x = (1,0), y = (cos theta, sin theta);
-    the denominator E relu(g.x)^2 = ||x||^2 / 2 is used exactly, so the
-    reported std_error is the numerator's standard error on the estimate
-    scale and "within 3 std errors of kernel_map" is directly testable.
+    Samples (g.x, g.y) for g ~ N(0, I_2), x = (1,0), y = (cos theta,
+    sin theta) as the image of [x, y] (linalg.gaussian_times; [x, y] is
+    its own Gram-Schmidt factor).  The denominator E relu(g.x)^2 =
+    ||x||^2 / 2 is used exactly, so the reported std_error is the
+    numerator's standard error on the estimate scale and "within 3 std
+    errors of kernel_map" is directly testable.
     """
     if not (0.0 <= theta <= np.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    g = rng.normal((n_draws, 2))
-    px = np.maximum(g[:, 0], 0.0)
-    py = np.maximum(g[:, 0] * np.cos(theta) + g[:, 1] * np.sin(theta), 0.0)
-    prod = px * py
+    xy = np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]])
+    gx, gy = gaussian_times(xy, n_draws, 1.0, rng).T
+    prod = np.maximum(gx, 0.0) * np.maximum(gy, 0.0)
     denom = 0.5  # exact E relu(g.x)^2 for unit x
     estimate = float(prod.mean() / denom)
     std_error = float(prod.std(ddof=1) / np.sqrt(n_draws) / denom)
@@ -114,11 +121,14 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
                       pairs=None) -> CollapseReport:
     """Propagate input pairs through a deep 2/fan-in network, layer by layer.
 
-    Weights are generated per layer from a derived stream and discarded,
-    so depth 200 at width 2000 stays within memory.  At each checkpoint
-    depth the same sampled output vector (variance 2/width) is applied to
-    the current images, giving the output constancy ratio a depth-t
-    network would produce.
+    No weight matrix is formed: each layer samples, from its own derived
+    stream, only the width x 2 n_pairs image of the current columns
+    (linalg.gaussian_times).  A layer draws width x min(fan_in, 2 n_pairs)
+    normals instead of width x fan_in, and memory stays at a few
+    width x 2 n_pairs arrays at any depth.  At each checkpoint depth the
+    same sampled output vector (variance 2/width) is applied to the
+    current images, giving the output constancy ratio a depth-t network
+    would produce.
 
     pairs overrides the uniform-sphere sampling with explicit (x, y)
     pairs; used by tests to force degenerate geometry.
@@ -160,8 +170,7 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     prev_norms = np.linalg.norm(X, axis=0)
     for t in range(1, depth + 1):
         rng = RngStream(master_seed, t + 1)
-        W = np.sqrt(2.0 / fan_in) * rng.normal((width, fan_in))
-        cur = np.maximum(W @ cur, 0.0)
+        cur = np.maximum(gaussian_times(cur, width, np.sqrt(2.0 / fan_in), rng), 0.0)
         norms = np.linalg.norm(cur, axis=0)
         layer_norms[:, t - 1] = norms
         # the 2/fan-in scaling gives E ||f_t||^2 = (width/fan_in) ||f_{t-1}||^2;

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__, probes
 from .adversarial import dimension_sweep, flip_search
 from .collapse import collapse_simulate, kernel_iterate
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInput
 from .network import Architecture, InitMode, bottleneck_decomposition, build_network
 from .network import forward  # noqa: F401  perfbench's tracer test rebinds harness.forward
 from .rng import RngStream
@@ -61,10 +62,16 @@ class ExperimentConfig:
         for key in ("widths", "dims"):
             if any(v < 1 for v in getattr(self, key)):
                 raise ConfigError(f"every entry of '{key}' must be positive")
+        for key in ("radius", "alpha", "delta", "theta_0", "alert_level", "t_max"):
+            v = getattr(self, key)
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"'{key}' must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("'delta' must lie in (0, 1)")
         if self.radius < 0.0:
             raise ConfigError("'radius' must be >= 0")
+        if self.t_max is not None and self.t_max <= 0.0:
+            raise ConfigError("'t_max' must be positive")
         if KINDS[self.kind].invalid(self):
             raise ConfigError(KINDS[self.kind].error)
 
@@ -116,7 +123,10 @@ def _run_attack(cfg: ExperimentConfig):
         rng = RngStream(cfg.master_seed, i)
         net = build_network(arch, InitMode.STANDARD, rng)
         x = rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
-        res = flip_search(net, x, cfg.t_max, delta=cfg.delta, rng=rng)
+        try:
+            res = flip_search(net, x, cfg.t_max, delta=cfg.delta, rng=rng)
+        except DegenerateInput:  # f(x) = 0 or a zero gradient: no direction to search
+            return TrialRecord(i, i, {}, status="degenerate")
         vals = {"f_x": res.f_x, "grad_norm": res.grad_norm,
                 "paper_eta": res.paper_eta, "evaluations": res.evaluations}
         if res.flipped:

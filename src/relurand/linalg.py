@@ -2,8 +2,9 @@
 
 Matrices and vectors are plain float64 numpy arrays throughout the
 package; this module adds the few operations the rest of the code needs:
-gaussian matrix sampling, a power-iteration spectral norm, and the
-two-sample Kolmogorov-Smirnov statistic.
+gaussian matrix sampling, sampling the image W @ M of a thin matrix under
+a fresh gaussian W, a power-iteration spectral norm, and the two-sample
+Kolmogorov-Smirnov statistic.
 """
 
 from __future__ import annotations
@@ -13,12 +14,41 @@ import numpy as np
 from .errors import NonConverged
 from .rng import RngStream
 
-__all__ = ["gaussian_matrix", "spectral_norm", "ks_two_sample", "ks_critical_value"]
+__all__ = ["gaussian_matrix", "gaussian_times", "spectral_norm", "ks_two_sample",
+           "ks_critical_value"]
 
 
 def gaussian_matrix(rows: int, cols: int, std: float, rng: RngStream) -> np.ndarray:
     """Dense rows x cols matrix with iid N(0, std^2) entries."""
     return std * rng.normal((rows, cols))
+
+
+def gaussian_times(M: np.ndarray, rows: int, std: float, rng: RngStream) -> np.ndarray:
+    """Sample of W @ M, where W is a fresh rows x M.shape[0] matrix with iid
+    N(0, std^2) entries, independent of M.
+
+    The rows of W @ M are iid N(0, std^2 M^T M), so only the Gram matrix of
+    M matters.  With U the distinct columns of M and U = QR its thin
+    factorization (R with nonnegative diagonal, the Gram-Schmidt factor),
+    R^T R = U^T U, and std * G @ R with G a rows x r standard normal matrix,
+    r = min(U.shape), has the distribution of W @ U.  Only rows x r normals
+    are drawn instead of rows x M.shape[0].  The images are scattered back
+    to M's columns: equal columns get bitwise-equal images and a zero column
+    stays exactly zero.  Valid only where W is independent of M; a caller
+    that reuses W or chooses M from W needs gaussian_matrix.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    cols = np.ascontiguousarray(M.T)
+    slot: dict[bytes, int] = {}
+    keep = []                      # index of each distinct column's first occurrence
+    inverse = np.empty(len(cols), dtype=np.intp)
+    for j, col in enumerate(cols):
+        inverse[j] = slot.setdefault(col.tobytes(), len(slot))
+        if inverse[j] == len(keep):
+            keep.append(j)
+    R = np.linalg.qr(cols[keep].T, mode="r")
+    R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+    return (std * rng.normal((rows, R.shape[0])) @ R)[:, inverse]
 
 
 def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) -> float:

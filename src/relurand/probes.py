@@ -18,7 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInput
-from .linalg import gaussian_matrix, ks_critical_value, ks_two_sample, spectral_norm
+from .linalg import (
+    gaussian_matrix,
+    gaussian_times,
+    ks_critical_value,
+    ks_two_sample,
+    spectral_norm,
+)
 from .network import (
     Architecture,
     ForwardTrace,
@@ -264,10 +270,12 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
                     rng: RngStream) -> ProbeReport:
     """Probability that a random gaussian hyperplane separates x and y.
 
-    empirical over n_draws gaussian normals; bound 3r/R sqrt(log R/r) with
-    R = ||x||, r = ||x - y|| (absent when r > R or r = 0, and then the
-    violation frequency is None); oracle is the exact angle/pi by
-    rotational symmetry.
+    empirical over n_draws gaussian normals w, through the 2-column
+    reduction: only the pairs (w.x, w.y) are sampled, as the n_draws x 2
+    image of [x, y] (linalg.gaussian_times), never the n_draws x d normals.
+    Bound 3r/R sqrt(log R/r) with R = ||x||, r = ||x - y|| (absent when
+    r > R or r = 0, and then the violation frequency is None); oracle is
+    the exact angle/pi by rotational symmetry.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -276,9 +284,8 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
     if R == 0.0 or ny == 0.0:
         raise DegenerateInput("x and y must be nonzero")
     r = float(np.linalg.norm(x - y))
-    d = x.shape[0]
-    W = rng.normal((n_draws, d))
-    empirical = float(np.mean(np.sign(W @ x) != np.sign(W @ y)))
+    wx, wy = gaussian_times(np.stack([x, y], axis=1), n_draws, 1.0, rng).T
+    empirical = float(np.mean(np.sign(wx) != np.sign(wy)))
     if 0.0 < r < R:
         bound = float(3.0 * (r / R) * np.sqrt(np.log(R / r)))
     else:

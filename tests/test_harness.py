@@ -212,6 +212,11 @@ class TestCli:
         ("probe activation_margin --alpha 0", "alpha"),
         ("probe segment_spectral --d 16 --widths 16", "widths"),
         ("collapse --d 1", "d"),
+        ("attack --t-max -1", "t_max"),
+        ("attack --t-max 0", "t_max"),
+        ("attack --t-max inf", "t_max"),
+        ("probe sign_flip --radius nan", "radius"),
+        ("kernel --theta0 nan", "theta_0"),
     ])
     def test_invalid_config_rejected_before_work(self, tmp_path, capsys, argv, key):
         rc = main(argv.split() + ["--out-dir", str(tmp_path)])
@@ -219,6 +224,18 @@ class TestCli:
         assert rc == 1
         assert err.startswith("config error:") and f"'{key}'" in err
         assert not any(tmp_path.iterdir())
+
+    def test_degenerate_trial_is_a_row(self, tmp_path, capsys):
+        # width 1: a dead hidden neuron gives f(x) = 0 and a zero gradient
+        rc = main(["attack", "--d", "2", "--widths", "1", "--trials", "20",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "attack.csv").read_text().splitlines()
+        statuses = [line.split(",")[2] for line in lines[1:]]
+        assert len(statuses) == 20
+        assert "degenerate" in statuses
+        summary = json.loads((tmp_path / "attack_summary.json").read_text())
+        assert summary["flip_rate"] == statuses.count("ok") / 20
 
     def test_malformed_config_file_exit_one(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

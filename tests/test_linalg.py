@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp, norm
 
 from relurand.errors import NonConverged
-from relurand.linalg import gaussian_matrix, ks_critical_value, ks_two_sample, spectral_norm
+from relurand.linalg import (
+    gaussian_matrix,
+    gaussian_times,
+    ks_critical_value,
+    ks_two_sample,
+    spectral_norm,
+)
 from relurand.rng import RngStream
 
 
@@ -28,6 +34,53 @@ class TestGaussianMatrix:
         a = gaussian_matrix(10, 10, 1.0, RngStream(42, 0))
         b = gaussian_matrix(10, 10, 1.0, RngStream(42, 1))
         assert not np.array_equal(a, b)
+
+
+class TestGaussianTimes:
+    def test_equal_columns_get_equal_images(self):
+        x = RngStream(1).normal(50)
+        y = RngStream(2).normal(50)
+        Z = gaussian_times(np.stack([x, y, x, x], axis=1), 300, 1.0, RngStream(3))
+        assert np.array_equal(Z[:, 0], Z[:, 2]) and np.array_equal(Z[:, 0], Z[:, 3])
+        assert not np.array_equal(Z[:, 0], Z[:, 1])
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_zero_column_stays_zero(self, where):
+        M = RngStream(4).normal((20, 3))
+        M[:, where] = 0.0
+        Z = gaussian_times(M, 100, 2.0, RngStream(5))
+        assert np.all(Z[:, where] == 0.0)
+        assert np.all(np.delete(Z, where, axis=1) != 0.0)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]),           # antipodal
+        RngStream(6).normal((4, 10)),                               # wide
+        np.outer(RngStream(7).normal(30), [1.0, 2.0, -3.0, 0.5]),   # rank 1
+    ], ids=["antipodal", "wide", "rank1"])
+    def test_degenerate_shapes(self, M):
+        Z = gaussian_times(M, 17, 1.0, RngStream(8))
+        assert Z.shape == (17, M.shape[1])
+        assert np.all(np.isfinite(Z))
+
+    def test_determinism(self):
+        M = RngStream(9).normal((40, 6))
+        a = gaussian_times(M, 25, 1.0, RngStream(42, 3))
+        b = gaussian_times(M, 25, 1.0, RngStream(42, 3))
+        assert np.array_equal(a, b)
+
+    def test_row_covariance_matches_gram(self):
+        # rows of W @ M are iid N(0, std^2 M^T M); the mean-zero sample
+        # covariance entry (i, j) has standard error
+        # sqrt((S_ii S_jj + S_ij^2) / n)
+        rng = RngStream(10)
+        M = rng.normal((200, 3)) / np.sqrt(200)
+        M[:, 2] = 0.6 * M[:, 0] - 0.8 * M[:, 2]
+        std, n = 0.7, 200_000
+        Z = gaussian_times(M, n, std, RngStream(11))
+        S = std ** 2 * (M.T @ M)
+        C = Z.T @ Z / n
+        se = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S ** 2) / n)
+        assert np.all(np.abs(C - S) <= 3 * se)
 
 
 class TestSpectralNorm:
