@@ -36,11 +36,14 @@ def main() -> int:
     write_csv(out["rows"], args.out_dir / "sweep.csv")
     write_summary_json(out["summary"], args.out_dir / "sweep_summary.json")
 
+    def fmt(v):  # no flips at a dimension: no median; fewer than two medians: no slope
+        return "n/a" if v is None else f"{v:.4f}"
+
     for r in out["rows"]:
         v = r.values
         print(f"d={v['d']:5d}  flip_rate={v['flip_rate']:.3f}  "
-              f"ratio_median={v['ratio_median']:.4f}")
-    print(f"log-log slope: {out['summary']['slope']:.4f}")
+              f"degenerate={v['degenerate']}  ratio_median={fmt(v['ratio_median'])}")
+    print(f"log-log slope: {fmt(out['summary']['slope'])}")
     return 0
 
 

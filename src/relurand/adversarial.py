@@ -202,6 +202,7 @@ class SweepRow:
     d: int
     trials: int
     flips: int
+    degenerate: int                # trials with f(x) = 0 or a zero gradient
     flip_rate: float
     ratio_median: Optional[float]
     ratio_q05: Optional[float]
@@ -226,7 +227,9 @@ def dimension_sweep(
     """Flip-ratio statistics across input dimensions, plus the log-log slope.
 
     Trial k of dimension index j uses stream_id = j * trials + k, so the
-    sweep is reproducible trial-by-trial and order-independent.
+    sweep is reproducible trial-by-trial and order-independent.  A trial
+    with no direction to search (DegenerateInput) is counted as degenerate
+    and as not flipped; flip_rate keeps trials as its denominator.
     """
     dims = list(dims)
     if not dims:
@@ -237,23 +240,27 @@ def dimension_sweep(
     for j, d in enumerate(dims):
         arch = Architecture(d, width_rule(d))
         ratios = []
-        flips = 0
+        flips = degenerate = 0
         for k in range(trials):
             rng = RngStream(master_seed, j * trials + k)
             net = build_network(arch, InitMode.STANDARD, rng)
             x = rng.sphere_point(d, norm=np.sqrt(d))
-            res = flip_search(net, x, delta=delta, rng=rng)
+            try:
+                res = flip_search(net, x, delta=delta, rng=rng)
+            except DegenerateInput:
+                degenerate += 1
+                continue
             if res.flipped:
                 flips += 1
                 ratios.append(res.ratio)
         if ratios:
             r = np.array(ratios)
-            row = SweepRow(d, trials, flips, flips / trials,
+            row = SweepRow(d, trials, flips, degenerate, flips / trials,
                            float(np.median(r)),
                            float(np.quantile(r, 0.05)),
                            float(np.quantile(r, 0.95)))
         else:
-            row = SweepRow(d, trials, flips, flips / trials, None, None, None)
+            row = SweepRow(d, trials, flips, degenerate, flips / trials, None, None, None)
         rows.append(row)
     usable = [(row.d, row.ratio_median) for row in rows if row.ratio_median]
     if len(usable) >= 2:

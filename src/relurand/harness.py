@@ -149,7 +149,8 @@ def _run_sweep(cfg: ExperimentConfig):
     res = dimension_sweep(cfg.dims, ell, cfg.trials, cfg.master_seed, delta=cfg.delta)
     rows = [
         TrialRecord(i, i, {
-            "d": r.d, "trials": r.trials, "flips": r.flips, "flip_rate": r.flip_rate,
+            "d": r.d, "trials": r.trials, "flips": r.flips, "degenerate": r.degenerate,
+            "flip_rate": r.flip_rate,
             "ratio_median": r.ratio_median, "ratio_q05": r.ratio_q05,
             "ratio_q95": r.ratio_q95,
         })
@@ -185,8 +186,16 @@ def _run_collapse(cfg: ExperimentConfig):
 
 
 def _records(reports) -> list[TrialRecord]:
-    rows = (row for rep in reports for row in rep.rows)
-    return [TrialRecord(k, seed, values) for k, (seed, values) in enumerate(rows)]
+    """The CSV rows of each report in order; None in place of trial i's
+    report is one `degenerate` row."""
+    records: list[TrialRecord] = []
+    for i, rep in enumerate(reports):
+        if rep is None:
+            records.append(TrialRecord(len(records), i, {}, status="degenerate"))
+        else:
+            records += [TrialRecord(len(records) + j, seed, values)
+                        for j, (seed, values) in enumerate(rep.rows)]
+    return records
 
 
 def _ensemble(probe):
@@ -200,14 +209,22 @@ def _ensemble(probe):
 
 
 def _per_trial(probe, summarize=lambda reports, freq: {}):
-    """Runner for a probe called once per trial on stream i; the violation
-    frequency is the mean over the trials whose bound applies."""
+    """Runner for a probe called once per trial on stream i.  A trial whose
+    input is degenerate (DegenerateInput, e.g. a zero layer image) is a
+    `degenerate` row; the violation frequency is the mean over the other
+    trials whose bound applies."""
     def run(cfg: ExperimentConfig):
-        reports = _map_trials(
-            cfg, lambda i: probe(cfg, RngStream(cfg.master_seed, i)), cfg.trials)
+        def trial(i: int):
+            try:
+                return probe(cfg, RngStream(cfg.master_seed, i))
+            except DegenerateInput:
+                return None
+
+        results = _map_trials(cfg, trial, cfg.trials)
+        reports = [r for r in results if r is not None]
         freqs = [r.violation_frequency for r in reports if r.violation_frequency is not None]
         freq = float(np.mean(freqs)) if freqs else 0.0
-        return _records(reports), {**summarize(reports, freq), "violation_frequency": freq}
+        return _records(results), {**summarize(reports, freq), "violation_frequency": freq}
     return run
 
 

@@ -31,6 +31,7 @@ from .network import (
     InitMode,
     Network,
     TiePolicy,
+    _layer_stds,
     bottleneck_decomposition,
     build_network,
     forward,
@@ -305,12 +306,19 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
 
 
 def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> float:
-    """||W_{l+1} prod D_i W_i|| with iid Bernoulli(p) diagonal masks."""
-    net = build_network(arch, InitMode.STANDARD, rng)
-    v = net.weights[-1][0].copy()
-    for W in net.weights[-2::-1]:
-        mask = rng.bernoulli(p, W.shape[0]).astype(np.float64)
-        v = (v * mask) @ W
+    """||W_{l+1} prod D_i W_i|| with iid Bernoulli(p) diagonal masks.
+
+    Each W_i is fresh and independent of the masks and of the row vector v
+    it multiplies, so v <- (v D_i) W_i is a draw of the 1-column image of
+    (v D_i)^T under a gaussian matrix (linalg.gaussian_times): d_{i-1}
+    normals per layer instead of d_i x d_{i-1}.
+    """
+    dims = arch.dims
+    stds = _layer_stds(arch, InitMode.STANDARD)
+    v = gaussian_matrix(1, dims[-2], stds[-1], rng)[0]
+    for i in range(arch.ell, 0, -1):
+        mask = rng.bernoulli(p, dims[i]).astype(np.float64)
+        v = gaussian_times((v * mask)[:, None], dims[i - 1], stds[i - 1], rng)[:, 0]
     return float(np.linalg.norm(v))
 
 
@@ -320,9 +328,11 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
 
     Sample A: gradient norms of standard nets with data-dependent masks at
     a fixed sphere input.  Sample B: norms of the same weight products
-    with iid Bernoulli(1/2) masks.  The identity predicts equality in
-    distribution; control_p substitutes a different mask probability to
-    demonstrate the test's power.
+    with iid Bernoulli(1/2) masks; its weights are independent of its
+    masks, so it draws only the row images v D_i W_i, never a whole
+    network.  The identity predicts equality in distribution; control_p
+    substitutes a different mask probability to demonstrate the test's
+    power.
     """
     x = _fixed_input(arch, RngStream(master_seed, 0))
     p = 0.5 if control_p is None else control_p

@@ -237,6 +237,33 @@ class TestCli:
         summary = json.loads((tmp_path / "attack_summary.json").read_text())
         assert summary["flip_rate"] == statuses.count("ok") / 20
 
+    def test_degenerate_sweep_trials_are_counted(self, tmp_path, capsys):
+        # d = 1 and d = 2 nets often have a dead hidden layer: f(x) = 0
+        rc = main(["sweep", "--dims", "1", "2", "--trials", "20",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 2
+        assert all(int(r["degenerate"]) > 0 for r in rows)
+        assert all(float(r["flip_rate"]) == int(r["flips"]) / 20 for r in rows)
+
+    def test_degenerate_probe_trial_is_a_row(self, tmp_path, capsys):
+        # width 1: half the trials have a zero first-layer image
+        rc = main(["probe", "activation_margin", "--d", "2", "--widths", "1", "1",
+                   "--trials", "20", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "probe_activation_margin.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 20
+        assert [int(r[1]) for r in rows] == list(range(20))
+        degenerate = [r for r in rows if r[2] == "degenerate"]
+        assert degenerate and all(c == "" for r in degenerate for c in r[3:])
+        ok = [float(r[-1]) for r in rows if r[2] == "ok"]
+        summary = json.loads((tmp_path / "probe_activation_margin_summary.json").read_text())
+        assert summary["violation_frequency"] == pytest.approx(np.mean(ok))
+
     def test_malformed_config_file_exit_one(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text("{bad")

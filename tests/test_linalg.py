@@ -119,6 +119,29 @@ class TestSpectralNorm:
         with pytest.raises(NonConverged):
             spectral_norm(M, tol=1e-14, max_iters=2)
 
+    def test_matches_svd_at_working_tol(self):
+        # the tolerance the spectral probes use, on their 200 x 300 shape
+        M = gaussian_matrix(200, 300, 1.0, RngStream(5, 0))
+        exact = np.linalg.svd(M, compute_uv=False)[0]
+        assert spectral_norm(M, tol=1e-8) == pytest.approx(exact, rel=1e-8)
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((4, 6))) == 0.0
+
+    @pytest.mark.parametrize("M", [
+        np.outer(RngStream(12).normal(30), RngStream(13).normal(20)),   # rank 1
+        RngStream(14).normal((1, 25)),                                  # 1 x n
+        RngStream(15).normal((25, 1)),                                  # n x 1
+    ], ids=["rank1", "row", "column"])
+    def test_exact_on_rank_one(self, M):
+        exact = np.linalg.svd(M, compute_uv=False)[0]
+        assert spectral_norm(M) == pytest.approx(exact, rel=1e-13)
+
+    def test_nonconverged_at_working_tol(self):
+        M = gaussian_matrix(200, 300, 1.0, RngStream(5, 0))
+        with pytest.raises(NonConverged):
+            spectral_norm(M, tol=1e-8, max_iters=2)
+
 
 class TestKsTwoSample:
     def test_identical_samples(self):

@@ -5,6 +5,7 @@ from scipy.stats import norm
 from relurand.errors import DegenerateInput
 from relurand.network import Architecture, InitMode, TiePolicy, build_network, forward
 from relurand.probes import (
+    _bernoulli_product_norm,
     probe_activation_margin,
     probe_dist_equiv,
     probe_gaussian_spectral,
@@ -189,6 +190,24 @@ class TestDistEquiv:
         out = probe_dist_equiv(Architecture(128, (128, 128)), 1000, master_seed=8,
                                control_p=0.9)
         assert not out.summary["pass"]
+
+
+class TestBernoulliSample:
+    @pytest.mark.parametrize("p, seed", [(0.5, 21), (0.9, 22)])
+    def test_mean_square_norm(self, p, seed):
+        # standard init: each layer maps E||v||^2 to p E||v||^2, and the
+        # output row has E||v||^2 = 1, so E||B||^2 = p^l exactly
+        arch = Architecture(128, (128, 128))
+        sq = np.array([_bernoulli_product_norm(arch, p, RngStream(seed, k)) ** 2
+                       for k in range(4000)])
+        se = sq.std(ddof=1) / np.sqrt(sq.size)
+        assert abs(sq.mean() - p ** arch.ell) <= 4 * se
+
+    def test_same_stream_same_value(self):
+        arch = Architecture(64, (32, 48))
+        a = _bernoulli_product_norm(arch, 0.5, RngStream(23, 4))
+        b = _bernoulli_product_norm(arch, 0.5, RngStream(23, 4))
+        assert a == b
 
 
 class TestGaussianSpectral:
