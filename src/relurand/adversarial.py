@@ -1,11 +1,13 @@
 """Gradient-direction sign-flip attacks on random ReLU networks.
 
-The attack walks along -sign(f(x)) * grad f(x) / ||grad f(x)||, brackets
-the first sign change geometrically, and bisects to the minimal flipping
-step.  The theory's eta has constants far too large to be informative at
-desk scale, so the searched step is the primary output and eta is
-reported as a reference column; the falsifiable content is the ~d^{-1/2}
-scaling of the perturbation-to-input ratio, checked by dimension_sweep.
+The attack moves along -sign(f(x)) * grad f(x) / ||grad f(x)||.  Along
+that ray f is piecewise linear, so the minimal flipping step is read off
+exactly by walking its linear pieces, one activation change at a time,
+until the output line crosses zero.  The theory's eta has constants far
+too large to be informative at desk scale, so the searched step is the
+primary output and eta is reported as a reference column; the
+falsifiable content is the ~d^{-1/2} scaling of the
+perturbation-to-input ratio, checked by dimension_sweep.
 """
 
 from __future__ import annotations
@@ -60,16 +62,80 @@ def paper_eta(ell: int, d: int, delta: float, grad_norm: float) -> float:
     return float(-(2.0 ** ell) * np.log(d) * np.sqrt(np.log(1.0 / delta)) / grad_norm ** 2)
 
 
-def _eval_along(net: Network, x: np.ndarray, direction: np.ndarray,
-                rng: RngStream) -> Callable[[float], float]:
-    counter = {"n": 0}
+# A crossing this close to a breakpoint, relative, is taken to lie on it.
+_AT_BREAKPOINT = 1e-9
 
-    def f(t: float) -> float:
-        counter["n"] += 1
-        return forward(net, x + t * direction, TiePolicy.RANDOMIZED, rng).output
 
-    f.counter = counter
-    return f
+def _next_breakpoint(P: np.ndarray, active: np.ndarray, t0: float) -> tuple[float, int]:
+    """Earliest t >= t0 at which a unit of one layer changes state, and the unit.
+
+    P holds the layer's preactivations as [A, B] columns, A + t B.  Only a
+    unit whose state disagrees with the sign of its slope B ever changes
+    state; a root that rounding put below t0 is clamped to t0.
+    """
+    A, B = P[:, 0], P[:, 1]
+    moving = np.flatnonzero((active != (B > 0.0)) & (B != 0.0))
+    if moving.size == 0:
+        return np.inf, -1
+    roots = -A[moving] / B[moving]
+    k = int(np.argmin(roots))
+    return max(float(roots[k]), t0), int(moving[k])
+
+
+def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
+          t_max: float) -> tuple[Optional[float], int]:
+    """inf{t in [0, t_max] : s f(x + t u) < -level}, or None, and the number
+    of linear pieces walked.
+
+    Along the ray f is piecewise linear.  Inside one piece every
+    preactivation of layer j is A_j + t B_j, starting from one 2-column
+    pass of [x, u]; the output is c + t e.  Each step finds the next hidden
+    breakpoint and takes the output crossing if it lies inside the piece,
+    short of the breakpoint by more than _AT_BREAKPOINT relative.  A
+    crossing on a breakpoint is left to the next piece, which takes its
+    start if the output keeps falling there; so f reaching exactly 0 as
+    its last contributing unit dies is no flip.  Otherwise the walk
+    switches the crossing unit.  Its new state is the sign of its slope
+    (re-evaluating A + t B at the rounded root loses crossings), its
+    change reaches layer j+1 as a rank-one update, and the layers above
+    that are recomputed with 2-column products.  Above a layer left with
+    no active unit the next layer is recomputed instead, so that it is
+    exactly 0 rather than the rounding residue of the updates.  The output
+    layer is the last entry of P, a 1 x 2 array.
+    """
+    P, active = [], []
+    cur = np.stack([x, u], axis=1)
+    for W in net.weights[:-1]:
+        P.append(W @ cur)
+        active.append(P[-1][:, 0] > 0.0)
+        cur = P[-1] * active[-1][:, None]
+    P.append(net.weights[-1] @ cur)
+    ell = len(active)
+    roots = [_next_breakpoint(P[j], active[j], 0.0) for j in range(ell)]
+    t0, pieces = 0.0, 0
+    while True:
+        pieces += 1
+        j = min(range(ell), key=lambda k: roots[k][0], default=None)
+        t1 = np.inf if j is None else roots[j][0]
+        c, e = s * P[ell][0]
+        if e < 0.0:
+            t_cross = max((level + c) / -e, t0)
+            if t_cross < t1 * (1.0 - _AT_BREAKPOINT):
+                return (t_cross if t_cross <= t_max else None), pieces
+        if t1 > t_max:
+            return None, pieces
+        i = roots[j][1]
+        on = P[j][i, 1] > 0.0
+        active[j][i] = on
+        if active[j].any():
+            P[j + 1] += (1.0 if on else -1.0) * np.outer(net.weights[j + 1][:, i], P[j][i])
+            first = j + 2
+        else:
+            first = j + 1
+        for k in range(first, ell + 1):
+            P[k] = net.weights[k] @ (P[k - 1] * active[k - 1][:, None])
+        t0 = t1
+        roots[j:] = [_next_breakpoint(P[k], active[k], t0) for k in range(j, ell)]
 
 
 def flip_search(
@@ -82,10 +148,12 @@ def flip_search(
 ) -> AttackResult:
     """Minimal step along the attack direction at which the output sign flips.
 
-    Scans t geometrically upward from t_max * 1e-6, then bisects the
-    bracketing interval down to absolute tolerance tol.  Defaults:
-    tol = 1e-6 ||x||, t_max = 10 ||x||, far beyond the predicted
-    ratio ~ sqrt(log(1/delta)/d).
+    Walks the linear pieces of f along the ray x + t * direction (Hanin &
+    Rolnick 2019) and returns the exact first t at which the output takes
+    the opposite sign; an exactly zero output does not count.  evaluations
+    counts the pieces walked.  tol only sets the point t_star + tol past
+    the crossing at which magnitude_ok is read.  Defaults: tol = 1e-6 ||x||,
+    t_max = 10 ||x||, far beyond the predicted ratio ~ sqrt(log(1/delta)/d).
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
@@ -109,31 +177,13 @@ def flip_search(
     else:
         eta = float("nan")
 
-    f = _eval_along(net, x, direction, rng)
-    lo, hi = 0.0, None
-    t = t_max * 1e-6
-    # flipped means the opposite sign is reached; an exactly zero output
-    # (e.g. a saturated ReLU) does not count
-    while t <= t_max:
-        if np.sign(f(t)) == -s:
-            hi = t
-            break
-        lo = t
-        t *= 2.0
-    if hi is None:
-        return AttackResult(f_x, g_norm, direction, None, None, eta, False, None,
-                            f.counter["n"])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if np.sign(f(mid)) == -s:
-            hi = mid
-        else:
-            lo = mid
-    t_star = 0.5 * (lo + hi)
-    magnitude_ok = abs(f(t_star + tol)) >= abs(f_x)
+    t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
+    if t_star is None:
+        return AttackResult(f_x, g_norm, direction, None, None, eta, False, None, pieces)
+    f_past = forward(net, x + (t_star + tol) * direction, TiePolicy.RANDOMIZED, rng).output
     ratio = t_star / x_norm if x_norm > 0 else None
     return AttackResult(f_x, g_norm, direction, t_star, ratio, eta, True,
-                        magnitude_ok, f.counter["n"])
+                        abs(f_past) >= abs(f_x), pieces)
 
 
 @dataclass(frozen=True)
@@ -154,8 +204,9 @@ def verify_theorem1(
 ) -> Theorem1Check:
     """Both flip conditions: the sign flips and |f| regains |f(x)|.
 
-    After the flip, continues along the same ray until the flipped output
-    magnitude reaches |f(x)| (or t_max), and reports the ratio there.
+    Walks the same ray as flip_search to the first t at which the flipped
+    output magnitude exceeds |f(x)| (within t_max), and reports the ratio
+    there; f_past_crossing is f at t_star + tol.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
@@ -168,33 +219,12 @@ def verify_theorem1(
     res = flip_search(net, x, t_max, tol, rng=rng)
     if not res.flipped:
         return Theorem1Check(False, None, None, None, res)
-    f = _eval_along(net, x, res.direction, rng)
-    f_past = f(res.t_star + tol)
-    s = np.sign(res.f_x)
-    target = abs(res.f_x)
-    def satisfied(t: float) -> bool:
-        val = f(t)
-        return np.sign(val) == -s and abs(val) >= target
-
-    t = res.t_star + tol
-    prev, ok_t = res.t_star, None
-    while t <= t_max:
-        if satisfied(t):
-            ok_t = t
-            break
-        prev = t
-        t = max(t * 1.25, t + tol)
-    if ok_t is None:
+    f_past = forward(net, x + (res.t_star + tol) * res.direction,
+                     TiePolicy.RANDOMIZED, rng).output
+    t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), t_max)
+    if t_ok is None:
         return Theorem1Check(True, False, f_past, None, res)
-    # refine the first-satisfaction point (monotone in the near-linear regime)
-    lo, hi = prev, ok_t
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return Theorem1Check(True, True, f_past, hi / x_norm, res)
+    return Theorem1Check(True, True, f_past, t_ok / x_norm, res)
 
 
 @dataclass(frozen=True)

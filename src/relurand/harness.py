@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -53,6 +54,9 @@ class ExperimentConfig:
     alert_level: float = 0.05
 
     def validate(self) -> None:
+        for key, hint in _HINTS.items():
+            if not _has_type(getattr(self, key), hint):
+                raise ConfigError(f"'{key}' must be {_TYPE_NAMES[hint]}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind '{self.kind}'")
         for key in ("d", "trials", "steps", "n_pairs", "width", "depth",
@@ -83,7 +87,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         data = dict(data)
         for key in ("widths", "dims"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         cfg = cls(**data)
         cfg.validate()
@@ -94,6 +98,26 @@ class ExperimentConfig:
         d["widths"] = list(d["widths"])
         d["dims"] = list(d["dims"])
         return d
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+               Optional[float]: "a number or null", tuple[int, ...]: "a list of integers"}
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a config value has its field's type; a bool is no number."""
+    if hint == tuple[int, ...]:
+        return isinstance(value, tuple) and all(_has_type(v, int) for v in value)
+    if hint == Optional[float]:
+        return value is None or _has_type(value, float)
+    if isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float, np.integer, np.floating))
+    if hint is int:
+        return isinstance(value, (int, np.integer))
+    return isinstance(value, hint)
 
 
 @dataclass

@@ -67,10 +67,19 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) ->
     estimate of sigma^2 moves by at most tol (relatively) between steps;
     at exact breakdown (a zero residual, or M.shape[1] steps) the estimate
     is exact and is returned.  Raises NonConverged after max_iters steps.
+    M is first scaled by a power of two near its largest entry, so that
+    M^T M q neither underflows nor overflows at any finite scale.  The
+    scaling is exact, so at scales where nothing underflowed or overflowed
+    the result is the same to the bit as without it.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("spectral_norm requires a nonempty 2-d matrix")
+    peak = max(float(M.max()), -float(M.min()))
+    if peak == 0.0:
+        return 0.0
+    exponent = int(np.frexp(peak)[1])
+    M = np.ldexp(M, -exponent)
     n = M.shape[1]
     q = np.zeros(n)
     q[0] = 1.0
@@ -93,7 +102,7 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) ->
         estimate = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1])
         if (beta == 0.0 or step == n
                 or prev >= 0.0 and abs(estimate - prev) <= tol * max(estimate, 1e-300)):
-            return float(np.sqrt(max(estimate, 0.0)))
+            return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
         prev = estimate
         betas.append(beta)
         q = w / beta

@@ -88,6 +88,7 @@ class Network:
     weights: tuple[np.ndarray, ...]  # W_1..W_{l+1}, weights[i]: d_{i+1} x d_i
     master_seed: int = 0
     stream_id: int = 0
+    tie_policy: TiePolicy = TiePolicy.RANDOMIZED  # recorded by save_network
 
     def __post_init__(self):
         dims = self.arch.dims
@@ -263,24 +264,46 @@ def paper_radius(arch: Architecture) -> float:
 
 
 _MAGIC = b"RRNN"
-_VERSION = 1
+_VERSION = 2
 
 
-def save_network(net: Network, path, tie_policy: TiePolicy = TiePolicy.RANDOMIZED) -> None:
-    """Binary format: magic 'RRNN', u32 LE version, mode byte, tie-policy
-    byte, l+2 dims as u32 LE, each W_i row-major f64 LE, 8-byte master seed."""
+def save_network(net: Network, path, tie_policy: Optional[TiePolicy] = None) -> None:
+    """Binary format version 2: magic 'RRNN', u32 LE version, mode byte,
+    tie-policy byte, u32 LE l, l+2 dims as u32 LE, each W_i row-major f64
+    LE, u64 LE master seed, u64 LE stream id.  tie_policy defaults to
+    net.tie_policy."""
     dims = net.arch.dims
+    policy = net.tie_policy if tie_policy is None else tie_policy
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
-        fh.write(bytes([net.mode.value, tie_policy.value]))
+        fh.write(bytes([net.mode.value, policy.value]))
+        fh.write(struct.pack("<I", net.arch.ell))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         for W in net.weights:
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", net.master_seed % (1 << 64)))
+        fh.write(struct.pack("<2Q", net.master_seed % (1 << 64), net.stream_id % (1 << 64)))
+
+
+def _v1_ell(data: bytes, off: int) -> int:
+    """l of a version 1 file, which stores no l: the one candidate whose
+    dims (ending in 1) and weights fill the file up to its 8-byte seed."""
+    remaining = len(data) - off - 8
+    for cand in range(0, 10_000):
+        ndims = cand + 2
+        if off + 4 * ndims > len(data) - 8:
+            break
+        dims = struct.unpack(f"<{ndims}I", data[off:off + 4 * ndims])
+        wbytes = 8 * sum(dims[i + 1] * dims[i] for i in range(ndims - 1))
+        if 4 * ndims + wbytes == remaining and dims[-1] == 1 and all(d >= 1 for d in dims):
+            return cand
+    raise FormatError("dimension table inconsistent with file length")
 
 
 def load_network(path) -> Network:
+    """Read a network file of format version 1 or 2.  Version 1 stores no
+    l and no stream id; its l is recovered from the file length and its
+    stream id reads as 0."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -296,38 +319,30 @@ def load_network(path) -> Network:
     if take(4, "magic") != _MAGIC:
         raise FormatError("bad magic bytes; not a network file")
     (version,) = struct.unpack("<I", take(4, "version"))
-    if version != _VERSION:
-        raise FormatError(f"unsupported format version {version} (supported: {_VERSION})")
+    if version not in (1, 2):
+        raise FormatError(f"unsupported format version {version} (supported: 1, 2)")
     mode_byte, policy_byte = take(2, "mode/policy bytes")
     try:
         mode = InitMode(mode_byte)
-        TiePolicy(policy_byte)
+        policy = TiePolicy(policy_byte)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    # dims: we do not know l yet; it is recoverable because the final dim is 1
-    # and every other dim is >= 1, so read until the trailing weight payload fits.
-    # The format stores exactly l+2 dims; recover l from the remaining length.
-    remaining = len(data) - off - 8  # minus trailing seed
-    # Try increasing l until dims + weights account for the payload.
-    ell = None
-    for cand in range(0, 10_000):
-        ndims = cand + 2
-        if off + 4 * ndims > len(data) - 8:
-            break
-        dims = struct.unpack(f"<{ndims}I", data[off:off + 4 * ndims])
-        wbytes = 8 * sum(dims[i + 1] * dims[i] for i in range(ndims - 1))
-        if 4 * ndims + wbytes == remaining and dims[-1] == 1 and all(d >= 1 for d in dims):
-            ell = cand
-            break
-    if ell is None:
-        raise FormatError("dimension table inconsistent with file length")
+    if version == 1:
+        ell = _v1_ell(data, off)
+    else:
+        (ell,) = struct.unpack("<I", take(4, "l"))
     ndims = ell + 2
     dims = struct.unpack(f"<{ndims}I", take(4 * ndims, "dimensions"))
+    if dims[-1] != 1 or min(dims) < 1:
+        raise FormatError(f"bad dimension table {dims}")
     weights = []
     for i in range(ndims - 1):
         n = dims[i + 1] * dims[i]
         raw = take(8 * n, f"weight matrix {i + 1}")
         weights.append(np.frombuffer(raw, dtype="<f8").reshape(dims[i + 1], dims[i]).copy())
     (seed,) = struct.unpack("<Q", take(8, "master seed"))
+    stream_id = struct.unpack("<Q", take(8, "stream id"))[0] if version == 2 else 0
+    if off != len(data):
+        raise FormatError(f"{len(data) - off} trailing bytes after the network")
     arch = Architecture(dims[0], dims[1:-1])
-    return Network(arch, mode, tuple(weights), seed, 0)
+    return Network(arch, mode, tuple(weights), seed, stream_id, policy)

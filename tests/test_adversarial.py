@@ -3,7 +3,7 @@ import pytest
 
 from relurand.adversarial import dimension_sweep, flip_search, paper_eta, verify_theorem1
 from relurand.errors import DegenerateInput, DomainError
-from relurand.network import Architecture, InitMode, build_network, network_from_weights
+from relurand.network import Architecture, InitMode, build_network, forward, network_from_weights
 from relurand.rng import RngStream
 
 
@@ -115,3 +115,95 @@ class TestDimensionSweep:
     def test_empty_dims_rejected(self):
         with pytest.raises(ValueError):
             dimension_sweep([], 2, 30, master_seed=1)
+
+
+def _f_along(net, x, u, ts):
+    """f(x + t u) for every t in ts, as one batched forward pass."""
+    cur = x[:, None] + np.outer(u, ts)
+    for W in net.weights[:-1]:
+        cur = np.maximum(W @ cur, 0.0)
+    return (net.weights[-1] @ cur)[0]
+
+
+class TestRayWalk:
+    # x = (3, 1): h1 = relu(z1), h2 = relu(z2) active, h3 = relu(z2 - z1/2)
+    # inactive, f = h1 - h2 - h3.  The gradient (1, -1) gives u = (-1, 1)/sqrt 2,
+    # h3 switches on at t = sqrt(2)/3, and then f = 5/2 - 7 t / (2 sqrt 2).
+    NET = network_from_weights([[[1.0, 0.0], [0.0, 1.0], [-0.5, 1.0]], [[1.0, -1.0, -1.0]]])
+    X = np.array([3.0, 1.0])
+
+    def test_closed_form_past_a_breakpoint(self):
+        res = flip_search(self.NET, self.X, tol=1e-9)
+        assert res.f_x == 2.0
+        assert np.allclose(res.direction, np.array([-1.0, 1.0]) / np.sqrt(2))
+        assert res.flipped and res.magnitude_ok is False
+        assert res.t_star == pytest.approx(5 * np.sqrt(2) / 7, rel=1e-14)
+        assert res.evaluations == 2
+
+    def test_theorem1_closed_form(self):
+        # f = -2 = -f(x) at t = 9 sqrt(2) / 7, still inside the second piece
+        check = verify_theorem1(self.NET, self.X, tol=1e-9)
+        assert check.flipped and check.magnitude_ok
+        assert check.ratio == pytest.approx(9 * np.sqrt(2) / 7 / np.sqrt(10), rel=1e-14)
+        assert check.f_past_crossing < 0.0
+
+    def test_first_of_two_crossings(self):
+        # x = (1, 1), u = (-1, 0): f = (1 - t) - 2 relu(t - 1/2) + 5 relu(t - 3/4)
+        # is negative on (2/3, 7/8) only.  A doubling scan from 10 ||x|| 1e-6
+        # reads f at t = 0.46 and 0.93, both positive, and misses it.
+        net = network_from_weights([[[1.0, 0.0], [-1.0, 0.5], [-1.0, 0.25]],
+                                    [[1.0, -2.0, 5.0]]])
+        x = np.array([1.0, 1.0])
+        grid = 10 * np.sqrt(2) * 1e-6 * 2.0 ** np.arange(21)
+        assert np.all(_f_along(net, x, np.array([-1.0, 0.0]), grid) >= 0.0)
+        res = flip_search(net, x)
+        assert res.flipped
+        assert res.t_star == pytest.approx(2 / 3, rel=1e-14)
+
+    def test_exact_crossing_against_dense_reference(self):
+        d = 100
+        for seed in range(20):
+            rng = RngStream(seed)
+            net = build_network(Architecture(d, (d, d)), InitMode.STANDARD, rng)
+            x = rng.sphere_point(d, norm=np.sqrt(d))
+            res = flip_search(net, x, rng=rng)
+            tol, t_max = 1e-6 * np.sqrt(d), 10 * np.sqrt(d)
+            u, s = res.direction, np.sign(res.f_x)
+            # reference: a 50,001-point grid over [0, t_max], then bisection
+            grid = np.linspace(0.0, t_max, 50_001)
+            hits = np.flatnonzero(np.sign(_f_along(net, x, u, grid)) == -s)
+            assert res.flipped == bool(hits.size)
+            if not res.flipped:
+                continue
+            lo, hi = grid[hits[0] - 1], grid[hits[0]]
+            while hi - lo > tol / 4:
+                mid = 0.5 * (lo + hi)
+                if np.sign(_f_along(net, x, u, [mid])[0]) == -s:
+                    hi = mid
+                else:
+                    lo = mid
+            assert abs(res.t_star - hi) <= tol
+            before = forward(net, x + res.t_star * (1 - 1e-9) * u, rng=RngStream(seed, 1))
+            after = forward(net, x + res.t_star * (1 + 1e-9) * u, rng=RngStream(seed, 1))
+            assert np.sign(before.output) == s and np.sign(after.output) == -s
+
+    @pytest.mark.parametrize("d, widths", [(8, (4,)), (6, (3, 3))])
+    def test_small_nets_against_dense_grid(self, d, widths):
+        # narrow nets have stretches where f is exactly 0 and crossings that
+        # coincide with the death of the last contributing unit; neither flips
+        for seed in range(60):
+            rng = RngStream(13, seed)
+            net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
+            x = rng.sphere_point(d, norm=np.sqrt(d))
+            try:
+                res = flip_search(net, x, rng=rng)
+            except DegenerateInput:
+                continue
+            u, s = res.direction, np.sign(res.f_x)
+            grid = np.linspace(0.0, 10 * np.sqrt(d), 100_001)
+            hits = grid[np.sign(_f_along(net, x, u, grid)) == -s]
+            if not res.flipped:
+                assert hits.size == 0
+                continue
+            assert np.sign(_f_along(net, x, u, [res.t_star * (1 + 1e-9)])[0]) == -s
+            assert hits.size == 0 or hits[0] >= res.t_star

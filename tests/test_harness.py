@@ -1,8 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relurand.cli import main
 from relurand.errors import ConfigError
@@ -225,6 +230,21 @@ class TestCli:
         assert err.startswith("config error:") and f"'{key}'" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("config, key", [
+        ('{"d": NaN}', "d"), ('{"trials": 2.5}', "trials"), ('{"workers": true}', "workers"),
+        ('{"widths": 5}', "widths"), ('{"widths": [4, NaN]}', "widths"),
+        ('{"radius": "1"}', "radius"), ('{"t_max": [1]}', "t_max"),
+    ])
+    def test_wrongly_typed_config_file_rejected(self, tmp_path, capsys, config, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["attack", "--config", str(cfgfile), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert not out.exists()
+
     def test_degenerate_trial_is_a_row(self, tmp_path, capsys):
         # width 1: a dead hidden neuron gives f(x) = 0 and a zero gradient
         rc = main(["attack", "--d", "2", "--widths", "1", "--trials", "20",
@@ -296,3 +316,33 @@ class TestCli:
         jb = json.loads((dirs[1] / "attack_summary.json").read_text())
         del ja["config"]["workers"], jb["config"]["workers"]
         assert ja == jb
+
+
+def _sizes(lo, hi):
+    return st.one_of(st.integers(lo, hi), st.integers(-2, 0), st.just(float("nan")))
+
+
+_REALS = st.one_of(st.floats(-2.0, 4.0), st.sampled_from([0.0, -1.0, float("nan")]))
+
+# The size keys are always set, so that no default (d = 64, n_draws = 10^5)
+# makes an example slow; the other keys are set or left at their defaults.
+_FLAT_CONFIGS = st.fixed_dictionaries(
+    {"d": _sizes(1, 8), "widths": st.lists(_sizes(1, 8), max_size=3),
+     "dims": st.lists(_sizes(1, 8), max_size=3), "trials": _sizes(1, 3),
+     "n_draws": _sizes(1, 200), "depth": _sizes(1, 4), "width": _sizes(8, 16),
+     "steps": _sizes(1, 20), "n_pairs": _sizes(1, 3), "n_samples": _sizes(1, 3)},
+    optional={"master_seed": st.integers(-3, 3), "workers": _sizes(1, 2),
+              "radius": _REALS, "alpha": _REALS, "delta": _REALS, "theta_0": _REALS,
+              "alert_level": _REALS, "t_max": st.one_of(st.none(), _REALS)})
+
+
+@given(kind=st.sampled_from(sorted(KINDS)), config=_FLAT_CONFIGS)
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_flat_configs(kind, config):
+    argv = ["probe", kind.split(":")[1]] if kind.startswith("probe:") else [kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv + ["--config", str(path), "--out-dir", tmp])
+    assert rc in (0, 1, 2, 3)

@@ -114,6 +114,13 @@ class TestSpectralNorm:
         base = spectral_norm(M, tol=1e-12)
         assert spectral_norm(c * M, tol=1e-12) == pytest.approx(abs(c) * base, rel=1e-6, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-160, 1e-155, 1e150])
+    def test_extreme_scale(self, c):
+        # unscaled, M^T M q underflows (small c) or overflows (large c)
+        M = gaussian_matrix(8, 12, 1.0, RngStream(3))
+        assert spectral_norm(c * M, tol=1e-12) == pytest.approx(
+            abs(c) * spectral_norm(M, tol=1e-12), rel=1e-6, abs=0.0)
+
     def test_nonconverged(self):
         M = gaussian_matrix(30, 30, 1.0, RngStream(4))
         with pytest.raises(NonConverged):

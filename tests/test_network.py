@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,4 +242,60 @@ class TestSerialization:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="99"):
+            load_network(path)
+
+
+class TestFormatVersions:
+    @staticmethod
+    def v1_bytes(net, policy):
+        # version 1 layout: no l, no stream id
+        dims = net.arch.dims
+        return b"".join([
+            b"RRNN", struct.pack("<I", 1), bytes([net.mode.value, policy.value]),
+            struct.pack(f"<{len(dims)}I", *dims),
+            *(np.ascontiguousarray(W, dtype="<f8").tobytes() for W in net.weights),
+            struct.pack("<Q", net.master_seed),
+        ])
+
+    @pytest.mark.parametrize("widths", [(), (6,), (6, 4, 5)])
+    def test_v1_read(self, tmp_path, widths):
+        net = build_network(Architecture(9, widths), InitMode.DEPTH_COLLAPSE, RngStream(41, 7))
+        path = tmp_path / "v1.rrnn"
+        path.write_bytes(self.v1_bytes(net, TiePolicy.TIES_TO_ONE))
+        loaded = load_network(path)
+        assert loaded.arch == net.arch and loaded.mode == net.mode
+        assert loaded.master_seed == 41 and loaded.stream_id == 0
+        assert loaded.tie_policy is TiePolicy.TIES_TO_ONE
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
+
+    @pytest.mark.parametrize("policy", list(TiePolicy))
+    def test_v2_round_trip(self, tmp_path, policy):
+        net = build_network(Architecture(5, (3, 1, 4)), InitMode.STANDARD, RngStream(42, 12345))
+        path = tmp_path / "v2.rrnn"
+        save_network(net, path, policy)
+        data = path.read_bytes()
+        assert struct.unpack("<I", data[4:8]) == (2,)      # version
+        assert struct.unpack("<I", data[10:14]) == (3,)    # l, stored
+        loaded = load_network(path)
+        assert loaded.arch == net.arch and loaded.mode == net.mode
+        assert (loaded.master_seed, loaded.stream_id) == (42, 12345)
+        assert loaded.tie_policy is policy
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
+        # the recorded policy is the default of the next save
+        again = tmp_path / "again.rrnn"
+        save_network(loaded, again)
+        assert again.read_bytes() == data
+
+    def test_v2_truncated(self, tmp_path):
+        net, _ = random_net(34, d=3, widths=(2,))
+        path = tmp_path / "net.rrnn"
+        save_network(net, path)
+        data = path.read_bytes()
+        # inside the header, l, the dims, each weight matrix, the seed, the stream id
+        for cut in (6, 11, 14, 20, 50, 80, len(data) - 12, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                load_network(path)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(FormatError, match="trailing"):
             load_network(path)
