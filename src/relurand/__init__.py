@@ -19,6 +19,6 @@ from .network import (  # noqa: F401
     paper_radius,
     save_network,
 )
-from .adversarial import dimension_sweep, flip_search, paper_eta, verify_theorem1  # noqa: F401
+from .adversarial import flip_search, paper_eta, verify_theorem1  # noqa: F401
 from .collapse import collapse_simulate, kernel_iterate, kernel_map, sin_cos_gap  # noqa: F401
 from .rng import RngStream  # noqa: F401

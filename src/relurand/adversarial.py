@@ -7,26 +7,19 @@ until the output line crosses zero.  The theory's eta has constants far
 too large to be informative at desk scale, so the searched step is the
 primary output and eta is reported as a reference column; the
 falsifiable content is the ~d^{-1/2} scaling of the
-perturbation-to-input ratio, checked by dimension_sweep.
+perturbation-to-input ratio, which the harness's `sweep` experiment
+measures across input dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateInput, DomainError
-from .network import (
-    Architecture,
-    InitMode,
-    Network,
-    TiePolicy,
-    build_network,
-    forward,
-    gradient,
-)
+from .network import Network, TiePolicy, forward, gradient
 from .rng import RngStream
 
 __all__ = [
@@ -34,9 +27,6 @@ __all__ = [
     "flip_search",
     "paper_eta",
     "verify_theorem1",
-    "dimension_sweep",
-    "SweepRow",
-    "SweepResult",
 ]
 
 
@@ -225,77 +215,3 @@ def verify_theorem1(
     if t_ok is None:
         return Theorem1Check(True, False, f_past, None, res)
     return Theorem1Check(True, True, f_past, t_ok / x_norm, res)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    d: int
-    trials: int
-    flips: int
-    degenerate: int                # trials with f(x) = 0 or a zero gradient
-    flip_rate: float
-    ratio_median: Optional[float]
-    ratio_q05: Optional[float]
-    ratio_q95: Optional[float]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    slope: Optional[float]     # least-squares slope of ln(median ratio) vs ln(d)
-    intercept: Optional[float]
-
-
-def dimension_sweep(
-    dims,
-    ell: int,
-    trials: int,
-    master_seed: int,
-    width_rule: Callable[[int], tuple[int, ...]] = None,
-    delta: float = 0.1,
-) -> SweepResult:
-    """Flip-ratio statistics across input dimensions, plus the log-log slope.
-
-    Trial k of dimension index j uses stream_id = j * trials + k, so the
-    sweep is reproducible trial-by-trial and order-independent.  A trial
-    with no direction to search (DegenerateInput) is counted as degenerate
-    and as not flipped; flip_rate keeps trials as its denominator.
-    """
-    dims = list(dims)
-    if not dims:
-        raise ValueError("dims must be nonempty")
-    if width_rule is None:
-        width_rule = lambda d: (d,) * ell
-    rows = []
-    for j, d in enumerate(dims):
-        arch = Architecture(d, width_rule(d))
-        ratios = []
-        flips = degenerate = 0
-        for k in range(trials):
-            rng = RngStream(master_seed, j * trials + k)
-            net = build_network(arch, InitMode.STANDARD, rng)
-            x = rng.sphere_point(d, norm=np.sqrt(d))
-            try:
-                res = flip_search(net, x, delta=delta, rng=rng)
-            except DegenerateInput:
-                degenerate += 1
-                continue
-            if res.flipped:
-                flips += 1
-                ratios.append(res.ratio)
-        if ratios:
-            r = np.array(ratios)
-            row = SweepRow(d, trials, flips, degenerate, flips / trials,
-                           float(np.median(r)),
-                           float(np.quantile(r, 0.05)),
-                           float(np.quantile(r, 0.95)))
-        else:
-            row = SweepRow(d, trials, flips, degenerate, flips / trials, None, None, None)
-        rows.append(row)
-    usable = [(row.d, row.ratio_median) for row in rows if row.ratio_median]
-    if len(usable) >= 2:
-        logs_d = np.log([u[0] for u in usable])
-        logs_r = np.log([u[1] for u in usable])
-        slope, intercept = np.polyfit(logs_d, logs_r, 1)
-        return SweepResult(tuple(rows), float(slope), float(intercept))
-    return SweepResult(tuple(rows), None, None)

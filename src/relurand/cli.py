@@ -1,9 +1,13 @@
 """Command line interface.
 
 Subcommands: sample, attack, sweep, probe <name>, collapse, kernel.
-Every ExperimentConfig key is a flag (n_draws -> --n-draws), except that
-master_seed is --seed and theta_0 is --theta0.  A JSON config file
-provides the same flat keys; flags override config keys one-for-one.
+Every subcommand builds one ExperimentConfig and validates it before any
+work.  Every ExperimentConfig key is a flag (n_draws -> --n-draws), except
+that master_seed is --seed and theta_0 is --theta0.  A JSON config file
+(--config, such as configs/*.json) provides the same flat keys; flags
+override config keys one-for-one.  Outputs go to --out-dir, which is
+created if missing; sample reads d, widths and master_seed and writes
+network.rrnn there, or to --out.
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 a probe's violation
 frequency exceeded the configured alert level.
 """
@@ -20,12 +24,14 @@ from pathlib import Path
 from .errors import ConfigError, RelurandError
 from .harness import (
     PROBE_NAMES,
+    SAMPLE,
     ExperimentConfig,
+    _arch,
     run_experiment,
     write_csv,
     write_summary_json,
 )
-from .network import Architecture, InitMode, build_network, save_network
+from .network import InitMode, build_network, save_network
 from .rng import RngStream
 
 __all__ = ["main"]
@@ -77,14 +83,15 @@ def _emit(result: dict, out_dir: Path, fmt: str, stem: str) -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    d = args.d if args.d is not None else 64
-    widths = tuple(args.widths) if args.widths else (d,)
-    seed = args.master_seed if args.master_seed is not None else 0
+    config = _build_config(SAMPLE, args)
+    arch = _arch(config)
     mode = InitMode.DEPTH_COLLAPSE if args.mode == "depth-collapse" else InitMode.STANDARD
-    net = build_network(Architecture(d, widths), mode, RngStream(seed, 0))
+    net = build_network(arch, mode, RngStream(config.master_seed, 0))
     out = args.out if args.out else args.out_dir / "network.rrnn"
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_network(net, out)
-    print(f"wrote {out} (d={d}, widths={list(widths)}, mode={mode.name}, seed={seed})")
+    print(f"wrote {out} (d={arch.input_dim}, widths={list(arch.hidden_widths)}, "
+          f"mode={mode.name}, seed={config.master_seed})")
     return 0
 
 

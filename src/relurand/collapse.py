@@ -113,7 +113,6 @@ class CollapseReport:
     kernel_track: np.ndarray         # n_pairs x depth, kernel_iterate prediction
     checkpoint_depths: tuple[int, ...]
     constancy_ratios: np.ndarray     # n_pairs x len(checkpoint_depths)
-    small_output_flags: np.ndarray   # |f(x)| < 1e-6 at each checkpoint
 
 
 def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
@@ -163,7 +162,6 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     layer_norms = np.zeros((2 * n_pairs, depth))
     norm_ratios = np.zeros((2 * n_pairs, depth))
     constancy = np.zeros((n_pairs, len(checkpoint_depths)))
-    small_flags = np.zeros((n_pairs, len(checkpoint_depths)), dtype=bool)
 
     cur = X
     fan_in = d
@@ -193,7 +191,6 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
             for p in range(n_pairs):
                 fx, fy = out[2 * p], out[2 * p + 1]
                 constancy[p, j] = abs(fx - fy) / (abs(fx) + 1e-12)
-                small_flags[p, j] = abs(fx) < 1e-6
 
     kernel_track = np.zeros((n_pairs, depth))
     for p in range(n_pairs):
@@ -201,4 +198,4 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
 
     return CollapseReport(d, width, depth, n_pairs, angles, layer_cos,
                           layer_norms, norm_ratios, kernel_track,
-                          checkpoint_depths, constancy, small_flags)
+                          checkpoint_depths, constancy)

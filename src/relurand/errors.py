@@ -6,7 +6,8 @@ class RelurandError(Exception):
 
 
 class NonConverged(RelurandError):
-    """Power iteration exhausted its iteration budget before reaching tolerance."""
+    """An iterative method (the Lanczos spectral norm) exhausted its
+    iteration budget before reaching tolerance."""
 
 
 class DomainError(RelurandError):

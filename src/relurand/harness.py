@@ -2,9 +2,9 @@
 CSV/JSON emission.
 
 A config is a flat record; run_experiment dispatches per trial with
-stream_id = trial index, so output is a pure function of the config bytes
-and identical under any worker count (results are merged in trial-index
-order).
+stream_id = trial index (for sweep, j * trials + k for trial k at the j-th
+dimension), so output is a pure function of the config bytes and identical
+under any worker count (results are merged in trial-index order).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__, probes
-from .adversarial import dimension_sweep, flip_search
+from .adversarial import AttackResult, flip_search
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError, DegenerateInput
 from .network import Architecture, InitMode, bottleneck_decomposition, build_network
@@ -28,7 +28,7 @@ from .network import forward  # noqa: F401  perfbench's tracer test rebinds harn
 from .rng import RngStream
 
 __all__ = ["ExperimentConfig", "TrialRecord", "run_experiment",
-           "write_csv", "write_summary_json", "KINDS", "PROBE_NAMES"]
+           "write_csv", "write_summary_json", "KINDS", "PROBE_NAMES", "SAMPLE"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ExperimentConfig:
         for key, hint in _HINTS.items():
             if not _has_type(getattr(self, key), hint):
                 raise ConfigError(f"'{key}' must be {_TYPE_NAMES[hint]}")
-        if self.kind not in KINDS:
+        if self.kind not in KINDS and self.kind != SAMPLE:
             raise ConfigError(f"unknown experiment kind '{self.kind}'")
         for key in ("d", "trials", "steps", "n_pairs", "width", "depth",
                     "n_samples", "n_draws", "workers"):
@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError("'radius' must be >= 0")
         if self.t_max is not None and self.t_max <= 0.0:
             raise ConfigError("'t_max' must be positive")
-        if KINDS[self.kind].invalid(self):
+        if self.kind in KINDS and KINDS[self.kind].invalid(self):
             raise ConfigError(KINDS[self.kind].error)
 
     @classmethod
@@ -140,25 +140,31 @@ def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
     return [fn(i) for i in range(n)]
 
 
+def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[AttackResult]:
+    """flip_search on the net and the input sampled from stream i, or None
+    when f(x) = 0 or the gradient is zero and there is no direction to search."""
+    rng = RngStream(cfg.master_seed, i)
+    net = build_network(arch, InitMode.STANDARD, rng)
+    x = rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
+    try:
+        return flip_search(net, x, cfg.t_max, delta=cfg.delta, rng=rng)
+    except DegenerateInput:
+        return None
+
+
 def _run_attack(cfg: ExperimentConfig):
     arch = _arch(cfg)
-
-    def trial(i: int) -> TrialRecord:
-        rng = RngStream(cfg.master_seed, i)
-        net = build_network(arch, InitMode.STANDARD, rng)
-        x = rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
-        try:
-            res = flip_search(net, x, cfg.t_max, delta=cfg.delta, rng=rng)
-        except DegenerateInput:  # f(x) = 0 or a zero gradient: no direction to search
-            return TrialRecord(i, i, {}, status="degenerate")
+    results = _map_trials(cfg, lambda i: _flip_trial(cfg, arch, i), cfg.trials)
+    rows = []
+    for i, res in enumerate(results):
+        if res is None:
+            rows.append(TrialRecord(i, i, {}, status="degenerate"))
+            continue
         vals = {"f_x": res.f_x, "grad_norm": res.grad_norm,
                 "paper_eta": res.paper_eta, "evaluations": res.evaluations}
         if res.flipped:
             vals.update(t_star=res.t_star, ratio=res.ratio)
-            return TrialRecord(i, i, vals)
-        return TrialRecord(i, i, vals, status="not_flipped")
-
-    rows = _map_trials(cfg, trial, cfg.trials)
+        rows.append(TrialRecord(i, i, vals, status="ok" if res.flipped else "not_flipped"))
     ratios = [r.values["ratio"] for r in rows if r.status == "ok"]
     summary = {
         "flip_rate": len(ratios) / cfg.trials,
@@ -169,19 +175,35 @@ def _run_attack(cfg: ExperimentConfig):
 
 
 def _run_sweep(cfg: ExperimentConfig):
+    """Flip-ratio statistics at each d in dims, with widths (d,) * len(widths),
+    and the least-squares slope of ln(median ratio) against ln(d).
+
+    Trial k at dimension index j runs on stream j * trials + k.  A degenerate
+    trial is counted in its row's `degenerate` column and stays in the
+    flip_rate denominator.
+    """
     ell = len(cfg.widths) if cfg.widths else 2
-    res = dimension_sweep(cfg.dims, ell, cfg.trials, cfg.master_seed, delta=cfg.delta)
-    rows = [
-        TrialRecord(i, i, {
-            "d": r.d, "trials": r.trials, "flips": r.flips, "degenerate": r.degenerate,
-            "flip_rate": r.flip_rate,
-            "ratio_median": r.ratio_median, "ratio_q05": r.ratio_q05,
-            "ratio_q95": r.ratio_q95,
-        })
-        for i, r in enumerate(res.rows)
-    ]
-    summary = {"slope": res.slope, "intercept": res.intercept}
-    return rows, summary
+    archs = [Architecture(d, (d,) * ell) for d in cfg.dims]
+    results = _map_trials(cfg, lambda i: _flip_trial(cfg, archs[i // cfg.trials], i),
+                          len(cfg.dims) * cfg.trials)
+    rows = []
+    for j, d in enumerate(cfg.dims):
+        trials = results[j * cfg.trials:(j + 1) * cfg.trials]
+        ratios = [r.ratio for r in trials if r is not None and r.flipped]
+        rows.append(TrialRecord(j, j, {
+            "d": d, "trials": cfg.trials, "flips": len(ratios),
+            "degenerate": sum(r is None for r in trials), "flip_rate": len(ratios) / cfg.trials,
+            "ratio_median": float(np.median(ratios)) if ratios else None,
+            "ratio_q05": float(np.quantile(ratios, 0.05)) if ratios else None,
+            "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
+        }))
+    usable = [(r.values["d"], r.values["ratio_median"]) for r in rows
+              if r.values["ratio_median"]]
+    if len(usable) < 2:
+        return rows, {"slope": None, "intercept": None}
+    log_d, log_ratio = np.log(usable).T
+    slope, intercept = np.polyfit(log_d, log_ratio, 1)
+    return rows, {"slope": float(slope), "intercept": float(intercept)}
 
 
 def _run_kernel(cfg: ExperimentConfig):
@@ -273,8 +295,8 @@ class _Kind(NamedTuple):
 # so that a tracer rebinding probes.probe_* sees every call.
 KINDS = {
     "attack": _Kind(_run_attack),
-    "sweep": _Kind(_run_sweep, lambda cfg: not cfg.dims,
-                   "'dims' must be a nonempty list for sweep"),
+    "sweep": _Kind(_run_sweep, lambda cfg: not cfg.dims or len(set(cfg.dims)) < len(cfg.dims),
+                   "'dims' must be a nonempty list of distinct dimensions for sweep"),
     "collapse": _Kind(_run_collapse, lambda cfg: cfg.d < 2 or cfg.width < 8,
                       "collapse needs 'd' >= 2 and 'width' >= 8"),
     "kernel": _Kind(_run_kernel),
@@ -293,7 +315,7 @@ KINDS = {
         lambda cfg, rng: probes.probe_gradient_smoothness(
             *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng),
         lambda reports, freq: {"median_max_drift_ratio": float(
-            np.median([r.summary["max_drift_ratio"] for r in reports]))})),
+            np.median([r.summary["max_drift_ratio"] for r in reports])) if reports else None})),
     "probe:segment_spectral": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_segment_spectral(
             *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng)),
@@ -309,11 +331,17 @@ KINDS = {
         lambda cfg: len(cfg.dims) != 2, "'dims' must be [m, n] for probe:gaussian_spectral"),
 }
 
+# The kind of `relurand sample`'s config: validated like an experiment's,
+# but it saves a network instead of running trials.
+SAMPLE = "sample"
+
 PROBE_NAMES = tuple(k.removeprefix("probe:") for k in KINDS if k.startswith("probe:"))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     config.validate()
+    if config.kind == SAMPLE:
+        raise ConfigError(f"kind '{SAMPLE}' builds a network and is no experiment to run")
     rows, summary = KINDS[config.kind].run(config)
     summary = {"config": config.to_dict(), "version": f"relurand-{__version__}",
                **summary}

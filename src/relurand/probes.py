@@ -153,22 +153,21 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
 
 
 def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
-                            rng: RngStream, include_output: bool = False) -> ProbeReport:
+                            rng: RngStream) -> ProbeReport:
     """Count of next-layer neurons with margin >= alpha ||f_i|| / sqrt(d_i),
     against the (1 - 2 sqrt(2/pi) alpha) d_{i+1} lower bound.
 
-    The single-row output layer is excluded by default: with one neuron
-    the bound degenerates to a per-neuron event of constant probability.
+    The single-row output layer is excluded: with one neuron the bound
+    degenerates to a per-neuron event of constant probability.
     """
     if not (0.0 < alpha < np.sqrt(np.pi / 8.0)):
         raise ValueError("alpha must lie in (0, sqrt(pi/8)) for a positive bound")
     trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
     dims = net.arch.dims
     ell = net.arch.ell
-    last = ell if include_output else ell - 1
     counts, bounds = [], []
     factor = 1.0 - 2.0 * np.sqrt(2.0 / np.pi) * alpha
-    for i in range(1, last + 1):
+    for i in range(1, ell):
         f_i = trace.postactivations[i - 1]
         norm_i = np.linalg.norm(f_i)
         if norm_i == 0.0:
@@ -196,10 +195,13 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
                               n_samples: int, rng: RngStream) -> ProbeReport:
     """Gradient drift over a ball: ||grad(x) - grad(y)||, the per-layer
     decomposition term norms, mask flip counts, and the drift ratio
-    relative to ||grad(x)||."""
+    relative to ||grad(x)||.  Raises DegenerateInput when grad(x) = 0, where
+    the ratio has no scale."""
     trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
     g_x = gradient(net, trace)
     g_norm = float(np.linalg.norm(g_x))
+    if g_norm == 0.0:
+        raise DegenerateInput("||grad f(x)|| = 0")
     ell = net.arch.ell
     drifts = np.zeros(n_samples)
     term_norms = np.zeros((n_samples, ell))
@@ -213,7 +215,7 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
             term_norms[s, j] = np.linalg.norm(dec.terms[j])
             flip_counts[s, j] = int(np.sum(np.abs(trace.masks[j] - ty.masks[j])))
     max_drift = float(drifts.max()) if n_samples else 0.0
-    ratio = max_drift / g_norm if g_norm > 0 else np.inf
+    ratio = max_drift / g_norm
     return ProbeReport(
         "gradient_smoothness",
         {"grad_drift": drifts, "term_norms": term_norms, "mask_flips": flip_counts},

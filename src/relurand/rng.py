@@ -26,10 +26,6 @@ class RngStream:
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Derive an independent stream with the same master seed."""
-        return RngStream(self.master_seed, stream_id)
-
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 

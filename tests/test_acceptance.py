@@ -7,9 +7,10 @@ against an independent computation before being recorded here.
 
 import numpy as np
 
-from relurand.adversarial import dimension_sweep, flip_search
+from relurand.adversarial import flip_search
 from relurand.cli import main as cli_main
 from relurand.collapse import collapse_simulate, kernel_mc_estimate, kernel_map, sin_cos_gap
+from relurand.harness import ExperimentConfig, run_experiment
 from relurand.network import (
     Architecture,
     InitMode,
@@ -113,11 +114,15 @@ def test_04_flip_rate_and_dimension_scaling():
         res = flip_search(net, x, rng=rng)
         if res.flipped and res.ratio <= 0.5:
             good += 1
-    res = dimension_sweep([125, 250, 500, 1000, 2000], 2, 200, master_seed=20240824)
-    ok = good >= 190 and -0.60 <= res.slope <= -0.40
+    # sweep reads only the count of widths: each d runs at widths (d, d)
+    sweep = ExperimentConfig.from_dict(
+        {"kind": "sweep", "dims": [125, 250, 500, 1000, 2000], "widths": [1, 1],
+         "trials": 200, "master_seed": 20240824})
+    slope = run_experiment(sweep)["summary"]["slope"]
+    ok = good >= 190 and -0.60 <= slope <= -0.40
     _report(4, "flip rate and dimension scaling", ok,
             f"flip ratio<=0.5 in {good}/200 trials at d=500; "
-            f"log-log slope {res.slope:.4f} (target [-0.60,-0.40])")
+            f"log-log slope {slope:.4f} (target [-0.60,-0.40])")
 
 
 def test_05_gradient_norm_lower_bound():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relurand.adversarial import dimension_sweep, flip_search, paper_eta, verify_theorem1
+from relurand.adversarial import flip_search, paper_eta, verify_theorem1
 from relurand.errors import DegenerateInput, DomainError
+from relurand.harness import ExperimentConfig, run_experiment
 from relurand.network import Architecture, InitMode, build_network, forward, network_from_weights
 from relurand.rng import RngStream
 
@@ -96,25 +97,28 @@ class TestVerifyTheorem1:
         assert check.magnitude_ok is None and check.ratio is None
 
 
+def _sweep(dims, ell, trials, master_seed):
+    # sweep reads only the count of widths: dimension d runs at widths (d,) * ell
+    return run_experiment(ExperimentConfig.from_dict(
+        {"kind": "sweep", "dims": dims, "widths": [1] * ell, "trials": trials,
+         "master_seed": master_seed}))
+
+
 class TestDimensionSweep:
     def test_single_dimension_no_slope(self):
-        res = dimension_sweep([64], 2, 30, master_seed=5)
-        assert len(res.rows) == 1
-        assert res.slope is None
+        res = _sweep([64], 2, 30, master_seed=5)
+        assert len(res["rows"]) == 1
+        assert res["summary"]["slope"] is None
 
     def test_determinism(self):
-        a = dimension_sweep([32, 64], 1, 30, master_seed=9)
-        b = dimension_sweep([32, 64], 1, 30, master_seed=9)
+        a = _sweep([32, 64], 1, 30, master_seed=9)
+        b = _sweep([32, 64], 1, 30, master_seed=9)
         assert a == b
 
     def test_slope_roughly_minus_half(self):
-        res = dimension_sweep([125, 250, 500], 2, 100, master_seed=77)
-        assert res.slope is not None
-        assert -0.9 < res.slope < -0.1
-
-    def test_empty_dims_rejected(self):
-        with pytest.raises(ValueError):
-            dimension_sweep([], 2, 30, master_seed=1)
+        res = _sweep([125, 250, 500], 2, 100, master_seed=77)
+        assert res["summary"]["slope"] is not None
+        assert -0.9 < res["summary"]["slope"] < -0.1
 
 
 def _f_along(net, x, u, ts):

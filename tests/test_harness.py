@@ -13,6 +13,8 @@ from relurand.cli import main
 from relurand.errors import ConfigError
 from relurand.harness import (
     KINDS,
+    PROBE_NAMES,
+    SAMPLE,
     ExperimentConfig,
     TrialRecord,
     run_experiment,
@@ -37,6 +39,24 @@ class TestConfig:
     def test_bad_delta(self):
         with pytest.raises(ConfigError, match="delta"):
             ExperimentConfig.from_dict({"kind": "attack", "delta": 2.0})
+
+    def test_sample_is_no_experiment(self):
+        cfg = ExperimentConfig.from_dict({"kind": SAMPLE, "d": 8})
+        with pytest.raises(ConfigError, match="sample"):
+            run_experiment(cfg)
+
+    def test_committed_configs_load(self):
+        # configs/<kind>.json, with probe_<name> for probe:<name>; README runs each
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        kinds = set()
+        for path in sorted((root / "configs").glob("*.json")):
+            kind = path.stem.replace("probe_", "probe:", 1)
+            data = json.loads(path.read_text())
+            assert ExperimentConfig.from_dict({"kind": kind, **data}).kind == kind
+            assert f"configs/{path.name}" in readme, path.name
+            kinds.add(kind)
+        assert kinds == {"sweep", "collapse", *(f"probe:{n}" for n in PROBE_NAMES)}
 
     def test_round_trip_dict(self):
         cfg = ExperimentConfig.from_dict(
@@ -213,6 +233,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, key", [
         ("attack --widths 0", "widths"),
         ("sweep --dims 8 0", "dims"),
+        ("sweep --dims 8 8 --trials 5", "dims"),
+        ("sample --d 0", "d"),
         ("probe gaussian_spectral --dims 0 3", "dims"),
         ("probe activation_margin --alpha 0", "alpha"),
         ("probe segment_spectral --d 16 --widths 16", "widths"),
@@ -269,6 +291,33 @@ class TestCli:
         assert all(int(r["degenerate"]) > 0 for r in rows)
         assert all(float(r["flip_rate"]) == int(r["flips"]) / 20 for r in rows)
 
+    def test_sweep_honours_t_max(self, tmp_path, capsys):
+        rc = main(["sweep", "--dims", "8", "16", "--trials", "5", "--t-max", "1e-9",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [int(r["flips"]) for r in rows] == [0, 0]
+
+    def test_zero_gradient_smoothness_trial_is_a_row(self, tmp_path, capsys):
+        # width 1: most trials have a dead unit, so grad f(x) = 0 and the
+        # drift ratio has no scale
+        rc = main(["probe", "gradient_smoothness", "--d", "2", "--widths", "1", "1",
+                   "--trials", "4", "--radius", "0.5", "--n-samples", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "probe_gradient_smoothness.csv").read_text().splitlines()
+        statuses = [line.split(",")[2] for line in lines[1:]]
+        assert len(statuses) == 4 and "degenerate" in statuses
+        assert "inf" not in "".join(lines)
+
+        def reject(constant):
+            raise AssertionError(f"summary holds {constant}, which is not JSON")
+
+        json.loads((tmp_path / "probe_gradient_smoothness_summary.json").read_text(),
+                   parse_constant=reject)
+
     def test_degenerate_probe_trial_is_a_row(self, tmp_path, capsys):
         # width 1: half the trials have a zero first-layer image
         rc = main(["probe", "activation_margin", "--d", "2", "--widths", "1", "1",
@@ -301,21 +350,32 @@ class TestCli:
         assert net.arch.input_dim == 8
         assert net.arch.hidden_widths == (6, 4)
 
+    def test_sample_reads_config_and_creates_out_dir(self, tmp_path, capsys):
+        from relurand.network import load_network
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"d": 8, "widths": [4], "master_seed": 3}))
+        out_dir = tmp_path / "missing" / "dir"
+        rc = main(["sample", "--config", str(cfgfile), "--out-dir", str(out_dir)])
+        assert rc == 0
+        net = load_network(out_dir / "network.rrnn")
+        assert net.arch.input_dim == 8
+        assert net.arch.hidden_widths == (4,)
+
     def test_parallel_cli_outputs_identical(self, tmp_path, capsys):
-        dirs = []
-        for k, w in enumerate(("1", "3")):
-            d = tmp_path / f"w{w}"
-            rc = main(["attack", "--d", "64", "--widths", "64", "--trials", "6",
-                       "--seed", "8", "--workers", w, "--out-dir", str(d)])
-            assert rc == 0
-            dirs.append(d)
-        a = (dirs[0] / "attack.csv").read_bytes()
-        b = (dirs[1] / "attack.csv").read_bytes()
-        assert a == b
-        ja = json.loads((dirs[0] / "attack_summary.json").read_text())
-        jb = json.loads((dirs[1] / "attack_summary.json").read_text())
-        del ja["config"]["workers"], jb["config"]["workers"]
-        assert ja == jb
+        for argv in (["attack", "--d", "64", "--widths", "64", "--trials", "6"],
+                     ["sweep", "--dims", "8", "16", "32", "--trials", "4"]):
+            kind = argv[0]
+            csvs, summaries = set(), []
+            for w in ("1", "2", "3"):
+                d = tmp_path / f"{kind}{w}"
+                rc = main(argv + ["--seed", "8", "--workers", w, "--out-dir", str(d)])
+                assert rc == 0
+                csvs.add((d / f"{kind}.csv").read_bytes())
+                summary = json.loads((d / f"{kind}_summary.json").read_text())
+                del summary["config"]["workers"]
+                summaries.append(summary)
+            assert len(csvs) == 1, kind
+            assert summaries[0] == summaries[1] == summaries[2], kind
 
 
 def _sizes(lo, hi):
@@ -336,7 +396,7 @@ _FLAT_CONFIGS = st.fixed_dictionaries(
               "alert_level": _REALS, "t_max": st.one_of(st.none(), _REALS)})
 
 
-@given(kind=st.sampled_from(sorted(KINDS)), config=_FLAT_CONFIGS)
+@given(kind=st.sampled_from(sorted(KINDS) + [SAMPLE]), config=_FLAT_CONFIGS)
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_flat_configs(kind, config):
     argv = ["probe", kind.split(":")[1]] if kind.startswith("probe:") else [kind]
