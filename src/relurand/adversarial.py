@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInput, DomainError
-from .network import Network, TiePolicy, forward, gradient
+from .network import Network, forward, gradient
 from .rng import RngStream
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AttackResult:
+    """f and grad f at x, the attack direction, and its first zero crossing."""
+
     f_x: float
     grad_norm: float
     direction: np.ndarray          # unit vector -sign(f(x)) grad/||grad||
@@ -39,8 +41,7 @@ class AttackResult:
     ratio: Optional[float]         # t_star / ||x||
     paper_eta: float
     flipped: bool
-    magnitude_ok: Optional[bool]   # |f| at the crossing >= |f(x)| (recorded separately)
-    evaluations: int
+    evaluations: int               # linear pieces walked
 
 
 def paper_eta(ell: int, d: int, delta: float, grad_norm: float) -> float:
@@ -132,7 +133,6 @@ def flip_search(
     net: Network,
     x: np.ndarray,
     t_max: Optional[float] = None,
-    tol: Optional[float] = None,
     delta: float = 0.1,
     rng: Optional[RngStream] = None,
 ) -> AttackResult:
@@ -140,20 +140,18 @@ def flip_search(
 
     Walks the linear pieces of f along the ray x + t * direction (Hanin &
     Rolnick 2019) and returns the exact first t at which the output takes
-    the opposite sign; an exactly zero output does not count.  evaluations
-    counts the pieces walked.  tol only sets the point t_star + tol past
-    the crossing at which magnitude_ok is read.  Defaults: tol = 1e-6 ||x||,
+    the opposite sign; an exactly zero output does not count.  The walk
+    stops there: f is evaluated once, at x, and rng is used only for ties
+    in that evaluation.  evaluations counts the pieces walked.  Default
     t_max = 10 ||x||, far beyond the predicted ratio ~ sqrt(log(1/delta)/d).
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
     if t_max is None:
         t_max = 10.0 * x_norm
-    if tol is None:
-        tol = 1e-6 * x_norm
     if rng is None:
         rng = RngStream(0, 0)
-    trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+    trace = forward(net, x, rng)
     f_x = trace.output
     g = gradient(net, trace)
     g_norm = float(np.linalg.norm(g))
@@ -169,18 +167,15 @@ def flip_search(
 
     t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
     if t_star is None:
-        return AttackResult(f_x, g_norm, direction, None, None, eta, False, None, pieces)
-    f_past = forward(net, x + (t_star + tol) * direction, TiePolicy.RANDOMIZED, rng).output
+        return AttackResult(f_x, g_norm, direction, None, None, eta, False, pieces)
     ratio = t_star / x_norm if x_norm > 0 else None
-    return AttackResult(f_x, g_norm, direction, t_star, ratio, eta, True,
-                        abs(f_past) >= abs(f_x), pieces)
+    return AttackResult(f_x, g_norm, direction, t_star, ratio, eta, True, pieces)
 
 
 @dataclass(frozen=True)
 class Theorem1Check:
     flipped: bool
-    magnitude_ok: Optional[bool]
-    f_past_crossing: Optional[float]
+    magnitude_ok: Optional[bool]    # None when the sign never flips
     ratio: Optional[float]          # ratio where both conditions first hold
     attack: AttackResult
 
@@ -189,29 +184,23 @@ def verify_theorem1(
     net: Network,
     x: np.ndarray,
     t_max: Optional[float] = None,
-    tol: Optional[float] = None,
     rng: Optional[RngStream] = None,
 ) -> Theorem1Check:
     """Both flip conditions: the sign flips and |f| regains |f(x)|.
 
-    Walks the same ray as flip_search to the first t at which the flipped
-    output magnitude exceeds |f(x)| (within t_max), and reports the ratio
-    there; f_past_crossing is f at t_star + tol.
+    After flip_search, walks the same ray exactly to the first t at which
+    the flipped output reaches level |f(x)|, that is s f(x + t u) < -|f(x)|
+    (within t_max, default 10 ||x||), and reports the ratio there;
+    magnitude_ok is whether that t exists.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
     if t_max is None:
         t_max = 10.0 * x_norm
-    if tol is None:
-        tol = 1e-6 * x_norm
-    if rng is None:
-        rng = RngStream(0, 0)
-    res = flip_search(net, x, t_max, tol, rng=rng)
+    res = flip_search(net, x, t_max, rng=rng)
     if not res.flipped:
-        return Theorem1Check(False, None, None, None, res)
-    f_past = forward(net, x + (res.t_star + tol) * res.direction,
-                     TiePolicy.RANDOMIZED, rng).output
+        return Theorem1Check(False, None, None, res)
     t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), t_max)
     if t_ok is None:
-        return Theorem1Check(True, False, f_past, None, res)
-    return Theorem1Check(True, True, f_past, t_ok / x_norm, res)
+        return Theorem1Check(True, False, None, res)
+    return Theorem1Check(True, True, t_ok / x_norm, res)

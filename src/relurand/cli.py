@@ -45,7 +45,6 @@ _FLAG_NAMES = {"master_seed": "seed", "theta_0": "theta0"}
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
     p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--format", choices=["csv", "json", "both"], default="both")
     hints = typing.get_type_hints(ExperimentConfig)
     for key in _KEYS:
         hint = hints[key]
@@ -74,12 +73,10 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _emit(result: dict, out_dir: Path, fmt: str, stem: str) -> None:
+def _emit(result: dict, out_dir: Path, stem: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt in ("csv", "both"):
-        write_csv(result["rows"], out_dir / f"{stem}.csv")
-    if fmt in ("json", "both"):
-        write_summary_json(result["summary"], out_dir / f"{stem}_summary.json")
+    write_csv(result["rows"], out_dir / f"{stem}.csv")
+    write_summary_json(result["summary"], out_dir / f"{stem}_summary.json")
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -129,7 +126,7 @@ def main(argv=None) -> int:
         config = _build_config(kind, args)
         result = run_experiment(config)
         stem = kind.replace(":", "_")
-        _emit(result, args.out_dir, args.format, stem)
+        _emit(result, args.out_dir, stem)
         freq = result["summary"].get("violation_frequency")
         alert = config.alert_level
         print(json.dumps(

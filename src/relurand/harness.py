@@ -140,14 +140,18 @@ def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
     return [fn(i) for i in range(n)]
 
 
+def _net_and_input(arch: Architecture, rng: RngStream):
+    """A standard net and then an input on the sphere of radius sqrt(d), from rng."""
+    net = build_network(arch, InitMode.STANDARD, rng)
+    return net, rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
+
+
 def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[AttackResult]:
     """flip_search on the net and the input sampled from stream i, or None
     when f(x) = 0 or the gradient is zero and there is no direction to search."""
     rng = RngStream(cfg.master_seed, i)
-    net = build_network(arch, InitMode.STANDARD, rng)
-    x = rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
     try:
-        return flip_search(net, x, cfg.t_max, delta=cfg.delta, rng=rng)
+        return flip_search(*_net_and_input(arch, rng), cfg.t_max, delta=cfg.delta, rng=rng)
     except DegenerateInput:
         return None
 
@@ -274,11 +278,6 @@ def _per_trial(probe, summarize=lambda reports, freq: {}):
     return run
 
 
-def _net_and_input(cfg: ExperimentConfig, rng: RngStream):
-    net = build_network(_arch(cfg), InitMode.STANDARD, rng)
-    return net, rng.sphere_point(cfg.d, norm=np.sqrt(cfg.d))
-
-
 def _sign_flip(cfg: ExperimentConfig, rng: RngStream):
     x = rng.sphere_point(cfg.d, norm=np.sqrt(cfg.d))
     y = x + rng.sphere_point(cfg.d, norm=cfg.radius)
@@ -305,20 +304,20 @@ KINDS = {
                                                 cfg.master_seed))),
     "probe:scale_preservation": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_scale_preservation(
-            *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng))),
+            *_net_and_input(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng))),
     "probe:activation_margin": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_activation_margin(
-            *_net_and_input(cfg, rng), cfg.alpha, rng)),
+            *_net_and_input(_arch(cfg), rng), cfg.alpha, rng)),
         lambda cfg: not (0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)),
         "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin"),
     "probe:gradient_smoothness": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_gradient_smoothness(
-            *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng),
+            *_net_and_input(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
         lambda reports, freq: {"median_max_drift_ratio": float(
             np.median([r.summary["max_drift_ratio"] for r in reports])) if reports else None})),
     "probe:segment_spectral": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_segment_spectral(
-            *_net_and_input(cfg, rng), cfg.radius, cfg.n_samples, rng)),
+            *_net_and_input(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng)),
         lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
         "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
     "probe:sign_flip": _Kind(_per_trial(
@@ -377,19 +376,8 @@ def write_csv(rows: list[TrialRecord], path) -> None:
 
 
 def write_summary_json(summary: dict, path) -> None:
-    def clean(v):
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, np.bool_):
-            return bool(v)
-        return v
-
     with open(path, "w") as fh:
-        json.dump(clean(summary), fh, indent=2, sort_keys=True)
+        # np.float64 subclasses float and is written as one; the hook only
+        # sees the numpy scalars json cannot write, np.bool_ and np.integer.
+        json.dump(summary, fh, indent=2, sort_keys=True, default=lambda v: v.item())
         fh.write("\n")

@@ -3,8 +3,9 @@
 A network is f(x) = W_{l+1} relu(W_l relu(... relu(W_1 x))), no biases,
 scalar output.  Standard initialization draws layer i entries from
 N(0, 1/d_{i-1}); depth-collapse initialization uses variance 2/fan-in at
-every layer.  Exactly-zero preactivations are resolved by a tie policy;
-the default randomizes the activation bit with probability 1/2.
+every layer.  Exactly-zero preactivations are resolved by the network's
+tie policy, which save_network records and forward honours; the default
+randomizes the activation bit with probability 1/2.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class Network:
     weights: tuple[np.ndarray, ...]  # W_1..W_{l+1}, weights[i]: d_{i+1} x d_i
     master_seed: int = 0
     stream_id: int = 0
-    tie_policy: TiePolicy = TiePolicy.RANDOMIZED  # recorded by save_network
+    tie_policy: TiePolicy = TiePolicy.RANDOMIZED  # read by forward, recorded by save_network
 
     def __post_init__(self):
         dims = self.arch.dims
@@ -155,17 +156,13 @@ def network_from_weights(weights, mode: InitMode = InitMode.STANDARD) -> Network
     return Network(Architecture(input_dim, hidden), mode, weights)
 
 
-def forward(
-    net: Network,
-    x: np.ndarray,
-    policy: TiePolicy = TiePolicy.RANDOMIZED,
-    rng: Optional[RngStream] = None,
-) -> ForwardTrace:
+def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> ForwardTrace:
     """Evaluate the network, recording preactivations and activation masks.
 
-    rng is consumed only when a preactivation is exactly 0.0 under the
-    randomized tie policy.  Zero detection is exact equality: an epsilon
-    band would break positive homogeneity and the Euler identity.
+    An exactly-zero preactivation is resolved by net.tie_policy; rng is
+    consumed only then, and only under the randomized policy.  Zero
+    detection is exact equality: an epsilon band would break positive
+    homogeneity and the Euler identity.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.arch.input_dim,):
@@ -177,11 +174,11 @@ def forward(
         mask = (pre > 0.0).astype(np.float64)
         zeros = pre == 0.0
         if zeros.any():
-            if policy is TiePolicy.RANDOMIZED:
+            if net.tie_policy is TiePolicy.RANDOMIZED:
                 if rng is None:
                     raise ValueError("randomized tie policy hit a zero preactivation without an rng")
                 mask[zeros] = rng.bernoulli(0.5, int(zeros.sum())).astype(np.float64)
-            elif policy is TiePolicy.TIES_TO_ONE:
+            elif net.tie_policy is TiePolicy.TIES_TO_ONE:
                 mask[zeros] = 1.0
         cur = mask * pre
         pres.append(pre)
@@ -210,7 +207,8 @@ def grad_difference_decomposition(
 
     Term j is W_{l+1} (prod_{i=l..j+1} D_i(x) W_i) (D_j(x) - D_j(y)) W_j
     (prod_{i=j-1..1} D_i(y) W_i); the terms sum to the gradient
-    difference up to float roundoff.
+    difference up to float roundoff.  grad_x is suffix 0, the same
+    products in the same order as gradient(net, trace_x).
     """
     ell = net.arch.ell
     # suffix[j] = W_{l+1} prod_{i=l..j+1} D_i(x) W_i, a row of dim d_j
@@ -226,7 +224,7 @@ def grad_difference_decomposition(
         for i in range(j - 1, 0, -1):
             t = (t * trace_y.masks[i - 1]) @ net.weights[i - 1]
         terms.append(t)
-    return GradDecomposition(tuple(terms), gradient(net, trace_x), gradient(net, trace_y))
+    return GradDecomposition(tuple(terms), suffix[0], gradient(net, trace_y))
 
 
 def bottleneck_decomposition(arch: Architecture) -> BottleneckDecomposition:
@@ -267,17 +265,15 @@ _MAGIC = b"RRNN"
 _VERSION = 2
 
 
-def save_network(net: Network, path, tie_policy: Optional[TiePolicy] = None) -> None:
+def save_network(net: Network, path) -> None:
     """Binary format version 2: magic 'RRNN', u32 LE version, mode byte,
-    tie-policy byte, u32 LE l, l+2 dims as u32 LE, each W_i row-major f64
-    LE, u64 LE master seed, u64 LE stream id.  tie_policy defaults to
-    net.tie_policy."""
+    net.tie_policy byte, u32 LE l, l+2 dims as u32 LE, each W_i row-major
+    f64 LE, u64 LE master seed, u64 LE stream id."""
     dims = net.arch.dims
-    policy = net.tie_policy if tie_policy is None else tie_policy
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
-        fh.write(bytes([net.mode.value, policy.value]))
+        fh.write(bytes([net.mode.value, net.tie_policy.value]))
         fh.write(struct.pack("<I", net.arch.ell))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         for W in net.weights:

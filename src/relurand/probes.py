@@ -30,7 +30,6 @@ from .network import (
     ForwardTrace,
     InitMode,
     Network,
-    TiePolicy,
     _layer_stds,
     bottleneck_decomposition,
     build_network,
@@ -91,7 +90,7 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
     for k in range(trials):
         rng = RngStream(master_seed, k + 1)
         net = build_network(arch, InitMode.STANDARD, rng)
-        trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+        trace = forward(net, x, rng)
         g = gradient(net, trace)
         f_vals.append(abs(trace.output))
         g_norms.append(float(np.linalg.norm(g)))
@@ -120,7 +119,7 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
                              n_samples: int, rng: RngStream) -> ProbeReport:
     """Layer image norms vs the sqrt(d_i)/2^i lower bound, and how far the
     images of a ball around x spread, normalized by the ball radius."""
-    trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+    trace = forward(net, x, rng)
     dims = net.arch.dims
     ell = net.arch.ell
     norms = np.array([np.linalg.norm(f) for f in trace.postactivations])
@@ -129,7 +128,7 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
     post_spread = np.zeros((n_samples, ell))
     for s in range(n_samples):
         y = rng.ball_point(x, radius)
-        ty = forward(net, y, TiePolicy.RANDOMIZED, rng)
+        ty = forward(net, y, rng)
         for i in range(ell):
             pre_spread[s, i] = np.linalg.norm(trace.preactivations[i] - ty.preactivations[i])
             post_spread[s, i] = np.linalg.norm(trace.postactivations[i] - ty.postactivations[i])
@@ -162,19 +161,17 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
     """
     if not (0.0 < alpha < np.sqrt(np.pi / 8.0)):
         raise ValueError("alpha must lie in (0, sqrt(pi/8)) for a positive bound")
-    trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+    trace = forward(net, x, rng)
     dims = net.arch.dims
     ell = net.arch.ell
     counts, bounds = [], []
     factor = 1.0 - 2.0 * np.sqrt(2.0 / np.pi) * alpha
     for i in range(1, ell):
-        f_i = trace.postactivations[i - 1]
-        norm_i = np.linalg.norm(f_i)
+        norm_i = np.linalg.norm(trace.postactivations[i - 1])
         if norm_i == 0.0:
             raise DegenerateInput(f"layer {i} image is the zero vector")
         thresh = alpha * norm_i / np.sqrt(dims[i])
-        inner = net.weights[i] @ f_i
-        counts.append(int(np.sum(np.abs(inner) >= thresh)))
+        counts.append(int(np.sum(np.abs(trace.preactivations[i]) >= thresh)))
         bounds.append(factor * dims[i + 1])
     counts = np.array(counts, dtype=np.float64)
     bounds = np.array(bounds)
@@ -197,7 +194,7 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     decomposition term norms, mask flip counts, and the drift ratio
     relative to ||grad(x)||.  Raises DegenerateInput when grad(x) = 0, where
     the ratio has no scale."""
-    trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+    trace = forward(net, x, rng)
     g_x = gradient(net, trace)
     g_norm = float(np.linalg.norm(g_x))
     if g_norm == 0.0:
@@ -208,7 +205,7 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     flip_counts = np.zeros((n_samples, ell), dtype=np.int64)
     for s in range(n_samples):
         y = rng.ball_point(x, radius)
-        ty = forward(net, y, TiePolicy.RANDOMIZED, rng)
+        ty = forward(net, y, rng)
         dec = grad_difference_decomposition(net, trace, ty)
         drifts[s] = np.linalg.norm(dec.grad_x - dec.grad_y)
         for j in range(ell):
@@ -248,7 +245,7 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
     norms = np.zeros((n_samples, len(pairs)))
     for s in range(n_samples):
         y = rng.ball_point(x, radius)
-        ty = forward(net, y, TiePolicy.RANDOMIZED, rng)
+        ty = forward(net, y, rng)
         for p, (hi, lo) in enumerate(pairs):
             M = _masked_segment(net, ty, hi, lo)
             norms[s, p] = spectral_norm(M, tol=1e-8, max_iters=10_000)
@@ -342,7 +339,7 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
     for k in range(trials):
         rng_a = RngStream(master_seed, 2 * k + 1)
         net = build_network(arch, InitMode.STANDARD, rng_a)
-        trace = forward(net, x, TiePolicy.RANDOMIZED, rng_a)
+        trace = forward(net, x, rng_a)
         a.append(float(np.linalg.norm(gradient(net, trace))))
         rng_b = RngStream(master_seed, 2 * k + 2)
         b.append(_bernoulli_product_norm(arch, p, rng_b))

@@ -14,7 +14,6 @@ from relurand.harness import ExperimentConfig, run_experiment
 from relurand.network import (
     Architecture,
     InitMode,
-    TiePolicy,
     build_network,
     forward,
     grad_difference_decomposition,
@@ -47,8 +46,8 @@ def test_01_gradient_difference_decomposition_exact():
         net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
         x = rng.normal(d)
         y = x + 0.3 * rng.normal(d)
-        tx = forward(net, x, TiePolicy.RANDOMIZED, rng)
-        ty = forward(net, y, TiePolicy.RANDOMIZED, rng)
+        tx = forward(net, x, rng)
+        ty = forward(net, y, rng)
         dec = grad_difference_decomposition(net, tx, ty)
         err = np.linalg.norm(sum(dec.terms) - (dec.grad_x - dec.grad_y))
         scale = np.linalg.norm(dec.grad_x) + np.linalg.norm(dec.grad_y)
@@ -65,11 +64,11 @@ def test_02_euler_identity_and_homogeneity():
         widths = (d, d)
         net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
         x = rng.normal(d)
-        t = forward(net, x, TiePolicy.RANDOMIZED, rng)
+        t = forward(net, x, rng)
         g = gradient(net, t)
         fa = abs(t.output) + 1e-300
         worst_euler = max(worst_euler, abs(t.output - float(g @ x)) / fa)
-        t2 = forward(net, 3.7 * x, TiePolicy.RANDOMIZED, rng)
+        t2 = forward(net, 3.7 * x, rng)
         worst_homog = max(worst_homog, abs(t2.output - 3.7 * t.output) / (3.7 * fa))
     ok = worst_euler <= 1e-10 and worst_homog <= 1e-10
     _report(2, "euler identity and homogeneity", ok,
@@ -81,14 +80,14 @@ def test_03_gradient_vs_finite_differences():
     d = 100
     net = build_network(Architecture(d, (100, 100)), InitMode.STANDARD, rng)
     x = rng.sphere_point(d, norm=np.sqrt(d))
-    t = forward(net, x, TiePolicy.RANDOMIZED, rng)
+    t = forward(net, x, rng)
     g = gradient(net, t)
     h = 1e-5 * np.linalg.norm(x)
     kept = agreed = 0
     for k in range(500):
         u = rng.sphere_point(d)
-        tp = forward(net, x + h * u, TiePolicy.RANDOMIZED, rng)
-        tm = forward(net, x - h * u, TiePolicy.RANDOMIZED, rng)
+        tp = forward(net, x + h * u, rng)
+        tm = forward(net, x - h * u, rng)
         same = all(np.array_equal(a, b) and np.array_equal(a, c)
                    for a, b, c in zip(t.masks, tp.masks, tm.masks))
         if not same:

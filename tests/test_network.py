@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -59,8 +60,8 @@ class TestForward:
     def test_positive_homogeneity(self):
         net, rng = random_net(1)
         x = rng.normal(20)
-        t1 = forward(net, x, TiePolicy.RANDOMIZED, rng)
-        t2 = forward(net, 3.7 * x, TiePolicy.RANDOMIZED, rng)
+        t1 = forward(net, x, rng)
+        t2 = forward(net, 3.7 * x, rng)
         assert t2.output == pytest.approx(3.7 * t1.output, rel=1e-12)
         for m1, m2 in zip(t1.masks, t2.masks):
             assert np.array_equal(m1, m2)
@@ -69,7 +70,7 @@ class TestForward:
         net = network_from_weights([[[1.0]], [[1.0]]])
         x = np.array([0.0])
         ones = sum(
-            forward(net, x, TiePolicy.RANDOMIZED, RngStream(99, k)).masks[0][0]
+            forward(net, x, RngStream(99, k)).masks[0][0]
             for k in range(10_000)
         )
         assert 4700 <= ones <= 5300  # Bernoulli(1/2), 10^4 draws
@@ -77,20 +78,22 @@ class TestForward:
     def test_tie_policies(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
         x = np.array([0.0])
-        assert forward(net, x, TiePolicy.TIES_TO_ONE).masks[0][0] == 1.0
-        assert forward(net, x, TiePolicy.TIES_TO_ZERO).masks[0][0] == 0.0
+        to_one = dataclasses.replace(net, tie_policy=TiePolicy.TIES_TO_ONE)
+        to_zero = dataclasses.replace(net, tie_policy=TiePolicy.TIES_TO_ZERO)
+        assert forward(to_one, x).masks[0][0] == 1.0
+        assert forward(to_zero, x).masks[0][0] == 0.0
 
     def test_determinism(self):
         net, _ = random_net(2)
         x = RngStream(5).normal(20)
-        a = forward(net, x, TiePolicy.RANDOMIZED, RngStream(6))
-        b = forward(net, x, TiePolicy.RANDOMIZED, RngStream(6))
+        a = forward(net, x, RngStream(6))
+        b = forward(net, x, RngStream(6))
         assert a.output == b.output
         assert all(np.array_equal(m, n) for m, n in zip(a.masks, b.masks))
 
     def test_mask_invariants(self):
         net, rng = random_net(3)
-        t = forward(net, rng.normal(20), TiePolicy.RANDOMIZED, rng)
+        t = forward(net, rng.normal(20), rng)
         for pre, mask, post in zip(t.preactivations, t.masks, t.postactivations):
             assert np.array_equal(mask == 1.0, pre > 0.0)  # no exact ties hit
             assert np.array_equal(post, mask * pre)
@@ -109,21 +112,21 @@ class TestGradient:
     def test_euler_identity(self, seed):
         net, rng = random_net(seed)
         x = rng.normal(20)
-        t = forward(net, x, TiePolicy.RANDOMIZED, rng)
+        t = forward(net, x, rng)
         g = gradient(net, t)
         assert abs(t.output - g @ x) <= 1e-10 * (abs(t.output) + 1e-30)
 
     def test_finite_differences_with_mask_guard(self):
         net, rng = random_net(7, d=50, widths=(40, 40))
         x = rng.sphere_point(50, norm=np.sqrt(50))
-        t = forward(net, x, TiePolicy.RANDOMIZED, rng)
+        t = forward(net, x, rng)
         g = gradient(net, t)
         h = 1e-5 * np.linalg.norm(x)
         checked = 0
         for k in range(100):
             u = rng.sphere_point(50)
-            tp = forward(net, x + h * u, TiePolicy.RANDOMIZED, rng)
-            tm = forward(net, x - h * u, TiePolicy.RANDOMIZED, rng)
+            tp = forward(net, x + h * u, rng)
+            tm = forward(net, x - h * u, rng)
             same = all(np.array_equal(a, b) and np.array_equal(a, c)
                        for a, b, c in zip(t.masks, tp.masks, tm.masks))
             if not same:
@@ -141,8 +144,8 @@ class TestGradDecomposition:
         net, rng = random_net(seed, d=24, widths=(20, 16, 12))
         x = rng.normal(24)
         y = x + 0.5 * rng.normal(24)
-        tx = forward(net, x, TiePolicy.RANDOMIZED, rng)
-        ty = forward(net, y, TiePolicy.RANDOMIZED, rng)
+        tx = forward(net, x, rng)
+        ty = forward(net, y, rng)
         dec = grad_difference_decomposition(net, tx, ty)
         lhs = sum(dec.terms)
         rhs = dec.grad_x - dec.grad_y
@@ -151,15 +154,15 @@ class TestGradDecomposition:
 
     def test_identical_traces_give_zero(self):
         net, rng = random_net(11)
-        t = forward(net, rng.normal(20), TiePolicy.RANDOMIZED, rng)
+        t = forward(net, rng.normal(20), rng)
         dec = grad_difference_decomposition(net, t, t)
         assert all(np.all(term == 0.0) for term in dec.terms)
 
     def test_agreeing_layer_mask_gives_exact_zero(self):
         net, rng = random_net(12)
         x = rng.normal(20)
-        tx = forward(net, x, TiePolicy.RANDOMIZED, rng)
-        ty = forward(net, x * 2.0, TiePolicy.RANDOMIZED, rng)  # same masks by homogeneity
+        tx = forward(net, x, rng)
+        ty = forward(net, x * 2.0, rng)  # same masks by homogeneity
         dec = grad_difference_decomposition(net, tx, ty)
         for j, term in enumerate(dec.terms):
             if np.array_equal(tx.masks[j], ty.masks[j]):
@@ -272,7 +275,7 @@ class TestFormatVersions:
     def test_v2_round_trip(self, tmp_path, policy):
         net = build_network(Architecture(5, (3, 1, 4)), InitMode.STANDARD, RngStream(42, 12345))
         path = tmp_path / "v2.rrnn"
-        save_network(net, path, policy)
+        save_network(dataclasses.replace(net, tie_policy=policy), path)
         data = path.read_bytes()
         assert struct.unpack("<I", data[4:8]) == (2,)      # version
         assert struct.unpack("<I", data[10:14]) == (3,)    # l, stored
@@ -281,10 +284,17 @@ class TestFormatVersions:
         assert (loaded.master_seed, loaded.stream_id) == (42, 12345)
         assert loaded.tie_policy is policy
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
-        # the recorded policy is the default of the next save
+        # the loaded network, policy included, saves to the same bytes
         again = tmp_path / "again.rrnn"
         save_network(loaded, again)
         assert again.read_bytes() == data
+
+    def test_loaded_network_honours_tie_policy(self, tmp_path):
+        net = network_from_weights([[[1.0]], [[1.0]]])
+        path = tmp_path / "ties.rrnn"
+        save_network(dataclasses.replace(net, tie_policy=TiePolicy.TIES_TO_ONE), path)
+        # an exact zero preactivation, no rng: the recorded policy decides
+        assert forward(load_network(path), np.array([0.0])).masks[0][0] == 1.0
 
     def test_v2_truncated(self, tmp_path):
         net, _ = random_net(34, d=3, widths=(2,))

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from relurand.errors import DegenerateInput
-from relurand.network import Architecture, InitMode, TiePolicy, build_network, forward
+from relurand.network import Architecture, InitMode, build_network, forward
 from relurand.probes import (
     _bernoulli_product_norm,
     probe_activation_margin,
@@ -123,7 +123,7 @@ class TestSegmentSpectral:
         # all masks forced on: the segment norm is exactly ||W|| of that layer
         from relurand.probes import _masked_segment
         net, x, rng = net_and_input(12, d=16, widths=(8, 16))
-        trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+        trace = forward(net, x, rng)
         ones = tuple(np.ones_like(m) for m in trace.masks)
         forced = type(trace)(trace.x, trace.preactivations, ones,
                              trace.postactivations, trace.output)
@@ -133,7 +133,7 @@ class TestSegmentSpectral:
     def test_zero_masks_kill_segment(self):
         from relurand.probes import _masked_segment
         net, x, rng = net_and_input(13, d=16, widths=(8, 16))
-        trace = forward(net, x, TiePolicy.RANDOMIZED, rng)
+        trace = forward(net, x, rng)
         zeros = tuple(np.zeros_like(m) for m in trace.masks)
         killed = type(trace)(trace.x, trace.preactivations, zeros,
                              trace.postactivations, trace.output)
