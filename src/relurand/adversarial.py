@@ -32,14 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AttackResult:
-    """f and grad f at x, the attack direction, and its first zero crossing."""
+    """What flip_search found: f and grad f at x, the direction, its first zero crossing."""
 
     f_x: float
     grad_norm: float
     direction: np.ndarray          # unit vector -sign(f(x)) grad/||grad||
     t_star: Optional[float]        # minimal flipping step, None if not flipped
     ratio: Optional[float]         # t_star / ||x||
-    paper_eta: float
     flipped: bool
     evaluations: int               # linear pieces walked
 
@@ -133,7 +132,6 @@ def flip_search(
     net: Network,
     x: np.ndarray,
     t_max: Optional[float] = None,
-    delta: float = 0.1,
     rng: Optional[RngStream] = None,
 ) -> AttackResult:
     """Minimal step along the attack direction at which the output sign flips.
@@ -143,7 +141,7 @@ def flip_search(
     the opposite sign; an exactly zero output does not count.  The walk
     stops there: f is evaluated once, at x, and rng is used only for ties
     in that evaluation.  evaluations counts the pieces walked.  Default
-    t_max = 10 ||x||, far beyond the predicted ratio ~ sqrt(log(1/delta)/d).
+    t_max = 10 ||x||, far beyond the predicted ratio ~ d^{-1/2}.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
@@ -159,17 +157,12 @@ def flip_search(
         raise DegenerateInput(f"f(x)={f_x}, ||grad||={g_norm}")
     s = np.sign(f_x)
     direction = -s * g / g_norm
-    # the reference eta needs d >= 2; hand-built 1-d nets get NaN
-    if net.arch.input_dim >= 2:
-        eta = paper_eta(net.arch.ell, net.arch.input_dim, delta, g_norm)
-    else:
-        eta = float("nan")
 
     t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
     if t_star is None:
-        return AttackResult(f_x, g_norm, direction, None, None, eta, False, pieces)
+        return AttackResult(f_x, g_norm, direction, None, None, False, pieces)
     ratio = t_star / x_norm if x_norm > 0 else None
-    return AttackResult(f_x, g_norm, direction, t_star, ratio, eta, True, pieces)
+    return AttackResult(f_x, g_norm, direction, t_star, ratio, True, pieces)
 
 
 @dataclass(frozen=True)

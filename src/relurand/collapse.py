@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import gaussian_times
+from .network import InitMode, init_std
 from .rng import RngStream
 
 __all__ = [
@@ -111,34 +112,29 @@ class CollapseReport:
     layer_norms: np.ndarray          # (2 n_pairs) x depth, images of every input
     norm_ratios: np.ndarray          # (2 n_pairs) x depth, length-preservation per layer
     kernel_track: np.ndarray         # n_pairs x depth, kernel_iterate prediction
-    checkpoint_depths: tuple[int, ...]
+    checkpoint_depths: tuple[int, ...]  # (5, depth), or (depth,) when depth <= 5
     constancy_ratios: np.ndarray     # n_pairs x len(checkpoint_depths)
 
 
 def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
-                      master_seed: int, checkpoint_depths=None,
-                      pairs=None) -> CollapseReport:
+                      master_seed: int, pairs=None) -> CollapseReport:
     """Propagate input pairs through a deep 2/fan-in network, layer by layer.
 
     No weight matrix is formed: each layer samples, from its own derived
     stream, only the width x 2 n_pairs image of the current columns
     (linalg.gaussian_times).  A layer draws width x min(fan_in, 2 n_pairs)
     normals instead of width x fan_in, and memory stays at a few
-    width x 2 n_pairs arrays at any depth.  At each checkpoint depth the
-    same sampled output vector (variance 2/width) is applied to the
-    current images, giving the output constancy ratio a depth-t network
-    would produce.
+    width x 2 n_pairs arrays at any depth.  At depth 5 and at the last
+    depth the same sampled output vector (variance 2/width) is applied to
+    the current images, giving the output constancy ratio a network of
+    that depth would produce.
 
     pairs overrides the uniform-sphere sampling with explicit (x, y)
     pairs; used by tests to force degenerate geometry.
     """
     if d < 2 or width < 8 or depth < 1 or n_pairs < 1:
         raise ValueError("require d >= 2, width >= 8, depth >= 1, n_pairs >= 1")
-    if checkpoint_depths is None:
-        checkpoint_depths = (min(5, depth), depth)
-    checkpoint_depths = tuple(sorted(set(int(t) for t in checkpoint_depths)))
-    if any(t < 1 or t > depth for t in checkpoint_depths):
-        raise ValueError("checkpoint depths must lie in [1, depth]")
+    checkpoint_depths = (5, depth) if depth > 5 else (depth,)
 
     pair_rng = RngStream(master_seed, 0)
     if pairs is None:
@@ -156,7 +152,7 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
         c = np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)
         angles[p] = np.arccos(c)
 
-    w_out = np.sqrt(2.0 / width) * RngStream(master_seed, 1).normal(width)
+    w_out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(master_seed, 1).normal(width)
 
     layer_cos = np.zeros((n_pairs, depth))
     layer_norms = np.zeros((2 * n_pairs, depth))
@@ -168,7 +164,8 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     prev_norms = np.linalg.norm(X, axis=0)
     for t in range(1, depth + 1):
         rng = RngStream(master_seed, t + 1)
-        cur = np.maximum(gaussian_times(cur, width, np.sqrt(2.0 / fan_in), rng), 0.0)
+        std = init_std(fan_in, InitMode.DEPTH_COLLAPSE)
+        cur = np.maximum(gaussian_times(cur, width, std, rng), 0.0)
         norms = np.linalg.norm(cur, axis=0)
         layer_norms[:, t - 1] = norms
         # the 2/fan-in scaling gives E ||f_t||^2 = (width/fan_in) ||f_{t-1}||^2;

@@ -5,11 +5,6 @@ class RelurandError(Exception):
     """Base class for all package errors."""
 
 
-class NonConverged(RelurandError):
-    """An iterative method (the Lanczos spectral norm) exhausted its
-    iteration budget before reaching tolerance."""
-
-
 class DomainError(RelurandError):
     """An argument is outside the mathematical domain of the formula."""
 

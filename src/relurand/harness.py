@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__, probes
-from .adversarial import AttackResult, flip_search
+from .adversarial import AttackResult, flip_search, paper_eta
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError, DegenerateInput
-from .network import Architecture, InitMode, bottleneck_decomposition, build_network
+from .network import (Architecture, InitMode, bottleneck_decomposition, build_network,
+                      sphere_input)
 from .network import forward  # noqa: F401  perfbench's tracer test rebinds harness.forward
 from .rng import RngStream
 
@@ -141,9 +142,9 @@ def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
 
 
 def _net_and_input(arch: Architecture, rng: RngStream):
-    """A standard net and then an input on the sphere of radius sqrt(d), from rng."""
+    """A standard net and then a trial input (network.sphere_input), from rng."""
     net = build_network(arch, InitMode.STANDARD, rng)
-    return net, rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
+    return net, sphere_input(arch.input_dim, rng)
 
 
 def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[AttackResult]:
@@ -151,7 +152,7 @@ def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[A
     when f(x) = 0 or the gradient is zero and there is no direction to search."""
     rng = RngStream(cfg.master_seed, i)
     try:
-        return flip_search(*_net_and_input(arch, rng), cfg.t_max, delta=cfg.delta, rng=rng)
+        return flip_search(*_net_and_input(arch, rng), cfg.t_max, rng=rng)
     except DegenerateInput:
         return None
 
@@ -164,8 +165,11 @@ def _run_attack(cfg: ExperimentConfig):
         if res is None:
             rows.append(TrialRecord(i, i, {}, status="degenerate"))
             continue
+        # the reference eta needs d >= 2; 1-d nets get NaN
+        eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
+               if arch.input_dim >= 2 else float("nan"))
         vals = {"f_x": res.f_x, "grad_norm": res.grad_norm,
-                "paper_eta": res.paper_eta, "evaluations": res.evaluations}
+                "paper_eta": eta, "evaluations": res.evaluations}
         if res.flipped:
             vals.update(t_star=res.t_star, ratio=res.ratio)
         rows.append(TrialRecord(i, i, vals, status="ok" if res.flipped else "not_flipped"))
@@ -279,7 +283,7 @@ def _per_trial(probe, summarize=lambda reports, freq: {}):
 
 
 def _sign_flip(cfg: ExperimentConfig, rng: RngStream):
-    x = rng.sphere_point(cfg.d, norm=np.sqrt(cfg.d))
+    x = sphere_input(cfg.d, rng)
     y = x + rng.sphere_point(cfg.d, norm=cfg.radius)
     return probes.probe_sign_flip(x, y, cfg.n_draws, rng)
 
@@ -298,7 +302,8 @@ KINDS = {
                    "'dims' must be a nonempty list of distinct dimensions for sweep"),
     "collapse": _Kind(_run_collapse, lambda cfg: cfg.d < 2 or cfg.width < 8,
                       "collapse needs 'd' >= 2 and 'width' >= 8"),
-    "kernel": _Kind(_run_kernel),
+    "kernel": _Kind(_run_kernel, lambda cfg: not (0.0 <= cfg.theta_0 <= np.pi),
+                    "'theta_0' must lie in [0, pi] for kernel"),
     "probe:value_gradient": _Kind(_ensemble(
         lambda cfg: probes.probe_value_gradient(_arch(cfg), cfg.trials, cfg.delta,
                                                 cfg.master_seed))),

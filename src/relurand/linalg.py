@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConverged
 from .rng import RngStream
 
 __all__ = ["gaussian_matrix", "gaussian_times", "spectral_norm", "ks_two_sample",
@@ -51,7 +50,10 @@ def gaussian_times(M: np.ndarray, rows: int, std: float, rng: RngStream) -> np.n
     return (std * rng.normal((rows, R.shape[0])) @ R)[:, inverse]
 
 
-def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) -> float:
+_TOL = 1e-8  # sigma within 1e-8 relative of the SVD value, far below any probe's noise
+
+
+def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of M by Lanczos on M^T M with full
     reorthogonalization.
 
@@ -64,13 +66,13 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) ->
     1992).  Deterministic start: e_1 plus a fixed small perturbation so
     the initial vector is never orthogonal to the top singular direction
     of any matrix we care about.  Convergence is declared when the
-    estimate of sigma^2 moves by at most tol (relatively) between steps;
+    estimate of sigma^2 moves by at most _TOL (relatively) between steps;
     at exact breakdown (a zero residual, or M.shape[1] steps) the estimate
-    is exact and is returned.  Raises NonConverged after max_iters steps.
-    M is first scaled by a power of two near its largest entry, so that
-    M^T M q neither underflows nor overflows at any finite scale.  The
-    scaling is exact, so at scales where nothing underflowed or overflowed
-    the result is the same to the bit as without it.
+    is exact and is returned, so the loop always ends.  M is first scaled
+    by a power of two near its largest entry, so that M^T M q neither
+    underflows nor overflows at any finite scale.  The scaling is exact,
+    so at scales where nothing underflowed or overflowed the result is
+    the same to the bit as without it.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:
@@ -90,7 +92,7 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) ->
     alphas: list[float] = []
     betas: list[float] = []
     prev = -1.0
-    for step in range(1, max_iters + 1):
+    for step in range(1, n + 1):
         basis.append(q)
         w = M.T @ (M @ q)
         alphas.append(float(q @ w))
@@ -101,14 +103,11 @@ def spectral_norm(M: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) ->
         # eigvalsh reads only the lower triangle of the tridiagonal matrix
         estimate = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1])
         if (beta == 0.0 or step == n
-                or prev >= 0.0 and abs(estimate - prev) <= tol * max(estimate, 1e-300)):
+                or prev >= 0.0 and abs(estimate - prev) <= _TOL * max(estimate, 1e-300)):
             return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
         prev = estimate
         betas.append(beta)
         q = w / beta
-    raise NonConverged(
-        f"Lanczos did not reach tol={tol} within {max_iters} iterations"
-    )
 
 
 def ks_two_sample(a, b) -> float:

@@ -29,8 +29,10 @@ __all__ = [
     "ForwardTrace",
     "GradDecomposition",
     "BottleneckDecomposition",
+    "init_std",
     "build_network",
     "network_from_weights",
+    "sphere_input",
     "forward",
     "gradient",
     "grad_difference_decomposition",
@@ -128,22 +130,26 @@ class BottleneckDecomposition:
     widths: tuple[int, ...]
 
 
-def _layer_stds(arch: Architecture, mode: InitMode) -> list[float]:
-    dims = arch.dims
+def init_std(fan_in: int, mode: InitMode) -> float:
+    """Standard deviation of a weight entry of a layer with fan_in inputs."""
     if mode is InitMode.STANDARD:
-        return [1.0 / np.sqrt(dims[i]) for i in range(arch.ell + 1)]
-    return [np.sqrt(2.0 / dims[i]) for i in range(arch.ell + 1)]
+        return 1.0 / np.sqrt(fan_in)
+    return np.sqrt(2.0 / fan_in)
 
 
 def build_network(arch: Architecture, mode: InitMode, rng: RngStream) -> Network:
     """Sample all weight matrices for the given mode from rng."""
     dims = arch.dims
-    stds = _layer_stds(arch, mode)
     weights = tuple(
-        gaussian_matrix(dims[i + 1], dims[i], stds[i], rng)
+        gaussian_matrix(dims[i + 1], dims[i], init_std(dims[i], mode), rng)
         for i in range(arch.ell + 1)
     )
     return Network(arch, mode, weights, rng.master_seed, rng.stream_id)
+
+
+def sphere_input(d: int, rng: RngStream) -> np.ndarray:
+    """A trial's input: uniform on the sphere of radius sqrt(d) in R^d, from rng."""
+    return rng.sphere_point(d, norm=np.sqrt(d))
 
 
 def network_from_weights(weights, mode: InitMode = InitMode.STANDARD) -> Network:
@@ -188,16 +194,24 @@ def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> For
     return ForwardTrace(x, tuple(pres), tuple(masks), tuple(posts), out)
 
 
+def _suffix_rows(net: Network, trace: ForwardTrace) -> list[np.ndarray]:
+    """Rows s_j = W_{l+1} prod_{i=l..j+1} D_i W_i for j = 0..l, s_j of
+    dimension d_j, with the masks of trace; s_0 is the gradient."""
+    v = net.weights[-1][0].copy()
+    rows = [v]
+    for W, mask in zip(net.weights[-2::-1], trace.masks[::-1]):
+        v = (v * mask) @ W
+        rows.append(v)
+    return rows[::-1]
+
+
 def gradient(net: Network, trace: ForwardTrace) -> np.ndarray:
     """grad f(x) = W_{l+1} D_l W_l ... D_1 W_1 as a vector of dimension d.
 
     Masks come from the trace, so function value and gradient stay
     consistent even at tie points.
     """
-    v = net.weights[-1][0].copy()
-    for W, mask in zip(net.weights[-2::-1], trace.masks[::-1]):
-        v = (v * mask) @ W
-    return v
+    return _suffix_rows(net, trace)[0]
 
 
 def grad_difference_decomposition(
@@ -207,17 +221,17 @@ def grad_difference_decomposition(
 
     Term j is W_{l+1} (prod_{i=l..j+1} D_i(x) W_i) (D_j(x) - D_j(y)) W_j
     (prod_{i=j-1..1} D_i(y) W_i); the terms sum to the gradient
-    difference up to float roundoff.  grad_x is suffix 0, the same
-    products in the same order as gradient(net, trace_x).
+    difference up to float roundoff.  grad_x and grad_y are
+    gradient(net, trace_x) and gradient(net, trace_y) to the bit.
     """
+    return _decompose(net, _suffix_rows(net, trace_x), trace_x, trace_y)
+
+
+def _decompose(net: Network, suffix: list[np.ndarray], trace_x: ForwardTrace,
+               trace_y: ForwardTrace) -> GradDecomposition:
+    """grad_difference_decomposition given _suffix_rows(net, trace_x), which
+    a caller decomposing against one x many times computes once."""
     ell = net.arch.ell
-    # suffix[j] = W_{l+1} prod_{i=l..j+1} D_i(x) W_i, a row of dim d_j
-    suffix = [None] * (ell + 1)
-    v = net.weights[-1][0].copy()
-    suffix[ell] = v
-    for j in range(ell, 0, -1):
-        v = (v * trace_x.masks[j - 1]) @ net.weights[j - 1]
-        suffix[j - 1] = v
     terms = []
     for j in range(1, ell + 1):
         t = (suffix[j] * (trace_x.masks[j - 1] - trace_y.masks[j - 1])) @ net.weights[j - 1]

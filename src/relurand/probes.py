@@ -6,8 +6,8 @@ corresponding bound is violated, never a hard failure: the bounds are
 probabilistic and the checks are statistical at stated levels.  Bounds
 with explicit numerals (2^-(l+1), 3(sqrt m + sqrt n + ...),
 3r/R sqrt(log R/r), 1 - 2 sqrt(2/pi) alpha) are tested at face value;
-bounds with unnamed absolute constants get a fitted/parameterized
-constant reported alongside.
+bounds with unnamed absolute constants are tested at _C_ABS, with a
+fitted constant reported alongside.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ from .network import (
     ForwardTrace,
     InitMode,
     Network,
-    _layer_stds,
+    _decompose,
+    _suffix_rows,
     bottleneck_decomposition,
     build_network,
     forward,
-    grad_difference_decomposition,
     gradient,
+    init_std,
+    sphere_input,
 )
 from .rng import RngStream
 
@@ -57,35 +59,29 @@ class ProbeReport:
     """What one probe call measured, and the CSV rows it contributes as
     (stream id, {column: value}) pairs.  violation_frequency is None when
     the bound does not apply to the sampled input."""
-    name: str
     measurements: dict            # column name -> list/array of per-trial values
     rows: list
     summary: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     violation_frequency: Optional[float] = None
 
-    def quantiles(self, key: str) -> dict:
-        v = np.asarray(self.measurements[key], dtype=np.float64)
-        qs = np.quantile(v, [0.0, 0.01, 0.5, 0.99, 1.0])
-        return {"min": qs[0], "p01": qs[1], "median": qs[2], "p99": qs[3], "max": qs[4]}
 
-
-def _fixed_input(arch: Architecture, rng: RngStream) -> np.ndarray:
-    return rng.sphere_point(arch.input_dim, norm=np.sqrt(arch.input_dim))
+# The theory's unnamed absolute constant c, in |f| <= c 2^l sqrt(log 1/delta)
+# and in the segment bound (c l log d_max)^{(i_j - i_{j+1})/2}.
+_C_ABS = 8.0
 
 
 def probe_value_gradient(arch: Architecture, trials: int, delta: float,
-                         master_seed: int, c: float = 8.0) -> ProbeReport:
+                         master_seed: int) -> ProbeReport:
     """|f(x)| and ||grad f(x)|| over independent nets at a fixed sphere input.
 
     Checks the lower bound ||grad|| >= 2^-(l+1) at its stated constant and
-    |f| <= c 2^l sqrt(log 1/delta) with c a calibration parameter (the
-    theory's c is an unnamed absolute constant; default 8).
+    |f| <= c 2^l sqrt(log 1/delta) at c = _C_ABS.
     """
     ell = arch.ell
-    x = _fixed_input(arch, RngStream(master_seed, 0))
+    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
     grad_bound = 2.0 ** (-(ell + 1))
-    value_bound = c * 2.0 ** ell * np.sqrt(np.log(1.0 / delta))
+    value_bound = _C_ABS * 2.0 ** ell * np.sqrt(np.log(1.0 / delta))
     f_vals, g_norms, euler_err = [], [], []
     for k in range(trials):
         rng = RngStream(master_seed, k + 1)
@@ -99,20 +95,20 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
     g_norms = np.array(g_norms)
     grad_ok = float(np.mean(g_norms >= grad_bound))
     value_ok = float(np.mean(f_vals <= value_bound))
-    rep = ProbeReport(
-        "value_gradient",
+    quantiles = np.quantile(g_norms, [0.0, 0.01, 0.5, 0.99, 1.0])
+    return ProbeReport(
         {"abs_f": f_vals, "grad_norm": g_norms, "euler_error": np.array(euler_err)},
         [(k + 1, {"abs_f": float(f_vals[k]), "grad_norm": float(g_norms[k])})
          for k in range(trials)],
+        summary={
+            "grad_bound_freq": grad_ok,
+            "value_bound_freq": value_ok,
+            **{f"grad_norm_{k}": q
+               for k, q in zip(("min", "p01", "median", "p99", "max"), quantiles)},
+        },
         bounds={"grad_lower": grad_bound, "value_upper": value_bound},
         violation_frequency=1.0 - grad_ok,
     )
-    rep.summary = {
-        "grad_bound_freq": grad_ok,
-        "value_bound_freq": value_ok,
-        **{f"grad_norm_{k}": v for k, v in rep.quantiles("grad_norm").items()},
-    }
-    return rep
 
 
 def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
@@ -135,7 +131,6 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
     scale = radius if radius > 0 else 1.0
     violations = int(np.sum(norms < bounds))
     return ProbeReport(
-        "scale_preservation",
         {"layer_norms": norms,
          "pre_spread_over_radius": pre_spread / scale,
          "post_spread_over_radius": post_spread / scale},
@@ -178,7 +173,6 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
     violations = int(np.sum(counts < bounds))
     freq = violations / max(len(counts), 1)
     return ProbeReport(
-        "activation_margin",
         {"counts": counts},
         [(rng.stream_id, {"violations": violations, "layers": len(counts),
                           "violation_frequency": freq})],
@@ -195,8 +189,8 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     relative to ||grad(x)||.  Raises DegenerateInput when grad(x) = 0, where
     the ratio has no scale."""
     trace = forward(net, x, rng)
-    g_x = gradient(net, trace)
-    g_norm = float(np.linalg.norm(g_x))
+    suffix = _suffix_rows(net, trace)   # x's rows, shared by every sample
+    g_norm = float(np.linalg.norm(suffix[0]))
     if g_norm == 0.0:
         raise DegenerateInput("||grad f(x)|| = 0")
     ell = net.arch.ell
@@ -206,7 +200,7 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     for s in range(n_samples):
         y = rng.ball_point(x, radius)
         ty = forward(net, y, rng)
-        dec = grad_difference_decomposition(net, trace, ty)
+        dec = _decompose(net, suffix, trace, ty)
         drifts[s] = np.linalg.norm(dec.grad_x - dec.grad_y)
         for j in range(ell):
             term_norms[s, j] = np.linalg.norm(dec.terms[j])
@@ -214,7 +208,6 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     max_drift = float(drifts.max()) if n_samples else 0.0
     ratio = max_drift / g_norm
     return ProbeReport(
-        "gradient_smoothness",
         {"grad_drift": drifts, "term_norms": term_norms, "mask_flips": flip_counts},
         [(rng.stream_id, {"max_drift": max_drift, "max_drift_ratio": ratio,
                           "violation_frequency": 0.0})],
@@ -232,15 +225,16 @@ def _masked_segment(net: Network, trace: ForwardTrace, top: int, bottom: int) ->
 
 
 def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
-                           n_samples: int, rng: RngStream, c_ref: float = 8.0) -> ProbeReport:
+                           n_samples: int, rng: RngStream) -> ProbeReport:
     """Spectral norms of masked products between consecutive bottlenecks for
-    sampled y in the ball, against (c l log d_max)^{(i_j - i_{j+1})/2}."""
+    sampled y in the ball, against (c l log d_max)^{(i_j - i_{j+1})/2} at
+    c = _C_ABS."""
     dec = bottleneck_decomposition(net.arch)
     if len(dec.indices) < 2:
         raise ValueError("need at least two bottleneck indices (m >= 2)")
     ell = net.arch.ell
     pairs = list(zip(dec.indices[:-1], dec.indices[1:]))
-    growth = c_ref * ell * np.log(net.arch.d_max)
+    growth = _C_ABS * ell * np.log(net.arch.d_max)
     bounds = np.array([growth ** ((hi - lo) / 2.0) for hi, lo in pairs])
     norms = np.zeros((n_samples, len(pairs)))
     for s in range(n_samples):
@@ -248,7 +242,7 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
         ty = forward(net, y, rng)
         for p, (hi, lo) in enumerate(pairs):
             M = _masked_segment(net, ty, hi, lo)
-            norms[s, p] = spectral_norm(M, tol=1e-8, max_iters=10_000)
+            norms[s, p] = spectral_norm(M)
     violations = int(np.sum(norms > bounds))
     # fitted constant: smallest c making every observed norm satisfy the bound
     with np.errstate(divide="ignore"):
@@ -256,7 +250,6 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
         c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
     freq = violations / norms.size
     return ProbeReport(
-        "segment_spectral",
         {"segment_norms": norms},
         [(rng.stream_id, {"violations": violations, "fitted_c": c_fit,
                           "violation_frequency": freq})],
@@ -298,7 +291,7 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
     std_err = float(np.sqrt(max(oracle * (1.0 - oracle), 1.0 / n_draws) / n_draws))
     row = {"empirical": empirical, "bound": bound, "oracle": oracle, "std_error": std_err}
     return ProbeReport(
-        "sign_flip", {}, [(rng.stream_id, row)],
+        {}, [(rng.stream_id, row)],
         summary={**row, "n_draws": n_draws},
         violation_frequency=None if bound is None else float(empirical > bound),
     )
@@ -313,27 +306,27 @@ def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> flo
     normals per layer instead of d_i x d_{i-1}.
     """
     dims = arch.dims
-    stds = _layer_stds(arch, InitMode.STANDARD)
-    v = gaussian_matrix(1, dims[-2], stds[-1], rng)[0]
+    v = gaussian_matrix(1, dims[-2], init_std(dims[-2], InitMode.STANDARD), rng)[0]
     for i in range(arch.ell, 0, -1):
         mask = rng.bernoulli(p, dims[i]).astype(np.float64)
-        v = gaussian_times((v * mask)[:, None], dims[i - 1], stds[i - 1], rng)[:, 0]
+        v = gaussian_times((v * mask)[:, None], dims[i - 1],
+                           init_std(dims[i - 1], InitMode.STANDARD), rng)[:, 0]
     return float(np.linalg.norm(v))
 
 
 def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
-                     level: float = 0.01, control_p: Optional[float] = None) -> ProbeReport:
+                     control_p: Optional[float] = None) -> ProbeReport:
     """KS two-sample test of the mask-randomization distributional identity.
 
     Sample A: gradient norms of standard nets with data-dependent masks at
     a fixed sphere input.  Sample B: norms of the same weight products
     with iid Bernoulli(1/2) masks; its weights are independent of its
     masks, so it draws only the row images v D_i W_i, never a whole
-    network.  The identity predicts equality in distribution; control_p
-    substitutes a different mask probability to demonstrate the test's
-    power.
+    network.  The identity predicts equality in distribution, tested at
+    level 0.01; control_p substitutes a different mask probability to
+    demonstrate the test's power.
     """
-    x = _fixed_input(arch, RngStream(master_seed, 0))
+    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
     p = 0.5 if control_p is None else control_p
     a, b = [], []
     for k in range(trials):
@@ -344,11 +337,11 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
         rng_b = RngStream(master_seed, 2 * k + 2)
         b.append(_bernoulli_product_norm(arch, p, rng_b))
     stat = ks_two_sample(a, b)
-    threshold = ks_critical_value(trials, trials, level)
+    threshold = ks_critical_value(trials, trials, 0.01)
     summary = {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
                "mask_p": p, "trials": trials}
     return ProbeReport(
-        "dist_equiv", {"masked_grad_norm": np.array(a), "bernoulli_norm": np.array(b)},
+        {"masked_grad_norm": np.array(a), "bernoulli_norm": np.array(b)},
         [(0, summary)], summary=summary,
         violation_frequency=0.0 if summary["pass"] else 1.0,
     )
@@ -363,13 +356,13 @@ def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
     for k in range(samples):
         rng = RngStream(master_seed, k)
         A = gaussian_matrix(m, n, 1.0, rng)
-        norms[k] = spectral_norm(A, tol=1e-8, max_iters=10_000)
+        norms[k] = spectral_norm(A)
     violations = int(np.sum(norms > bound))
     summary = {"violations": violations, "bound": float(bound), "samples": samples,
                "mean_norm": float(norms.mean()),
                "mean_norm_over_edge": float(norms.mean() / (np.sqrt(m) + np.sqrt(n)))}
     return ProbeReport(
-        "gaussian_spectral", {"spectral_norm": norms}, [(0, summary)],
+        {"spectral_norm": norms}, [(0, summary)],
         summary=summary,
         violation_frequency=violations / samples,
     )

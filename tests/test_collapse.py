@@ -123,6 +123,4 @@ class TestCollapseSimulate:
         rep = collapse_simulate(6, 32, 8, 1, master_seed=1)
         assert rep.checkpoint_depths == (5, 8)
         with pytest.raises(ValueError):
-            collapse_simulate(6, 32, 8, 1, master_seed=1, checkpoint_depths=(0, 8))
-        with pytest.raises(ValueError):
             collapse_simulate(1, 32, 8, 1, master_seed=1)

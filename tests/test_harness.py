@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relurand
 from relurand.cli import main
 from relurand.errors import ConfigError
 from relurand.harness import (
@@ -244,6 +248,7 @@ class TestCli:
         ("attack --t-max inf", "t_max"),
         ("probe sign_flip --radius nan", "radius"),
         ("kernel --theta0 nan", "theta_0"),
+        ("kernel --theta0 4", "theta_0"),
     ])
     def test_invalid_config_rejected_before_work(self, tmp_path, capsys, argv, key):
         rc = main(argv.split() + ["--out-dir", str(tmp_path)])
@@ -376,6 +381,29 @@ class TestCli:
                 summaries.append(summary)
             assert len(csvs) == 1, kind
             assert summaries[0] == summaries[1] == summaries[2], kind
+
+
+@pytest.mark.parametrize("argv", [
+    "attack --d 500 --widths 500 500 --trials 6",
+    "sweep --dims 64 128 --trials 4",
+    "collapse --d 10 --width 2000 --depth 10 --n-pairs 50",
+    "probe gaussian_spectral --dims 200 300 --trials 5",
+    "probe segment_spectral --d 256 --widths 256 64 256 --trials 3 --n-samples 2 --radius 1.6",
+], ids=["attack", "sweep", "collapse", "gaussian_spectral", "segment_spectral"])
+def test_outputs_independent_of_blas_threads(tmp_path, argv):
+    # BLAS reads its thread count once, at import, so each run is a fresh process
+    src = str(Path(relurand.__file__).parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "relurand.cli", *argv.split(),
+                        "--out-dir", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        outputs.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
+    assert len(outputs) == 1
+    assert len(outputs.pop()) == 2  # the CSV and the summary
 
 
 def _sizes(lo, hi):
