@@ -16,7 +16,6 @@ from .network import (  # noqa: F401
     gradient,
     load_network,
     network_from_weights,
-    paper_radius,
     save_network,
 )
 from .adversarial import flip_search, paper_eta, verify_theorem1  # noqa: F401

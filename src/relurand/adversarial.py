@@ -52,6 +52,10 @@ def paper_eta(ell: int, d: int, delta: float, grad_norm: float) -> float:
     return float(-(2.0 ** ell) * np.log(d) * np.sqrt(np.log(1.0 / delta)) / grad_norm ** 2)
 
 
+# The default reach of a search, t_max = _REACH ||x||, far beyond the
+# predicted ratio ~ d^{-1/2}.
+_REACH = 10.0
+
 # A crossing this close to a breakpoint, relative, is taken to lie on it.
 _AT_BREAKPOINT = 1e-9
 
@@ -140,13 +144,13 @@ def flip_search(
     Rolnick 2019) and returns the exact first t at which the output takes
     the opposite sign; an exactly zero output does not count.  The walk
     stops there: f is evaluated once, at x, and rng is used only for ties
-    in that evaluation.  evaluations counts the pieces walked.  Default
-    t_max = 10 ||x||, far beyond the predicted ratio ~ d^{-1/2}.
+    in that evaluation.  evaluations counts the pieces walked.  The
+    default t_max is _REACH ||x||.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
     if t_max is None:
-        t_max = 10.0 * x_norm
+        t_max = _REACH * x_norm
     if rng is None:
         rng = RngStream(0, 0)
     trace = forward(net, x, rng)
@@ -170,30 +174,23 @@ class Theorem1Check:
     flipped: bool
     magnitude_ok: Optional[bool]    # None when the sign never flips
     ratio: Optional[float]          # ratio where both conditions first hold
-    attack: AttackResult
 
 
-def verify_theorem1(
-    net: Network,
-    x: np.ndarray,
-    t_max: Optional[float] = None,
-    rng: Optional[RngStream] = None,
-) -> Theorem1Check:
+def verify_theorem1(net: Network, x: np.ndarray,
+                    rng: Optional[RngStream] = None) -> Theorem1Check:
     """Both flip conditions: the sign flips and |f| regains |f(x)|.
 
-    After flip_search, walks the same ray exactly to the first t at which
-    the flipped output reaches level |f(x)|, that is s f(x + t u) < -|f(x)|
-    (within t_max, default 10 ||x||), and reports the ratio there;
-    magnitude_ok is whether that t exists.
+    After flip_search at its default t_max = _REACH ||x||, walks the same
+    ray exactly to the first t at which the flipped output reaches level
+    |f(x)|, that is s f(x + t u) < -|f(x)|, within that reach, and reports
+    the ratio there; magnitude_ok is whether that t exists.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
-    if t_max is None:
-        t_max = 10.0 * x_norm
-    res = flip_search(net, x, t_max, rng=rng)
+    res = flip_search(net, x, rng=rng)
     if not res.flipped:
-        return Theorem1Check(False, None, None, res)
-    t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), t_max)
+        return Theorem1Check(False, None, None)
+    t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), _REACH * x_norm)
     if t_ok is None:
-        return Theorem1Check(True, False, None, res)
-    return Theorem1Check(True, True, t_ok / x_norm, res)
+        return Theorem1Check(True, False, None)
+    return Theorem1Check(True, True, t_ok / x_norm)

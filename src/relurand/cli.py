@@ -9,13 +9,13 @@ override config keys one-for-one.  Outputs go to --out-dir, which is
 created if missing; sample reads d, widths and master_seed and writes
 network.rrnn there, or to --out.
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 a probe's violation
-frequency exceeded the configured alert level.
+frequency exceeded the configured alert level (one stderr line names the
+kind, the frequency and the level).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import typing
@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError, RelurandError
 from .harness import (
+    _HINTS,
     PROBE_NAMES,
     SAMPLE,
     ExperimentConfig,
@@ -38,21 +39,8 @@ __all__ = ["main"]
 
 # Every config key but kind (which the subcommand sets) is a flag: the key
 # with '_' spelled '-', apart from these two.
-_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "kind"]
+_KEYS = [key for key in _HINTS if key != "kind"]
 _FLAG_NAMES = {"master_seed": "seed", "theta_0": "theta0"}
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="JSON config file")
-    p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    hints = typing.get_type_hints(ExperimentConfig)
-    for key in _KEYS:
-        hint = hints[key]
-        # tuple[int, ...] -> int with nargs="*"; Optional[float] -> float
-        args = typing.get_args(hint)
-        p.add_argument("--" + _FLAG_NAMES.get(key, key).replace("_", "-"), dest=key,
-                       type=args[0] if args else hint, default=None,
-                       nargs="*" if typing.get_origin(hint) is tuple else None)
 
 
 def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
@@ -93,14 +81,26 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    # --config, --out-dir and the config flags, shared by every subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="JSON config file")
+    common.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
+    for key in _KEYS:
+        hint = _HINTS[key]
+        # tuple[int, ...] -> int with nargs="*"; Optional[float] -> float
+        args = typing.get_args(hint)
+        common.add_argument("--" + _FLAG_NAMES.get(key, key).replace("_", "-"), dest=key,
+                            type=args[0] if args else hint, default=None,
+                            nargs="*" if typing.get_origin(hint) is tuple else None)
+
     parser = argparse.ArgumentParser(
         prog="relurand",
         description="Random ReLU networks: adversarial flips, bound probes, depth collapse.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sample = sub.add_parser("sample", help="build and save a random network")
-    _add_common(p_sample)
+    p_sample = sub.add_parser("sample", parents=[common],
+                              help="build and save a random network")
     p_sample.add_argument("--mode", choices=["standard", "depth-collapse"],
                           default="standard")
     p_sample.add_argument("--out", type=Path, default=None)
@@ -111,11 +111,10 @@ def main(argv=None) -> int:
         ("collapse", "deep-network collapse simulation"),
         ("kernel", "closed-form kernel iteration"),
     ]:
-        _add_common(sub.add_parser(name, help=help_text))
+        sub.add_parser(name, parents=[common], help=help_text)
 
-    p_probe = sub.add_parser("probe", help="Monte Carlo bound probes")
+    p_probe = sub.add_parser("probe", parents=[common], help="Monte Carlo bound probes")
     p_probe.add_argument("name", choices=list(PROBE_NAMES))
-    _add_common(p_probe)
 
     args = parser.parse_args(argv)
 
@@ -133,6 +132,8 @@ def main(argv=None) -> int:
             {k: v for k, v in result["summary"].items() if k != "config"},
             default=str, sort_keys=True))
         if freq is not None and freq > alert:
+            print(f"alert: {kind} violation frequency {freq} exceeds alert level {alert}",
+                  file=sys.stderr)
             return 3
         return 0
     except ConfigError as exc:

@@ -69,7 +69,6 @@ def kernel_mc_estimate(theta: float, n_draws: int, rng: RngStream) -> dict:
 
 @dataclass(frozen=True)
 class KernelTrace:
-    theta_0: float
     thetas: np.ndarray  # theta_1..theta_steps
     rhos: np.ndarray    # rho_1..rho_steps, rho_t = cos(theta_t)
 
@@ -88,7 +87,7 @@ def kernel_iterate(theta_0: float, steps: int) -> KernelTrace:
         theta = float(np.arccos(np.clip(rho, -1.0, 1.0)))
         thetas[t] = theta
         rhos[t] = rho
-    return KernelTrace(theta_0, thetas, rhos)
+    return KernelTrace(thetas, rhos)
 
 
 def sin_cos_gap(n_grid: int) -> dict:

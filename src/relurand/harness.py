@@ -94,12 +94,6 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["widths"] = list(d["widths"])
-        d["dims"] = list(d["dims"])
-        return d
-
 
 _HINTS = typing.get_type_hints(ExperimentConfig)
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
@@ -123,7 +117,8 @@ def _has_type(value, hint) -> bool:
 
 @dataclass
 class TrialRecord:
-    index: int
+    """One CSV row: the stream its values were drawn from, the values and a
+    status; write_csv numbers rows by their position."""
     seed: int
     values: dict
     status: str = "ok"
@@ -163,7 +158,7 @@ def _run_attack(cfg: ExperimentConfig):
     rows = []
     for i, res in enumerate(results):
         if res is None:
-            rows.append(TrialRecord(i, i, {}, status="degenerate"))
+            rows.append(TrialRecord(i, {}, status="degenerate"))
             continue
         # the reference eta needs d >= 2; 1-d nets get NaN
         eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
@@ -172,7 +167,7 @@ def _run_attack(cfg: ExperimentConfig):
                 "paper_eta": eta, "evaluations": res.evaluations}
         if res.flipped:
             vals.update(t_star=res.t_star, ratio=res.ratio)
-        rows.append(TrialRecord(i, i, vals, status="ok" if res.flipped else "not_flipped"))
+        rows.append(TrialRecord(i, vals, status="ok" if res.flipped else "not_flipped"))
     ratios = [r.values["ratio"] for r in rows if r.status == "ok"]
     summary = {
         "flip_rate": len(ratios) / cfg.trials,
@@ -198,7 +193,7 @@ def _run_sweep(cfg: ExperimentConfig):
     for j, d in enumerate(cfg.dims):
         trials = results[j * cfg.trials:(j + 1) * cfg.trials]
         ratios = [r.ratio for r in trials if r is not None and r.flipped]
-        rows.append(TrialRecord(j, j, {
+        rows.append(TrialRecord(j, {
             "d": d, "trials": cfg.trials, "flips": len(ratios),
             "degenerate": sum(r is None for r in trials), "flip_rate": len(ratios) / cfg.trials,
             "ratio_median": float(np.median(ratios)) if ratios else None,
@@ -216,7 +211,7 @@ def _run_sweep(cfg: ExperimentConfig):
 
 def _run_kernel(cfg: ExperimentConfig):
     trace = kernel_iterate(cfg.theta_0, cfg.steps)
-    rows = [TrialRecord(t, t, {"theta": float(trace.thetas[t]), "rho": float(trace.rhos[t])})
+    rows = [TrialRecord(t, {"theta": float(trace.thetas[t]), "rho": float(trace.rhos[t])})
             for t in range(cfg.steps)]
     summary = {"theta_0": cfg.theta_0, "rho_final": float(trace.rhos[-1])}
     return rows, summary
@@ -226,7 +221,7 @@ def _run_collapse(cfg: ExperimentConfig):
     rep = collapse_simulate(cfg.d, cfg.width, cfg.depth, cfg.n_pairs, cfg.master_seed)
     rows = []
     for t in range(cfg.depth):
-        rows.append(TrialRecord(t, t, {
+        rows.append(TrialRecord(t, {
             "layer": t + 1,
             "cosine_median": float(np.nanmedian(rep.layer_cosines[:, t])),
             "kernel_rho_median": float(np.median(rep.kernel_track[:, t])),
@@ -245,10 +240,9 @@ def _records(reports) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for i, rep in enumerate(reports):
         if rep is None:
-            records.append(TrialRecord(len(records), i, {}, status="degenerate"))
+            records.append(TrialRecord(i, {}, status="degenerate"))
         else:
-            records += [TrialRecord(len(records) + j, seed, values)
-                        for j, (seed, values) in enumerate(rep.rows)]
+            records += [TrialRecord(seed, values) for seed, values in rep.rows]
     return records
 
 
@@ -347,7 +341,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.kind == SAMPLE:
         raise ConfigError(f"kind '{SAMPLE}' builds a network and is no experiment to run")
     rows, summary = KINDS[config.kind].run(config)
-    summary = {"config": config.to_dict(), "version": f"relurand-{__version__}",
+    summary = {"config": dataclasses.asdict(config), "version": f"relurand-{__version__}",
                **summary}
     return {"rows": rows, "summary": summary}
 
@@ -363,8 +357,9 @@ def _render(v) -> str:
 
 
 def write_csv(rows: list[TrialRecord], path) -> None:
-    """Header row plus one row per trial; floats at 17 significant digits
-    so every value round-trips exactly through text."""
+    """Header row plus one row per record, numbered from 0 in the `trial`
+    column; floats at 17 significant digits so every value round-trips
+    exactly through text."""
     columns: list[str] = []
     for r in rows:
         for k in r.values:
@@ -372,8 +367,8 @@ def write_csv(rows: list[TrialRecord], path) -> None:
                 columns.append(k)
     header = ["trial", "seed", "status"] + columns
     lines = [",".join(header)]
-    for r in rows:
-        cells = [str(r.index), str(r.seed), r.status]
+    for i, r in enumerate(rows):
+        cells = [str(i), str(r.seed), r.status]
         cells += [_render(r.values.get(c)) for c in columns]
         lines.append(",".join(cells))
     with open(path, "w", newline="") as fh:

@@ -122,8 +122,12 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_critical_value(n_a: int, n_b: int, level: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value c(level) * sqrt((n_a+n_b)/(n_a*n_b))."""
+_KS_LEVEL = 0.01  # the level of probes.probe_dist_equiv's test
+
+
+def ks_critical_value(n_a: int, n_b: int) -> float:
+    """Asymptotic two-sample KS critical value at level 0.01,
+    c(0.01) * sqrt((n_a+n_b)/(n_a*n_b))."""
     # c(alpha) = sqrt(-ln(alpha/2)/2); c(0.01) = 1.628
-    c = np.sqrt(-0.5 * np.log(level / 2.0))
+    c = np.sqrt(-0.5 * np.log(_KS_LEVEL / 2.0))
     return float(c * np.sqrt((n_a + n_b) / (n_a * n_b)))

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import FormatError
 from .linalg import gaussian_matrix
 from .rng import RngStream
 
@@ -37,7 +37,6 @@ __all__ = [
     "gradient",
     "grad_difference_decomposition",
     "bottleneck_decomposition",
-    "paper_radius",
     "save_network",
     "load_network",
 ]
@@ -76,16 +75,15 @@ class Architecture:
         return (self.input_dim, *self.hidden_widths, 1)
 
     @property
-    def d_min(self) -> int:
-        return min(self.input_dim, *self.hidden_widths) if self.hidden_widths else self.input_dim
-
-    @property
     def d_max(self) -> int:
         return max(self.input_dim, *self.hidden_widths) if self.hidden_widths else self.input_dim
 
 
 @dataclass(frozen=True)
 class Network:
+    """A network's weights W_1..W_{l+1}, exactly l + 1 of them, each of the
+    shape arch.dims gives it, and the seeds and tie policy it was built with."""
+
     arch: Architecture
     mode: InitMode
     weights: tuple[np.ndarray, ...]  # W_1..W_{l+1}, weights[i]: d_{i+1} x d_i
@@ -95,6 +93,9 @@ class Network:
 
     def __post_init__(self):
         dims = self.arch.dims
+        if len(self.weights) != self.arch.ell + 1:
+            raise ValueError(
+                f"{len(self.weights)} weight matrices, expected {self.arch.ell + 1}")
         for i, W in enumerate(self.weights):
             if W.shape != (dims[i + 1], dims[i]):
                 raise ValueError(
@@ -106,7 +107,6 @@ class Network:
 class ForwardTrace:
     """Everything forward() computes for one input."""
 
-    x: np.ndarray
     preactivations: tuple[np.ndarray, ...]   # ft_1..ft_l
     masks: tuple[np.ndarray, ...]            # 0/1 float vectors D_1..D_l
     postactivations: tuple[np.ndarray, ...]  # f_1..f_l
@@ -152,14 +152,15 @@ def sphere_input(d: int, rng: RngStream) -> np.ndarray:
     return rng.sphere_point(d, norm=np.sqrt(d))
 
 
-def network_from_weights(weights, mode: InitMode = InitMode.STANDARD) -> Network:
-    """Test-oriented constructor from explicit weight matrices."""
+def network_from_weights(weights) -> Network:
+    """Test-oriented constructor of a standard-mode network from explicit
+    weight matrices W_1..W_{l+1}, the last a single row."""
     weights = tuple(np.atleast_2d(np.asarray(W, dtype=np.float64)) for W in weights)
     input_dim = weights[0].shape[1]
     hidden = tuple(W.shape[0] for W in weights[:-1])
     if weights[-1].shape[0] != 1:
         raise ValueError("output layer must have a single row")
-    return Network(Architecture(input_dim, hidden), mode, weights)
+    return Network(Architecture(input_dim, hidden), InitMode.STANDARD, weights)
 
 
 def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> ForwardTrace:
@@ -191,7 +192,7 @@ def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> For
         masks.append(mask)
         posts.append(cur)
     out = float(net.weights[-1][0] @ cur)
-    return ForwardTrace(x, tuple(pres), tuple(masks), tuple(posts), out)
+    return ForwardTrace(tuple(pres), tuple(masks), tuple(posts), out)
 
 
 def _suffix_rows(net: Network, trace: ForwardTrace) -> list[np.ndarray]:
@@ -257,22 +258,6 @@ def bottleneck_decomposition(arch: Architecture) -> BottleneckDecomposition:
         indices.append(i)
         hi = i
     return BottleneckDecomposition(tuple(indices), tuple(int(widths[i]) for i in indices))
-
-
-def paper_radius(arch: Architecture) -> float:
-    """Reference perturbation radius sqrt(d_min)/(l ln d_max)^{80 l}.
-
-    Astronomically small at desk scale; probes take a user radius and
-    report this value for context only.
-    """
-    ell = arch.ell
-    if ell < 1:
-        raise DomainError("radius requires at least one hidden layer")
-    base = ell * np.log(arch.d_max)
-    if base <= 1.0:
-        raise DomainError(f"l*ln(d_max) = {base} <= 1; radius formula is meaningless")
-    # log space: the denominator overflows float64 long before the ratio does
-    return float(np.exp(0.5 * np.log(arch.d_min) - 80 * ell * np.log(base)))
 
 
 _MAGIC = b"RRNN"

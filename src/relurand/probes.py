@@ -57,8 +57,9 @@ __all__ = [
 @dataclass
 class ProbeReport:
     """What one probe call measured, and the CSV rows it contributes as
-    (stream id, {column: value}) pairs.  violation_frequency is None when
-    the bound does not apply to the sampled input."""
+    (stream id, {column: value}) pairs.  A probe called once per trial
+    contributes one row, and its summary is that row.  violation_frequency
+    is None when the bound does not apply to the sampled input."""
     measurements: dict            # column name -> list/array of per-trial values
     rows: list
     summary: dict = field(default_factory=dict)
@@ -130,19 +131,15 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
             post_spread[s, i] = np.linalg.norm(trace.postactivations[i] - ty.postactivations[i])
     scale = radius if radius > 0 else 1.0
     violations = int(np.sum(norms < bounds))
+    freq = violations / ell
+    row = {"norm_violations": violations, "layers": ell, "violation_frequency": freq}
     return ProbeReport(
         {"layer_norms": norms,
          "pre_spread_over_radius": pre_spread / scale,
          "post_spread_over_radius": post_spread / scale},
-        [(rng.stream_id, {"norm_violations": violations, "layers": ell,
-                          "violation_frequency": violations / ell})],
-        summary={
-            "norm_violations": violations,
-            "max_pre_spread_over_radius":
-                float(pre_spread.max() / scale) if n_samples else 0.0,
-        },
+        [(rng.stream_id, row)], summary=row,
         bounds={"norm_lower": bounds},
-        violation_frequency=violations / ell,
+        violation_frequency=freq,
     )
 
 
@@ -172,11 +169,9 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
     bounds = np.array(bounds)
     violations = int(np.sum(counts < bounds))
     freq = violations / max(len(counts), 1)
+    row = {"violations": violations, "layers": len(counts), "violation_frequency": freq}
     return ProbeReport(
-        {"counts": counts},
-        [(rng.stream_id, {"violations": violations, "layers": len(counts),
-                          "violation_frequency": freq})],
-        summary={"layers": len(counts), "violations": violations},
+        {"counts": counts}, [(rng.stream_id, row)], summary=row,
         bounds={"count_lower": bounds},
         violation_frequency=freq,
     )
@@ -206,12 +201,11 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
             term_norms[s, j] = np.linalg.norm(dec.terms[j])
             flip_counts[s, j] = int(np.sum(np.abs(trace.masks[j] - ty.masks[j])))
     max_drift = float(drifts.max()) if n_samples else 0.0
-    ratio = max_drift / g_norm
+    row = {"max_drift": max_drift, "max_drift_ratio": max_drift / g_norm,
+           "violation_frequency": 0.0}
     return ProbeReport(
         {"grad_drift": drifts, "term_norms": term_norms, "mask_flips": flip_counts},
-        [(rng.stream_id, {"max_drift": max_drift, "max_drift_ratio": ratio,
-                          "violation_frequency": 0.0})],
-        summary={"grad_norm_x": g_norm, "max_drift": max_drift, "max_drift_ratio": ratio},
+        [(rng.stream_id, row)], summary=row,
         violation_frequency=0.0,
     )
 
@@ -249,11 +243,9 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
         exps = np.array([(hi - lo) / 2.0 for hi, lo in pairs])
         c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
     freq = violations / norms.size
+    row = {"violations": violations, "fitted_c": c_fit, "violation_frequency": freq}
     return ProbeReport(
-        {"segment_norms": norms},
-        [(rng.stream_id, {"violations": violations, "fitted_c": c_fit,
-                          "violation_frequency": freq})],
-        summary={"violations": violations, "fitted_c": c_fit},
+        {"segment_norms": norms}, [(rng.stream_id, row)], summary=row,
         bounds={"segment_upper": bounds},
         violation_frequency=freq,
     )
@@ -291,8 +283,7 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
     std_err = float(np.sqrt(max(oracle * (1.0 - oracle), 1.0 / n_draws) / n_draws))
     row = {"empirical": empirical, "bound": bound, "oracle": oracle, "std_error": std_err}
     return ProbeReport(
-        {}, [(rng.stream_id, row)],
-        summary={**row, "n_draws": n_draws},
+        {}, [(rng.stream_id, row)], summary=row,
         violation_frequency=None if bound is None else float(empirical > bound),
     )
 
@@ -337,7 +328,7 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
         rng_b = RngStream(master_seed, 2 * k + 2)
         b.append(_bernoulli_product_norm(arch, p, rng_b))
     stat = ks_two_sample(a, b)
-    threshold = ks_critical_value(trials, trials, 0.01)
+    threshold = ks_critical_value(trials, trials)
     summary = {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
                "mask_p": p, "trials": trials}
     return ProbeReport(

@@ -65,7 +65,7 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "attack", "d": 32, "widths": [32, 32], "trials": 5})
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestRunExperiment:
@@ -93,7 +93,7 @@ class TestRunExperiment:
         serial = run_experiment(ExperimentConfig.from_dict(base))
         parallel = run_experiment(ExperimentConfig.from_dict({**base, "workers": 4}))
         for a, b in zip(serial["rows"], parallel["rows"]):
-            assert a.index == b.index and a.values == b.values
+            assert a.values == b.values
         s1 = {k: v for k, v in serial["summary"].items() if k != "config"}
         s2 = {k: v for k, v in parallel["summary"].items() if k != "config"}
         assert s1 == s2
@@ -137,8 +137,8 @@ class TestRunExperiment:
 
 class TestOutputs:
     def test_csv_round_trips_floats(self, tmp_path):
-        rows = [TrialRecord(0, 0, {"a": 0.1, "b": None, "c": True}),
-                TrialRecord(1, 1, {"a": 1 / 3, "d": 7}, status="not_flipped")]
+        rows = [TrialRecord(0, {"a": 0.1, "b": None, "c": True}),
+                TrialRecord(1, {"a": 1 / 3, "d": 7}, status="not_flipped")]
         path = tmp_path / "out.csv"
         write_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -192,16 +192,20 @@ class TestCli:
         assert rc == 2
 
     def test_alert_exit_three(self, tmp_path, capsys):
-        # mismatched control distribution trips the violation alert
+        # an alert level below any frequency trips the alert; the flag
+        # overrides the config file's 0.5
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(
             {"d": 32, "widths": [32], "trials": 40, "master_seed": 5,
              "alert_level": 0.5}))
-        # dist_equiv with too few trials still passes; force failure via
-        # gaussian_spectral with an impossible alert level instead
         rc = main(["probe", "value_gradient", "--config", str(cfgfile),
                    "--alert-level", "-1.0", "--out-dir", str(tmp_path)])
         assert rc == 3
+        summary = json.loads((tmp_path / "probe_value_gradient_summary.json").read_text())
+        freq = summary["violation_frequency"]
+        assert capsys.readouterr().err == (
+            f"alert: probe:value_gradient violation frequency {freq} "
+            "exceeds alert level -1.0\n")
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -227,12 +231,26 @@ class TestCli:
         }
         keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
         assert {key for key, _, _ in flags.values()} == keys
-        argv = ["kernel", "--out-dir", str(tmp_path)]
-        for flag, (_, values, _) in flags.items():
-            argv += [flag, *values]
-        assert main(argv) == 0
-        config = json.loads((tmp_path / "kernel_summary.json").read_text())["config"]
-        assert config == {"kind": "kernel", **{k: v for k, _, v in flags.values()}}
+        # every subcommand takes every flag; sample reads d, widths and the seed
+        commands = ["sample", "attack", "sweep", "collapse", "kernel",
+                    *(f"probe {name}" for name in PROBE_NAMES)]
+        assert len(commands) == 13
+        for command in commands:
+            out_dir = tmp_path / command.replace(" ", "_")
+            argv = [*command.split(), "--out-dir", str(out_dir)]
+            for flag, (_, values, _) in flags.items():
+                argv += [flag, *values]
+            assert main(argv) == 0, command
+            if command == "sample":
+                from relurand.network import load_network
+                net = load_network(out_dir / "network.rrnn")
+                assert (net.arch.input_dim, net.arch.hidden_widths, net.master_seed) == \
+                    (5, (3, 4), 7)
+                continue
+            kind = command.replace(" ", ":")
+            stem = kind.replace(":", "_")
+            config = json.loads((out_dir / f"{stem}_summary.json").read_text())["config"]
+            assert config == {"kind": kind, **{k: v for k, _, v in flags.values()}}, command
 
     @pytest.mark.parametrize("argv, key", [
         ("attack --widths 0", "widths"),

@@ -177,5 +177,5 @@ class TestKsTwoSample:
         assert s == pytest.approx(ks_two_sample(b, a), abs=1e-15)
 
     def test_critical_value_constant(self):
-        assert ks_critical_value(1000, 1000, 0.01) == pytest.approx(
+        assert ks_critical_value(1000, 1000) == pytest.approx(
             1.628 * np.sqrt(2 / 1000), rel=1e-2)

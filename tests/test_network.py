@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relurand.errors import DomainError, FormatError
+from relurand.errors import FormatError
 from relurand.network import (
     Architecture,
     InitMode,
+    Network,
     TiePolicy,
     bottleneck_decomposition,
     build_network,
@@ -17,7 +18,6 @@ from relurand.network import (
     gradient,
     load_network,
     network_from_weights,
-    paper_radius,
     save_network,
 )
 from relurand.rng import RngStream
@@ -49,6 +49,15 @@ class TestBuild:
             sums += [net.weights[0].var(), net.weights[1].var()]
         assert sums[0] / 40 == pytest.approx(2 / 5, rel=0.2)
         assert sums[1] / 40 == pytest.approx(2 / 7, rel=0.4)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_weight_count_must_be_depth_plus_one(self, count):
+        # Architecture(4, (3, 2)) has l = 2 hidden layers: exactly 3 matrices
+        arch = Architecture(4, (3, 2))
+        shapes = [(3, 4), (2, 3), (1, 2), (1, 1)]
+        weights = tuple(np.ones(shape) for shape in shapes[:count])
+        with pytest.raises(ValueError, match="expected 3"):
+            Network(arch, InitMode.STANDARD, weights)
 
 
 class TestForward:
@@ -189,25 +198,6 @@ class TestBottleneck:
         for j in range(len(dec.indices) - 1):
             hi, lo = dec.indices[j], dec.indices[j + 1]
             assert all(all_w[k] >= all_w[lo] for k in range(lo, hi))
-
-
-class TestPaperRadius:
-    def test_large_formula_value(self):
-        # d_min = d_max = 10^6, l = 2: R = 1000 / (2 ln 10^6)^160
-        arch = Architecture(10 ** 6, (10 ** 6, 10 ** 6))
-        expected = np.exp(np.log(1000.0) - 160 * np.log(2 * np.log(10 ** 6)))
-        assert paper_radius(arch) == pytest.approx(expected, rel=1e-10)
-
-    def test_monotone_in_d_min(self):
-        r1 = paper_radius(Architecture(100, (500,)))
-        r2 = paper_radius(Architecture(200, (500,)))
-        assert r2 > r1
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            paper_radius(Architecture(2, (2,)))  # ln 2 < 1
-        with pytest.raises(DomainError):
-            paper_radius(Architecture(5, ()))
 
 
 class TestSerialization:

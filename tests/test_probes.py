@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -125,8 +127,7 @@ class TestSegmentSpectral:
         net, x, rng = net_and_input(12, d=16, widths=(8, 16))
         trace = forward(net, x, rng)
         ones = tuple(np.ones_like(m) for m in trace.masks)
-        forced = type(trace)(trace.x, trace.preactivations, ones,
-                             trace.postactivations, trace.output)
+        forced = dataclasses.replace(trace, masks=ones)
         M = _masked_segment(net, forced, 1, 0)
         assert np.array_equal(M, net.weights[0])
 
@@ -135,8 +136,7 @@ class TestSegmentSpectral:
         net, x, rng = net_and_input(13, d=16, widths=(8, 16))
         trace = forward(net, x, rng)
         zeros = tuple(np.zeros_like(m) for m in trace.masks)
-        killed = type(trace)(trace.x, trace.preactivations, zeros,
-                             trace.postactivations, trace.output)
+        killed = dataclasses.replace(trace, masks=zeros)
         M = _masked_segment(net, killed, 2, 0)
         assert np.all(M == 0.0)
 
