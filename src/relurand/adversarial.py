@@ -42,6 +42,12 @@ class AttackResult:
     flipped: bool
     evaluations: int               # linear pieces walked
 
+    @property
+    def linearity(self) -> Optional[float]:
+        """t_star ||grad f(x)|| / |f(x)|, None if not flipped: exactly 1
+        when f is linear along the ray up to the crossing."""
+        return self.t_star * self.grad_norm / abs(self.f_x) if self.flipped else None
+
 
 def paper_eta(ell: int, d: int, delta: float, grad_norm: float) -> float:
     """Reference step -2^l ln(d) sqrt(ln 1/delta) / ||grad||^2 from the theory."""

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config validation, deterministic trial fan-out,
+"""Experiment orchestration: config validation, deterministic trial dispatch,
 CSV/JSON emission.
 
 A config is a flat record; run_experiment dispatches per trial with
@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -24,7 +23,7 @@ from .adversarial import AttackResult, flip_search, paper_eta
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError, DegenerateInput
 from .network import (Architecture, InitMode, bottleneck_decomposition, build_network,
-                      sphere_input)
+                      lazy_network, sphere_input)
 from .network import forward  # noqa: F401  perfbench's tracer test rebinds harness.forward
 from .rng import RngStream
 
@@ -130,9 +129,11 @@ def _arch(cfg: ExperimentConfig) -> Architecture:
 
 
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(fn, range(n)))
+    """[fn(0), ..., fn(n - 1)], one after another in the calling thread.
+
+    `cfg.workers` is read by no kind: a thread pool ran lazy `attack` trials
+    slower than one thread (many small numpy calls pass the GIL back and
+    forth) and won on only some per-trial probes (ROADMAP item 4)."""
     return [fn(i) for i in range(n)]
 
 
@@ -143,11 +144,13 @@ def _net_and_input(arch: Architecture, rng: RngStream):
 
 
 def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[AttackResult]:
-    """flip_search on the net and the input sampled from stream i, or None
-    when f(x) = 0 or the gradient is zero and there is no direction to search."""
+    """flip_search from an input and then a lazy net (network.lazy_network)
+    drawn from stream i, or None when f(x) = 0 or the gradient is zero and
+    there is no direction to search."""
     rng = RngStream(cfg.master_seed, i)
+    x = sphere_input(arch.input_dim, rng)
     try:
-        return flip_search(*_net_and_input(arch, rng), cfg.t_max, rng=rng)
+        return flip_search(lazy_network(arch, rng), x, cfg.t_max, rng=rng)
     except DegenerateInput:
         return None
 
@@ -166,7 +169,7 @@ def _run_attack(cfg: ExperimentConfig):
         vals = {"f_x": res.f_x, "grad_norm": res.grad_norm,
                 "paper_eta": eta, "evaluations": res.evaluations}
         if res.flipped:
-            vals.update(t_star=res.t_star, ratio=res.ratio)
+            vals.update(t_star=res.t_star, ratio=res.ratio, linearity=res.linearity)
         rows.append(TrialRecord(i, vals, status="ok" if res.flipped else "not_flipped"))
     ratios = [r.values["ratio"] for r in rows if r.status == "ok"]
     summary = {
@@ -178,8 +181,9 @@ def _run_attack(cfg: ExperimentConfig):
 
 
 def _run_sweep(cfg: ExperimentConfig):
-    """Flip-ratio statistics at each d in dims, with widths (d,) * len(widths),
-    and the least-squares slope of ln(median ratio) against ln(d).
+    """Flip-ratio and linearity statistics at each d in dims, with widths
+    (d,) * len(widths), and the least-squares slope of ln(median ratio)
+    against ln(d).
 
     Trial k at dimension index j runs on stream j * trials + k.  A degenerate
     trial is counted in its row's `degenerate` column and stays in the
@@ -192,13 +196,16 @@ def _run_sweep(cfg: ExperimentConfig):
     rows = []
     for j, d in enumerate(cfg.dims):
         trials = results[j * cfg.trials:(j + 1) * cfg.trials]
-        ratios = [r.ratio for r in trials if r is not None and r.flipped]
+        flipped = [r for r in trials if r is not None and r.flipped]
+        ratios = [r.ratio for r in flipped]
         rows.append(TrialRecord(j, {
             "d": d, "trials": cfg.trials, "flips": len(ratios),
             "degenerate": sum(r is None for r in trials), "flip_rate": len(ratios) / cfg.trials,
             "ratio_median": float(np.median(ratios)) if ratios else None,
             "ratio_q05": float(np.quantile(ratios, 0.05)) if ratios else None,
             "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
+            "linearity_median": (float(np.median([r.linearity for r in flipped]))
+                                 if flipped else None),
         }))
     usable = [(r.values["d"], r.values["ratio_median"]) for r in rows
               if r.values["ratio_median"]]

@@ -3,7 +3,8 @@
 Matrices and vectors are plain float64 numpy arrays throughout the
 package; this module adds the few operations the rest of the code needs:
 gaussian matrix sampling, sampling the image W @ M of a thin matrix under
-a fresh gaussian W, a Lanczos spectral norm, and the two-sample
+a fresh gaussian W, a gaussian matrix revealed only where it is queried
+(LazyGaussian), a Lanczos spectral norm, and the two-sample
 Kolmogorov-Smirnov statistic.
 """
 
@@ -13,8 +14,8 @@ import numpy as np
 
 from .rng import RngStream
 
-__all__ = ["gaussian_matrix", "gaussian_times", "spectral_norm", "ks_two_sample",
-           "ks_critical_value"]
+__all__ = ["gaussian_matrix", "gaussian_times", "LazyGaussian", "spectral_norm",
+           "ks_two_sample", "ks_critical_value"]
 
 
 def gaussian_matrix(rows: int, cols: int, std: float, rng: RngStream) -> np.ndarray:
@@ -48,6 +49,117 @@ def gaussian_times(M: np.ndarray, rows: int, std: float, rng: RngStream) -> np.n
     R = np.linalg.qr(cols[keep].T, mode="r")
     R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
     return (std * rng.normal((rows, R.shape[0])) @ R)[:, inverse]
+
+
+# A query whose residual against the revealed basis is at most this
+# fraction of its norm reveals nothing.
+_REVEAL_FLOOR = 1e-12
+
+
+class _Side:
+    """One side of a LazyGaussian: an orthonormal basis of the queries on
+    that side, as rows, and the image of each basis vector under the matrix
+    (for the right side) or its transpose (for the left), grown by doubling."""
+
+    def __init__(self, dim: int, image_dim: int):
+        self.dim = dim
+        self.k = 0
+        self._basis = np.empty((min(8, dim), dim))
+        self._images = np.empty((min(8, dim), image_dim))
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._basis[:self.k]
+
+    @property
+    def images(self) -> np.ndarray:
+        return self._images[:self.k]
+
+    def reveal(self, v: np.ndarray, other: "_Side", std: float, rng: RngStream) -> None:
+        """Add v's residual direction e to the basis, with its image
+        other.basis^T (other.images e) + std (I - other.basis^T other.basis) g,
+        g fresh normals; nothing when the residual is at most _REVEAL_FLOOR
+        ||v||, and no draw when the other side spans its space."""
+        if self.k == self.dim:
+            return
+        B = self.basis
+        r = v - B.T @ (B @ v)
+        r -= B.T @ (B @ r)
+        norm = float(np.linalg.norm(r))
+        if not norm > _REVEAL_FLOOR * float(np.linalg.norm(v)):
+            return
+        e = r / norm
+        image = other.basis.T @ (other.images @ e)
+        if other.k < other.dim:
+            g = rng.normal(len(image))
+            image += std * (g - other.basis.T @ (other.basis @ g))
+        if self.k == len(self._basis):
+            grow = min(self.k, self.dim - self.k)
+            self._basis = np.concatenate([self._basis, np.empty((grow, self.dim))])
+            self._images = np.concatenate([self._images, np.empty((grow, len(image)))])
+        self._basis[self.k] = e
+        self._images[self.k] = image
+        self.k += 1
+
+
+class LazyGaussian:
+    """A rows x cols matrix W with iid N(0, std^2) entries, drawn only
+    along the directions it is queried in (Gaussian conditioning:
+    Bolthausen 2014; Bayati & Montanari, IEEE-IT 2011).
+
+    It keeps an orthonormal basis Q of the right queries with Y = W Q, and
+    one U of the left queries with C = W^T U.  Given those, the rest of W
+    is std (I - U U^T) G (I - Q Q^T) for a fresh standard gaussian G.  A
+    right query v is orthogonalized twice against Q; if its residual
+    direction e is new, W e = U (C^T e) + std (I - U U^T) g is revealed
+    with g fresh normals, and the answer is W v = Y (Q^T v).  Left queries
+    mirror this with W^T f = Q (Y^T f) + std (I - Q Q^T) h.  A residual of
+    at most 1e-12 of the query's norm reveals nothing, so a query in the
+    revealed span, and a zero query, draw nothing; the latter returns exact
+    zeros.  Once Q spans R^cols or U spans R^rows, W is determined and
+    nothing more is drawn.  Queries may be chosen from earlier answers:
+    the answers have the joint law they would have on a dense gaussian W.
+
+    It stands in for the ndarray W in W @ V, v @ W and W[:, i]; with
+    __array_ufunc__ = None, ndarray @ W defers to __rmatmul__.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, rows: int, cols: int, std: float, rng: RngStream):
+        self.shape = (rows, cols)
+        self._std = std
+        self._rng = rng
+        self._right = _Side(cols, rows)
+        self._left = _Side(rows, cols)
+
+    @property
+    def revealed(self) -> tuple[int, int]:
+        """Numbers of revealed (right, left) directions."""
+        return self._right.k, self._left.k
+
+    def _query(self, side: _Side, other: _Side, V) -> np.ndarray:
+        """The images of V's columns under W (side is the right one) or
+        W^T (the left one), after revealing each new direction."""
+        V = np.asarray(V, dtype=np.float64)
+        for v in (V.T if V.ndim == 2 else (V,)):
+            side.reveal(v, other, self._std, self._rng)
+        return side.images.T @ (side.basis @ V)
+
+    def __matmul__(self, V) -> np.ndarray:
+        return self._query(self._right, self._left, V)
+
+    def __rmatmul__(self, F) -> np.ndarray:
+        return self._query(self._left, self._right, np.asarray(F).T).T
+
+    def __getitem__(self, key) -> np.ndarray:
+        """Column W[:, i], the only indexing supported."""
+        rows, i = key
+        if rows != slice(None):
+            raise IndexError("LazyGaussian supports W[:, i] only")
+        e = np.zeros(self.shape[1])
+        e[i] = 1.0
+        return self @ e
 
 
 _TOL = 1e-8  # sigma within 1e-8 relative of the SVD value, far below any probe's noise

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError
-from .linalg import gaussian_matrix
+from .linalg import LazyGaussian, gaussian_matrix
 from .rng import RngStream
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "BottleneckDecomposition",
     "init_std",
     "build_network",
+    "lazy_network",
     "network_from_weights",
     "sphere_input",
     "forward",
@@ -82,7 +83,8 @@ class Architecture:
 @dataclass(frozen=True)
 class Network:
     """A network's weights W_1..W_{l+1}, exactly l + 1 of them, each of the
-    shape arch.dims gives it, and the seeds and tie policy it was built with."""
+    shape arch.dims gives it, and the seeds and tie policy it was built with.
+    The hidden weights of a lazy_network are LazyGaussian, not ndarray."""
 
     arch: Architecture
     mode: InitMode
@@ -145,6 +147,19 @@ def build_network(arch: Architecture, mode: InitMode, rng: RngStream) -> Network
         for i in range(arch.ell + 1)
     )
     return Network(arch, mode, weights, rng.master_seed, rng.stream_id)
+
+
+def lazy_network(arch: Architecture, rng: RngStream) -> Network:
+    """A standard network whose hidden weights are LazyGaussian layers
+    that draw from rng only as they are queried; the output row is dense
+    and drawn now.  Everything that reaches the weights through W @ V,
+    v @ W and W[:, i] (forward, gradient, the flip search's walk) runs on
+    it unchanged; whole-matrix uses such as save_network do not."""
+    dims = arch.dims
+    std = [init_std(d, InitMode.STANDARD) for d in dims[:-1]]
+    weights = tuple(LazyGaussian(dims[i + 1], dims[i], std[i], rng) for i in range(arch.ell))
+    weights += (gaussian_matrix(1, dims[-2], std[-1], rng),)
+    return Network(arch, InitMode.STANDARD, weights, rng.master_seed, rng.stream_id)
 
 
 def sphere_input(d: int, rng: RngStream) -> np.ndarray:

@@ -115,7 +115,8 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
 def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
                              n_samples: int, rng: RngStream) -> ProbeReport:
     """Layer image norms vs the sqrt(d_i)/2^i lower bound, and how far the
-    images of a ball around x spread, normalized by the ball radius."""
+    images of a ball around x spread, divided by the ball radius (by 1 at
+    radius 0); the row holds the largest post-activation spread."""
     trace = forward(net, x, rng)
     dims = net.arch.dims
     ell = net.arch.ell
@@ -132,7 +133,9 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
     scale = radius if radius > 0 else 1.0
     violations = int(np.sum(norms < bounds))
     freq = violations / ell
-    row = {"norm_violations": violations, "layers": ell, "violation_frequency": freq}
+    row = {"norm_violations": violations, "layers": ell,
+           "max_post_spread_over_radius": float(post_spread.max(initial=0.0)) / scale,
+           "violation_frequency": freq}
     return ProbeReport(
         {"layer_norms": norms,
          "pre_spread_over_radius": pre_spread / scale,

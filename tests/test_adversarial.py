@@ -4,7 +4,9 @@ import pytest
 from relurand.adversarial import flip_search, paper_eta, verify_theorem1
 from relurand.errors import DegenerateInput, DomainError
 from relurand.harness import ExperimentConfig, run_experiment
-from relurand.network import Architecture, InitMode, build_network, forward, network_from_weights
+from relurand.linalg import ks_critical_value, ks_two_sample
+from relurand.network import (Architecture, InitMode, build_network, forward, lazy_network,
+                              network_from_weights, sphere_input)
 from relurand.rng import RngStream
 
 
@@ -21,12 +23,13 @@ class TestFlipSearch:
         assert res.flipped
         assert res.t_star == pytest.approx(expected_t, abs=10 * tol)
         assert res.ratio == pytest.approx(float(w[0] @ x) / (w_norm * np.linalg.norm(x)), rel=1e-5)
+        assert res.linearity == pytest.approx(1.0, rel=1e-14)
 
     def test_one_dimensional_relu_never_flips(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
         res = flip_search(net, np.array([2.0]), rng=RngStream(0))
         assert not res.flipped
-        assert res.t_star is None and res.ratio is None
+        assert res.t_star is None and res.ratio is None and res.linearity is None
 
     def test_degenerate_input(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
@@ -210,3 +213,39 @@ class TestRayWalk:
                 continue
             assert np.sign(_f_along(net, x, u, [res.t_star * (1 + 1e-9)])[0]) == -s
             assert hits.size == 0 or hits[0] >= res.t_star
+
+
+class TestLazyNetwork:
+    def test_matches_dense_in_distribution(self):
+        # the ROADMAP's d = 100 config, 2000 trials each; KS at level 0.01
+        d, trials = 100, 2000
+        arch = Architecture(d, (d, d))
+        dense = []
+        for k in range(trials):
+            rng = RngStream(7001, k)
+            x = sphere_input(d, rng)
+            res = flip_search(build_network(arch, InitMode.STANDARD, rng), x, rng=rng)
+            dense.append((abs(res.f_x), res.grad_norm, res.ratio))
+        rows = run_experiment(ExperimentConfig.from_dict(
+            {"kind": "attack", "d": d, "widths": [d, d], "trials": trials,
+             "master_seed": 7002}))["rows"]
+        lazy = [(abs(r.values["f_x"]), r.values["grad_norm"], r.values.get("ratio"))
+                for r in rows if r.values]
+        for column in range(3):
+            a = [v[column] for v in dense if v[column] is not None]
+            b = [v[column] for v in lazy if v[column] is not None]
+            assert ks_two_sample(a, b) <= ks_critical_value(len(a), len(b)), column
+
+    def test_trial_reveals_few_directions(self):
+        d = 300
+        rng = RngStream(3)
+        x = sphere_input(d, rng)
+        net = lazy_network(Architecture(d, (d, d)), rng)
+        res = flip_search(net, x, rng=rng)
+        assert res.flipped
+        # forward, backward and the walk's first pass reveal a few
+        # directions per layer, and each walked piece at most one more;
+        # every direction costs d normals, against d^2 for a dense layer
+        for W in net.weights[:-1]:
+            right, left = W.revealed
+            assert 1 <= right + left <= 4 + res.evaluations < d // 4

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,26 @@ class TestRunExperiment:
         s1 = {k: v for k, v in serial["summary"].items() if k != "config"}
         s2 = {k: v for k, v in parallel["summary"].items() if k != "config"}
         assert s1 == s2
+
+    def test_linearity_columns(self):
+        base = {"d": 16, "widths": [16, 16], "trials": 12, "master_seed": 3}
+        attack = run_experiment(ExperimentConfig.from_dict({"kind": "attack", **base}))
+        linearity = []
+        for r in attack["rows"]:
+            v = r.values
+            if r.status == "ok":
+                assert v["linearity"] == v["t_star"] * v["grad_norm"] / abs(v["f_x"])
+                linearity.append(v["linearity"])
+            else:
+                assert "linearity" not in v
+        assert linearity and min(linearity) > 0.0
+        # the sweep's first dimension runs the same trials on the same streams
+        sweep = run_experiment(ExperimentConfig.from_dict(
+            {"kind": "sweep", "dims": [16, 24], "widths": [1, 1], "trials": 12,
+             "master_seed": 3}))
+        row = sweep["rows"][0].values
+        assert row["linearity_median"] == float(np.median(linearity))
+        assert row["ratio_median"] == attack["summary"]["ratio_median"]
 
     def test_probe_dispatch_all_names(self, tmp_path, capsys):
         quick = {
@@ -383,6 +404,21 @@ class TestCli:
         net = load_network(out_dir / "network.rrnn")
         assert net.arch.input_dim == 8
         assert net.arch.hidden_widths == (4,)
+
+    def test_attack_at_width_ten_thousand_in_little_memory(self, tmp_path, capsys):
+        # dense weights would take 1.6 GB; the lazy layers hold only what
+        # the walk queried
+        tracemalloc.start()
+        try:
+            rc = main(["attack", "--d", "10000", "--widths", "10000", "10000",
+                       "--trials", "2", "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 100e6
+        lines = (tmp_path / "attack.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in lines[1:]] == ["ok", "ok"]
 
     def test_parallel_cli_outputs_identical(self, tmp_path, capsys):
         for argv in (["attack", "--d", "64", "--widths", "64", "--trials", "6"],

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp, norm
 
 from relurand.linalg import (
+    LazyGaussian,
     gaussian_matrix,
     gaussian_times,
     ks_critical_value,
@@ -80,6 +81,101 @@ class TestGaussianTimes:
         C = Z.T @ Z / n
         se = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S ** 2) / n)
         assert np.all(np.abs(C - S) <= 3 * se)
+
+
+class _CountingStream(RngStream):
+    """An RngStream that counts the normals drawn from it."""
+
+    draws = 0
+
+    def normal(self, size=None):
+        self.draws += int(np.prod(size))
+        return super().normal(size)
+
+
+def _mixed_queries(W, seed, n=12):
+    """Alternate n right and left queries of fresh random vectors on W."""
+    rng = RngStream(seed)
+    rows, cols = W.shape
+    for k in range(n):
+        if k % 2:
+            rng.normal(rows) @ W
+        else:
+            W @ rng.normal((cols, 1 + k % 3))
+
+
+class TestLazyGaussian:
+    @pytest.mark.parametrize("shape", [(40, 40), (30, 70), (70, 30)])
+    def test_bilinear_form_agrees_from_both_sides(self, shape):
+        W = LazyGaussian(*shape, 0.3, RngStream(1))
+        _mixed_queries(W, 2)
+        rng = RngStream(3)
+        for _ in range(20):
+            u, v = rng.normal(shape[0]), rng.normal(shape[1])
+            Wv, uW = W @ v, u @ W
+            scale = np.linalg.norm(u) * np.linalg.norm(Wv) + np.linalg.norm(uW) * np.linalg.norm(v)
+            assert abs(u @ Wv - uW @ v) <= 1e-12 * scale
+
+    def test_column_is_product_with_unit_vector(self):
+        W = LazyGaussian(25, 15, 1.0, RngStream(4))
+        _mixed_queries(W, 5, n=4)
+        for i in (0, 7, 14):
+            e = np.zeros(15)
+            e[i] = 1.0
+            assert np.allclose(W[:, i], W @ e, rtol=0.0, atol=1e-14)
+        with pytest.raises(IndexError):
+            W[0, 1]
+
+    def test_revealed_span_and_zero_draw_nothing(self):
+        rng = _CountingStream(6)
+        W = LazyGaussian(30, 20, 1.0, rng)
+        V = RngStream(7).normal((20, 3))
+        W @ V
+        f = RngStream(8).normal(30)
+        f @ W
+        drawn, revealed = rng.draws, W.revealed
+        assert drawn == 3 * 30 + 20 and revealed == (3, 1)
+        W @ (V @ [0.5, -2.0, 1.0])
+        (3.0 * f) @ W
+        zeros = W @ np.zeros((20, 2)), np.zeros(30) @ W
+        assert rng.draws == drawn and W.revealed == revealed
+        assert all(np.all(z == 0.0) for z in zeros)
+
+    def test_same_stream_same_bits(self):
+        outs = []
+        for _ in range(2):
+            W = LazyGaussian(30, 20, 0.5, RngStream(9, 2))
+            _mixed_queries(W, 10)
+            outs.append((W @ np.arange(20.0), np.arange(30.0) @ W, W[:, 3]))
+        assert all(np.array_equal(a, b) for a, b in zip(*outs))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
+    def test_each_side_stays_within_its_dimension(self, shape):
+        # once Q spans R^cols or U spans R^rows, W is determined
+        rng = _CountingStream(11)
+        W = LazyGaussian(*shape, 1.0, rng)
+        _mixed_queries(W, 12, n=30)
+        right, left = W.revealed
+        assert right <= shape[1] and left <= shape[0]
+        assert right == shape[1] or left == shape[0]
+        drawn = rng.draws
+        _mixed_queries(W, 13, n=10)
+        assert rng.draws == drawn and W.revealed == (right, left)
+
+    def test_adaptive_queries_match_dense_moments(self):
+        # W[:, i] queried after W @ x and (W @ x) @ W, i.e. after queries
+        # chosen from W itself, still has iid N(0, std^2) entries
+        std, n = 0.5, 4000
+        cols = []
+        for k in range(n):
+            W = LazyGaussian(3, 4, std, RngStream(14, k))
+            Wx = W @ np.ones(4)
+            Wx @ W
+            cols.append(W[:, 1])
+        C = np.array(cols)
+        cov = C.T @ C / n
+        se = std ** 2 * np.sqrt(2.0 / n)
+        assert np.all(np.abs(cov - std ** 2 * np.eye(3)) <= 4 * se)
 
 
 class TestSpectralNorm:

@@ -57,6 +57,14 @@ class TestScalePreservation:
         # ||ft_1(x) - ft_1(y)|| <= ||W_1|| ||x - y|| <= ||W_1|| radius
         assert np.all(rep.measurements["pre_spread_over_radius"][:, 0] <= W1_norm + 1e-12)
 
+    def test_row_holds_largest_post_spread(self):
+        net, x, rng = net_and_input(9)
+        rep = probe_scale_preservation(net, x, 0.5, 6, rng)
+        spread = rep.measurements["post_spread_over_radius"]
+        assert spread.shape == (6, 2)
+        assert rep.rows[0][1]["max_post_spread_over_radius"] == spread.max() > 0.0
+        assert rep.summary is rep.rows[0][1]
+
     def test_no_norm_violations_at_width_512(self):
         violations = 0
         for k in range(20):
