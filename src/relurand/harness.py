@@ -137,20 +137,20 @@ def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
     return [fn(i) for i in range(n)]
 
 
-def _net_and_input(arch: Architecture, rng: RngStream):
-    """A standard net and then a trial input (network.sphere_input), from rng."""
-    net = build_network(arch, InitMode.STANDARD, rng)
-    return net, sphere_input(arch.input_dim, rng)
+def _trial_net(arch: Architecture, rng: RngStream):
+    """A trial's input (network.sphere_input) and then its lazy standard
+    net (network.lazy_network), both from rng, returned as (net, x)."""
+    x = sphere_input(arch.input_dim, rng)
+    return lazy_network(arch, rng), x
 
 
 def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[AttackResult]:
-    """flip_search from an input and then a lazy net (network.lazy_network)
-    drawn from stream i, or None when f(x) = 0 or the gradient is zero and
-    there is no direction to search."""
+    """flip_search on trial i's net and input (_trial_net on stream i), or
+    None when f(x) = 0 or the gradient is zero and there is no direction
+    to search."""
     rng = RngStream(cfg.master_seed, i)
-    x = sphere_input(arch.input_dim, rng)
     try:
-        return flip_search(lazy_network(arch, rng), x, cfg.t_max, rng=rng)
+        return flip_search(*_trial_net(arch, rng), cfg.t_max, rng=rng)
     except DegenerateInput:
         return None
 
@@ -310,20 +310,22 @@ KINDS = {
                                                 cfg.master_seed))),
     "probe:scale_preservation": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_scale_preservation(
-            *_net_and_input(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng))),
+            *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng))),
     "probe:activation_margin": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_activation_margin(
-            *_net_and_input(_arch(cfg), rng), cfg.alpha, rng)),
+            *_trial_net(_arch(cfg), rng), cfg.alpha, rng)),
         lambda cfg: not (0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)),
         "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin"),
     "probe:gradient_smoothness": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_gradient_smoothness(
-            *_net_and_input(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
+            *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
         lambda reports, freq: {"median_max_drift_ratio": float(
             np.median([r.summary["max_drift_ratio"] for r in reports])) if reports else None})),
     "probe:segment_spectral": _Kind(_per_trial(
+        # whole masked segment products need dense weights: the net, then x
         lambda cfg, rng: probes.probe_segment_spectral(
-            *_net_and_input(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng)),
+            build_network(_arch(cfg), InitMode.STANDARD, rng), sphere_input(cfg.d, rng),
+            cfg.radius, cfg.n_samples, rng)),
         lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
         "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
     "probe:sign_flip": _Kind(_per_trial(

@@ -4,11 +4,14 @@ Matrices and vectors are plain float64 numpy arrays throughout the
 package; this module adds the few operations the rest of the code needs:
 gaussian matrix sampling, sampling the image W @ M of a thin matrix under
 a fresh gaussian W, a gaussian matrix revealed only where it is queried
-(LazyGaussian), a Lanczos spectral norm, and the two-sample
+until drawing it whole is cheaper (LazyGaussian), a Lanczos spectral
+norm, and the two-sample
 Kolmogorov-Smirnov statistic.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -59,13 +62,16 @@ _REVEAL_FLOOR = 1e-12
 class _Side:
     """One side of a LazyGaussian: an orthonormal basis of the queries on
     that side, as rows, and the image of each basis vector under the matrix
-    (for the right side) or its transpose (for the left), grown by doubling."""
+    (for the right side) or its transpose (for the left).  A side of at
+    most 8 dimensions holds them all from the start; a longer one starts
+    with one row and doubles."""
 
     def __init__(self, dim: int, image_dim: int):
         self.dim = dim
         self.k = 0
-        self._basis = np.empty((min(8, dim), dim))
-        self._images = np.empty((min(8, dim), image_dim))
+        rows = dim if dim <= 8 else 1
+        self._basis = np.empty((rows, dim))
+        self._images = np.empty((rows, image_dim))
 
     @property
     def basis(self) -> np.ndarray:
@@ -75,24 +81,29 @@ class _Side:
     def images(self) -> np.ndarray:
         return self._images[:self.k]
 
-    def reveal(self, v: np.ndarray, other: "_Side", std: float, rng: RngStream) -> None:
+    def outgrows(self, other: "_Side", limit: int) -> bool:
+        """Whether one more reveal would grow the buffers so that they and
+        other's hold more than limit floats."""
+        if self.k < len(self._basis):
+            return False
+        grown = (self.k + min(self.k, self.dim - self.k)) * (self.dim + self._images.shape[1])
+        return grown + other._basis.size + other._images.size > limit
+
+    def reveal(self, v: np.ndarray, other: "_Side", std: float, rng: RngStream) -> int:
         """Add v's residual direction e to the basis, with its image
         other.basis^T (other.images e) + std (I - other.basis^T other.basis) g,
-        g fresh normals; nothing when the residual is at most _REVEAL_FLOOR
-        ||v||, and no draw when the other side spans its space."""
-        if self.k == self.dim:
-            return
+        g fresh normals, and return the number of normals drawn; nothing
+        when the residual is at most _REVEAL_FLOOR ||v||."""
         B = self.basis
         r = v - B.T @ (B @ v)
         r -= B.T @ (B @ r)
         norm = float(np.linalg.norm(r))
         if not norm > _REVEAL_FLOOR * float(np.linalg.norm(v)):
-            return
+            return 0
         e = r / norm
         image = other.basis.T @ (other.images @ e)
-        if other.k < other.dim:
-            g = rng.normal(len(image))
-            image += std * (g - other.basis.T @ (other.basis @ g))
+        g = rng.normal(len(image))
+        image += std * (g - other.basis.T @ (other.basis @ g))
         if self.k == len(self._basis):
             grow = min(self.k, self.dim - self.k)
             self._basis = np.concatenate([self._basis, np.empty((grow, self.dim))])
@@ -100,6 +111,15 @@ class _Side:
         self._basis[self.k] = e
         self._images[self.k] = image
         self.k += 1
+        return len(g)
+
+
+# The cost of one normal draw, in flops of the vector products a lazy query
+# column does: a draw takes 25-40 ns on a 2-core x86 VM (numpy 2.4, Philox),
+# a flop of those products 0.1-0.4 ns.  At the low end, thin and deep layers
+# complete early, while the hidden layers of 3000 attack trials at d = 500,
+# widths (500, 500), spent at most 52% of the budget and none completed.
+_NORMAL_FLOPS = 100.0
 
 
 class LazyGaussian:
@@ -116,9 +136,18 @@ class LazyGaussian:
     mirror this with W^T f = Q (Y^T f) + std (I - Q Q^T) h.  A residual of
     at most 1e-12 of the query's norm reveals nothing, so a query in the
     revealed span, and a zero query, draw nothing; the latter returns exact
-    zeros.  Once Q spans R^cols or U spans R^rows, W is determined and
-    nothing more is drawn.  Queries may be chosen from earlier answers:
-    the answers have the joint law they would have on a dense gaussian W.
+    zeros.  Queries may be chosen from earlier answers: the answers have
+    the joint law they would have on a dense gaussian W.
+
+    W completes itself in place into a dense matrix drawn from that law
+    (_complete) when a side spans its space, and then draws nothing, or
+    when one more reveal would cost more than the dense rest: when the
+    flops spent on lazy query columns would pass the cost of drawing W
+    (rent or buy: the lazy work never exceeds the dense draw it spares),
+    or when the buffers of both sides would grow past rows x cols floats.
+    From then on every query is a plain product with the dense matrix and
+    draws nothing.  The rule reads only shapes and counts, so whether and
+    where W completes is a function of its queries.
 
     It stands in for the ndarray W in W @ V, v @ W and W[:, i]; with
     __array_ufunc__ = None, ndarray @ W defers to __rmatmul__.
@@ -132,31 +161,88 @@ class LazyGaussian:
         self._rng = rng
         self._right = _Side(cols, rows)
         self._left = _Side(rows, cols)
+        self._spent = 0.0   # flops of the lazy query columns so far, draws included
+        self._dense: Optional[np.ndarray] = None
 
     @property
     def revealed(self) -> tuple[int, int]:
-        """Numbers of revealed (right, left) directions."""
+        """Numbers of revealed (right, left) directions: (cols, rows) once
+        completed."""
+        if self._dense is not None:
+            return self.shape[1], self.shape[0]
         return self._right.k, self._left.k
 
-    def _query(self, side: _Side, other: _Side, V) -> np.ndarray:
-        """The images of V's columns under W (side is the right one) or
-        W^T (the left one), after revealing each new direction."""
-        V = np.asarray(V, dtype=np.float64)
+    @property
+    def completed(self) -> bool:
+        return self._dense is not None
+
+    def _reveal(self, side: _Side, other: _Side, V: np.ndarray) -> None:
+        """Reveal the new directions among V's columns on side, or complete
+        W when a side spans its space or one more reveal would cost more
+        than the dense rest.  A column on a side of dimension n with k
+        directions, the other side of dimension m with k', costs two
+        orthogonalization passes (8 k n flops), its answer (2 k (n + m)),
+        its image (2 k' (n + m) + 4 k' m) and its draws."""
+        size = self.shape[0] * self.shape[1]
+        n, m, k2 = side.dim, other.dim, other.k
         for v in (V.T if V.ndim == 2 else (V,)):
-            side.reveal(v, other, self._std, self._rng)
-        return side.images.T @ (side.basis @ V)
+            k = side.k
+            self._spent += 8 * k * n + 2 * (k + k2) * (n + m) + 4 * k2 * m
+            if self._spent > _NORMAL_FLOPS * size or side.outgrows(other, size):
+                break
+            self._spent += _NORMAL_FLOPS * side.reveal(v, other, self._std, self._rng)
+            if side.k == n:
+                break
+        else:
+            return
+        self._complete()
+
+    def _complete(self) -> None:
+        """Set W to a draw of its law given the revealed directions,
+        Y^T Q + (U^T C + std (I - U^T U) G) (I - Q^T Q) with Q, Y, U, C as
+        stored rows and G fresh normals; nothing is drawn when Q spans
+        R^cols or U spans R^rows."""
+        rows, cols = self.shape
+        Q, Y = self._right.basis, self._right.images
+        if len(Q) == cols:
+            W = Y.T @ Q
+        else:
+            U, C = self._left.basis, self._left.images
+            if len(U) == rows:
+                W = U.T @ C
+            else:
+                W = self._rng.normal((rows, cols))
+                W *= self._std
+                W -= U.T @ (U @ W - C)
+            del U, C
+            self._left = None   # freed before the last product's temporary
+            W += (Y.T - W @ Q.T) @ Q
+        self._dense = W
+        self._right = self._left = None
 
     def __matmul__(self, V) -> np.ndarray:
-        return self._query(self._right, self._left, V)
+        V = np.asarray(V, dtype=np.float64)
+        if self._dense is None:
+            self._reveal(self._right, self._left, V)
+        if self._dense is not None:
+            return self._dense @ V
+        return self._right.images.T @ (self._right.basis @ V)
 
     def __rmatmul__(self, F) -> np.ndarray:
-        return self._query(self._left, self._right, np.asarray(F).T).T
+        F = np.asarray(F, dtype=np.float64)
+        if self._dense is None:
+            self._reveal(self._left, self._right, F.T)
+        if self._dense is not None:
+            return F @ self._dense
+        return (self._left.images.T @ (self._left.basis @ F.T)).T
 
     def __getitem__(self, key) -> np.ndarray:
         """Column W[:, i], the only indexing supported."""
         rows, i = key
         if rows != slice(None):
             raise IndexError("LazyGaussian supports W[:, i] only")
+        if self._dense is not None:
+            return self._dense[:, i]
         e = np.zeros(self.shape[1])
         e[i] = 1.0
         return self @ e

@@ -33,10 +33,10 @@ from .network import (
     _decompose,
     _suffix_rows,
     bottleneck_decomposition,
-    build_network,
     forward,
     gradient,
     init_std,
+    lazy_network,
     sphere_input,
 )
 from .rng import RngStream
@@ -63,7 +63,6 @@ class ProbeReport:
     measurements: dict            # column name -> list/array of per-trial values
     rows: list
     summary: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
     violation_frequency: Optional[float] = None
 
 
@@ -76,8 +75,11 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
                          master_seed: int) -> ProbeReport:
     """|f(x)| and ||grad f(x)|| over independent nets at a fixed sphere input.
 
-    Checks the lower bound ||grad|| >= 2^-(l+1) at its stated constant and
-    |f| <= c 2^l sqrt(log 1/delta) at c = _C_ABS.
+    Each net is lazy (network.lazy_network): one forward and one gradient
+    reveal one direction per side of each hidden layer, d_{i-1} + d_i
+    normals instead of d_{i-1} d_i.  Checks the lower bound ||grad|| >=
+    2^-(l+1) at its stated constant and |f| <= c 2^l sqrt(log 1/delta) at
+    c = _C_ABS.
     """
     ell = arch.ell
     x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
@@ -86,7 +88,7 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
     f_vals, g_norms, euler_err = [], [], []
     for k in range(trials):
         rng = RngStream(master_seed, k + 1)
-        net = build_network(arch, InitMode.STANDARD, rng)
+        net = lazy_network(arch, rng)
         trace = forward(net, x, rng)
         g = gradient(net, trace)
         f_vals.append(abs(trace.output))
@@ -107,7 +109,6 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
             **{f"grad_norm_{k}": q
                for k, q in zip(("min", "p01", "median", "p99", "max"), quantiles)},
         },
-        bounds={"grad_lower": grad_bound, "value_upper": value_bound},
         violation_frequency=1.0 - grad_ok,
     )
 
@@ -141,7 +142,6 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
          "pre_spread_over_radius": pre_spread / scale,
          "post_spread_over_radius": post_spread / scale},
         [(rng.stream_id, row)], summary=row,
-        bounds={"norm_lower": bounds},
         violation_frequency=freq,
     )
 
@@ -175,7 +175,6 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
     row = {"violations": violations, "layers": len(counts), "violation_frequency": freq}
     return ProbeReport(
         {"counts": counts}, [(rng.stream_id, row)], summary=row,
-        bounds={"count_lower": bounds},
         violation_frequency=freq,
     )
 
@@ -249,7 +248,6 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
     row = {"violations": violations, "fitted_c": c_fit, "violation_frequency": freq}
     return ProbeReport(
         {"segment_norms": norms}, [(rng.stream_id, row)], summary=row,
-        bounds={"segment_upper": bounds},
         violation_frequency=freq,
     )
 
@@ -312,20 +310,20 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
                      control_p: Optional[float] = None) -> ProbeReport:
     """KS two-sample test of the mask-randomization distributional identity.
 
-    Sample A: gradient norms of standard nets with data-dependent masks at
-    a fixed sphere input.  Sample B: norms of the same weight products
-    with iid Bernoulli(1/2) masks; its weights are independent of its
-    masks, so it draws only the row images v D_i W_i, never a whole
-    network.  The identity predicts equality in distribution, tested at
-    level 0.01; control_p substitutes a different mask probability to
-    demonstrate the test's power.
+    Sample A: gradient norms of standard lazy nets (network.lazy_network)
+    with data-dependent masks at a fixed sphere input.  Sample B: norms of
+    the same weight products with iid Bernoulli(1/2) masks; its weights
+    are independent of its masks, so it draws only the row images
+    v D_i W_i, never a whole network.  The identity predicts equality in
+    distribution, tested at level 0.01; control_p substitutes a different
+    mask probability to demonstrate the test's power.
     """
     x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
     p = 0.5 if control_p is None else control_p
     a, b = [], []
     for k in range(trials):
         rng_a = RngStream(master_seed, 2 * k + 1)
-        net = build_network(arch, InitMode.STANDARD, rng_a)
+        net = lazy_network(arch, rng_a)
         trace = forward(net, x, rng_a)
         a.append(float(np.linalg.norm(gradient(net, trace))))
         rng_b = RngStream(master_seed, 2 * k + 2)

@@ -3,7 +3,7 @@ import pytest
 
 from relurand.adversarial import flip_search, paper_eta, verify_theorem1
 from relurand.errors import DegenerateInput, DomainError
-from relurand.harness import ExperimentConfig, run_experiment
+from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.linalg import ks_critical_value, ks_two_sample
 from relurand.network import (Architecture, InitMode, build_network, forward, lazy_network,
                               network_from_weights, sphere_input)
@@ -249,3 +249,13 @@ class TestLazyNetwork:
         for W in net.weights[:-1]:
             right, left = W.revealed
             assert 1 <= right + left <= 4 + res.evaluations < d // 4
+
+    def test_attack_trials_at_width_500_never_complete(self):
+        # the attack workload's net: no layer revealed enough directions to
+        # complete, so its CSV keeps the bits of the purely lazy walk
+        arch = Architecture(500, (500, 500))
+        for k in range(50):
+            rng = RngStream(8117, k)
+            net, x = _trial_net(arch, rng)
+            flip_search(net, x, rng=rng)
+            assert not any(W.completed for W in net.weights[:-1]), k

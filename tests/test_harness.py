@@ -363,9 +363,11 @@ class TestCli:
                    parse_constant=reject)
 
     def test_degenerate_probe_trial_is_a_row(self, tmp_path, capsys):
-        # width 1: half the trials have a zero first-layer image
+        # width 1: half the trials have a zero first-layer image.  A 1 x 1
+        # layer misses the margin with probability P(|Z| < 0.1) = 0.08, above
+        # the default alert level, so the alert is off: this test is about rows
         rc = main(["probe", "activation_margin", "--d", "2", "--widths", "1", "1",
-                   "--trials", "20", "--out-dir", str(tmp_path)])
+                   "--trials", "20", "--alert-level", "1", "--out-dir", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "probe_activation_margin.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
@@ -443,7 +445,10 @@ class TestCli:
     "collapse --d 10 --width 2000 --depth 10 --n-pairs 50",
     "probe gaussian_spectral --dims 200 300 --trials 5",
     "probe segment_spectral --d 256 --widths 256 64 256 --trials 3 --n-samples 2 --radius 1.6",
-], ids=["attack", "sweep", "collapse", "gaussian_spectral", "segment_spectral"])
+    "probe value_gradient --d 256 --widths 256 256 --trials 20",
+    "probe dist_equiv --d 128 --widths 128 128 --trials 50",
+], ids=["attack", "sweep", "collapse", "gaussian_spectral", "segment_spectral",
+        "value_gradient", "dist_equiv"])
 def test_outputs_independent_of_blas_threads(tmp_path, argv):
     # BLAS reads its thread count once, at import, so each run is a fresh process
     src = str(Path(relurand.__file__).parents[1])

@@ -178,6 +178,66 @@ class TestLazyGaussian:
         assert np.all(np.abs(cov - std ** 2 * np.eye(3)) <= 4 * se)
 
 
+def _completed_by_adaptive_queries(seed, std=0.5):
+    """A 4 x 200 LazyGaussian queried along x, then W x from the left, then
+    the normalized answer of that from the right; the third query would
+    grow the right side's buffers past the dense size, so W completes with
+    one direction revealed on each side."""
+    rng = _CountingStream(*seed)
+    W = LazyGaussian(4, 200, std, rng)
+    x = np.linspace(-1.0, 1.0, 200)
+    h = (W @ x) @ W
+    W @ (h / np.linalg.norm(h))
+    return W, rng
+
+
+class TestCompletion:
+    def test_completed_layer_matches_dense_in_distribution(self):
+        # entries and bilinear forms of 2000 completed layers against 2000
+        # dense ones; KS at level 0.01
+        std, n = 0.5, 2000
+        u = np.array([0.5, -0.5, 0.5, 0.5])
+        v = np.linspace(-1.0, 1.0, 200)   # half along the first query, half not
+        v /= np.linalg.norm(v)
+        v[7] += 1.0
+        lazy, dense = [], []
+        for k in range(n):
+            W, _ = _completed_by_adaptive_queries((8111, k), std)
+            assert W.completed
+            lazy.append((W[:, 7][2], u @ (W @ v)))
+            D = gaussian_matrix(4, 200, std, RngStream(8112, k))
+            dense.append((D[2, 7], u @ (D @ v)))
+        for column in range(2):
+            a = [t[column] for t in lazy]
+            b = [t[column] for t in dense]
+            assert ks_two_sample(a, b) <= ks_critical_value(n, n), column
+
+    @pytest.mark.parametrize("shape", [(3, 50), (50, 3)])
+    def test_spanning_side_completes_without_a_draw(self, shape):
+        # three queries on the 3-dimensional side span it; the third reveal
+        # draws its 50 normals and the completion none
+        rng = _CountingStream(8113)
+        W = LazyGaussian(*shape, 1.0, rng)
+        F = RngStream(8114).normal((3, 3))
+        answers = [(f @ W if shape[0] == 3 else W @ f) for f in F]
+        assert W.completed and W.revealed == shape[::-1]
+        assert rng.draws == 3 * 50
+        again = [(f @ W if shape[0] == 3 else W @ f) for f in F]
+        assert np.allclose(again, answers, rtol=0.0, atol=1e-12)
+
+    def test_queries_after_completion_draw_nothing(self):
+        W, rng = _completed_by_adaptive_queries((8115, 0))
+        drawn = rng.draws
+        assert drawn == 4 + 200 + 4 * 200   # one reveal per side, then the dense draw
+        q = RngStream(8116)
+        for _ in range(5):
+            u, v = q.normal(4), q.normal(200)
+            Wv, uW = W @ v, u @ W
+            assert abs(u @ Wv - uW @ v) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+        assert np.array_equal(W[:, 3], W @ np.eye(200)[3])
+        assert rng.draws == drawn and W.revealed == (200, 4)
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from relurand import probes
 from relurand.errors import DegenerateInput
-from relurand.network import Architecture, InitMode, build_network, forward
+from relurand.linalg import ks_critical_value, ks_two_sample
+from relurand.network import Architecture, InitMode, build_network, forward, gradient, sphere_input
 from relurand.probes import (
     _bernoulli_product_norm,
     probe_activation_margin,
@@ -18,6 +20,7 @@ from relurand.probes import (
     probe_value_gradient,
 )
 from relurand.rng import RngStream
+from test_linalg import _CountingStream
 
 
 def net_and_input(seed, d=64, widths=(64, 64)):
@@ -230,3 +233,48 @@ class TestGaussianSpectral:
     def test_marchenko_pastur_edge(self):
         out = probe_gaussian_spectral(500, 500, 0.01, 30, master_seed=11)
         assert 0.9 <= out.summary["mean_norm_over_edge"] <= 1.1
+
+
+def _dense_value_gradient(arch, trials, master_seed):
+    """|f(x)| and ||grad f(x)|| of dense standard nets at one sphere input."""
+    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
+    out = []
+    for k in range(trials):
+        rng = RngStream(master_seed, k + 1)
+        net = build_network(arch, InitMode.STANDARD, rng)
+        trace = forward(net, x, rng)
+        out.append((abs(trace.output), float(np.linalg.norm(gradient(net, trace)))))
+    return np.array(out).T
+
+
+class TestLazyNets:
+    # value_gradient and dist_equiv sample A run on network.lazy_network;
+    # 1000 lazy against 1000 dense nets, KS at level 0.01
+    arch = Architecture(64, (64, 64))
+
+    def test_value_gradient_matches_dense_in_distribution(self):
+        rep = probe_value_gradient(self.arch, 1000, 0.1, master_seed=8101)
+        dense = _dense_value_gradient(self.arch, 1000, 8102)
+        for column, name in enumerate(("abs_f", "grad_norm")):
+            stat = ks_two_sample(rep.measurements[name], dense[column])
+            assert stat <= ks_critical_value(1000, 1000), name
+
+    def test_dist_equiv_sample_a_matches_dense_in_distribution(self):
+        rep = probe_dist_equiv(self.arch, 1000, master_seed=8103)
+        dense = _dense_value_gradient(self.arch, 1000, 8104)[1]
+        stat = ks_two_sample(rep.measurements["masked_grad_norm"], dense)
+        assert stat <= ks_critical_value(1000, 1000)
+
+    def test_value_gradient_net_draws_one_direction_per_side(self, monkeypatch):
+        # the output row (256) plus, per hidden layer, one forward and one
+        # gradient direction (256 + 256): 1280 normals against 131,328 dense
+        streams = []
+
+        class Recorded(_CountingStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                streams.append(self)
+
+        monkeypatch.setattr(probes, "RngStream", Recorded)
+        probe_value_gradient(Architecture(256, (256, 256)), 1, 0.1, master_seed=8105)
+        assert [s.draws for s in streams] == [0, 256 + 2 * (256 + 256)]
