@@ -4,10 +4,11 @@ Subcommands: sample, attack, sweep, probe <name>, collapse, kernel.
 Every subcommand builds one ExperimentConfig and validates it before any
 work.  Every ExperimentConfig key is a flag (n_draws -> --n-draws), except
 that master_seed is --seed and theta_0 is --theta0.  A JSON config file
-(--config, such as configs/*.json) provides the same flat keys; flags
-override config keys one-for-one.  Outputs go to --out-dir, which is
-created if missing; sample reads d, widths and master_seed and writes
-network.rrnn there, or to --out.
+(--config, such as configs/*.json) provides the same flat keys, and a
+kind only if it is the subcommand's; flags override config keys
+one-for-one.  Outputs go to --out-dir, which is created if missing;
+sample reads d, widths and master_seed and writes network.rrnn there,
+or to --out.
 Exit codes: 0 success, 1 config error, 2 I/O error, 3 a probe's violation
 frequency exceeded the configured alert level (one stderr line names the
 kind, the frequency and the level).
@@ -53,7 +54,9 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
                 raise ConfigError(f"'config' file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        loaded.pop("kind", None)
+        if loaded.get("kind", kind) != kind:
+            raise ConfigError(f"'kind' {loaded['kind']!r} in {args.config} is not the "
+                              f"subcommand's '{kind}'")
         data.update(loaded)
     for key in _KEYS:
         if getattr(args, key) is not None:

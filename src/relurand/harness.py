@@ -1,10 +1,11 @@
 """Experiment orchestration: config validation, deterministic trial dispatch,
 CSV/JSON emission.
 
-A config is a flat record; run_experiment dispatches per trial with
-stream_id = trial index (for sweep, j * trials + k for trial k at the j-th
-dimension), so output is a pure function of the config bytes and identical
-under any worker count (results are merged in trial-index order).
+A config is a flat record; run_experiment runs its trials one after
+another in the calling thread, trial i on stream_id i (for sweep, j *
+trials + k for trial k at the j-th dimension), so output is a pure
+function of the config bytes.  `workers` is validated and recorded in the
+summary, but no kind reads it.
 """
 
 from __future__ import annotations

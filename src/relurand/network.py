@@ -240,16 +240,9 @@ def grad_difference_decomposition(
     difference up to float roundoff.  grad_x and grad_y are
     gradient(net, trace_x) and gradient(net, trace_y) to the bit.
     """
-    return _decompose(net, _suffix_rows(net, trace_x), trace_x, trace_y)
-
-
-def _decompose(net: Network, suffix: list[np.ndarray], trace_x: ForwardTrace,
-               trace_y: ForwardTrace) -> GradDecomposition:
-    """grad_difference_decomposition given _suffix_rows(net, trace_x), which
-    a caller decomposing against one x many times computes once."""
-    ell = net.arch.ell
+    suffix = _suffix_rows(net, trace_x)
     terms = []
-    for j in range(1, ell + 1):
+    for j in range(1, net.arch.ell + 1):
         t = (suffix[j] * (trace_x.masks[j - 1] - trace_y.masks[j - 1])) @ net.weights[j - 1]
         for i in range(j - 1, 0, -1):
             t = (t * trace_y.masks[i - 1]) @ net.weights[i - 1]

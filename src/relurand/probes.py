@@ -12,7 +12,7 @@ fitted constant reported alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,8 +30,6 @@ from .network import (
     ForwardTrace,
     InitMode,
     Network,
-    _decompose,
-    _suffix_rows,
     bottleneck_decomposition,
     forward,
     gradient,
@@ -56,14 +54,14 @@ __all__ = [
 
 @dataclass
 class ProbeReport:
-    """What one probe call measured, and the CSV rows it contributes as
-    (stream id, {column: value}) pairs.  A probe called once per trial
-    contributes one row, and its summary is that row.  violation_frequency
-    is None when the bound does not apply to the sampled input."""
-    measurements: dict            # column name -> list/array of per-trial values
+    """The CSV rows one probe call contributes as (stream id, {column:
+    value}) pairs, its summary and its violation frequency, and nothing
+    else.  A probe called once per trial contributes one row, and its
+    summary is that row.  violation_frequency is None when the bound does
+    not apply to the sampled input."""
     rows: list
-    summary: dict = field(default_factory=dict)
-    violation_frequency: Optional[float] = None
+    summary: dict
+    violation_frequency: Optional[float]
 
 
 # The theory's unnamed absolute constant c, in |f| <= c 2^l sqrt(log 1/delta)
@@ -85,22 +83,19 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
     x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
     grad_bound = 2.0 ** (-(ell + 1))
     value_bound = _C_ABS * 2.0 ** ell * np.sqrt(np.log(1.0 / delta))
-    f_vals, g_norms, euler_err = [], [], []
+    f_vals, g_norms = [], []
     for k in range(trials):
         rng = RngStream(master_seed, k + 1)
         net = lazy_network(arch, rng)
         trace = forward(net, x, rng)
-        g = gradient(net, trace)
         f_vals.append(abs(trace.output))
-        g_norms.append(float(np.linalg.norm(g)))
-        euler_err.append(abs(trace.output - float(g @ x)))
+        g_norms.append(float(np.linalg.norm(gradient(net, trace))))
     f_vals = np.array(f_vals)
     g_norms = np.array(g_norms)
     grad_ok = float(np.mean(g_norms >= grad_bound))
     value_ok = float(np.mean(f_vals <= value_bound))
     quantiles = np.quantile(g_norms, [0.0, 0.01, 0.5, 0.99, 1.0])
     return ProbeReport(
-        {"abs_f": f_vals, "grad_norm": g_norms, "euler_error": np.array(euler_err)},
         [(k + 1, {"abs_f": float(f_vals[k]), "grad_norm": float(g_norms[k])})
          for k in range(trials)],
         summary={
@@ -123,27 +118,18 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
     ell = net.arch.ell
     norms = np.array([np.linalg.norm(f) for f in trace.postactivations])
     bounds = np.array([np.sqrt(dims[i + 1]) / 2.0 ** (i + 1) for i in range(ell)])
-    pre_spread = np.zeros((n_samples, ell))
-    post_spread = np.zeros((n_samples, ell))
-    for s in range(n_samples):
-        y = rng.ball_point(x, radius)
-        ty = forward(net, y, rng)
-        for i in range(ell):
-            pre_spread[s, i] = np.linalg.norm(trace.preactivations[i] - ty.preactivations[i])
-            post_spread[s, i] = np.linalg.norm(trace.postactivations[i] - ty.postactivations[i])
+    max_spread = 0.0
+    for _ in range(n_samples):
+        ty = forward(net, rng.ball_point(x, radius), rng)
+        for fx, fy in zip(trace.postactivations, ty.postactivations):
+            max_spread = max(max_spread, float(np.linalg.norm(fx - fy)))
     scale = radius if radius > 0 else 1.0
     violations = int(np.sum(norms < bounds))
     freq = violations / ell
     row = {"norm_violations": violations, "layers": ell,
-           "max_post_spread_over_radius": float(post_spread.max(initial=0.0)) / scale,
+           "max_post_spread_over_radius": max_spread / scale,
            "violation_frequency": freq}
-    return ProbeReport(
-        {"layer_norms": norms,
-         "pre_spread_over_radius": pre_spread / scale,
-         "post_spread_over_radius": post_spread / scale},
-        [(rng.stream_id, row)], summary=row,
-        violation_frequency=freq,
-    )
+    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
 
 
 def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
@@ -158,58 +144,37 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
         raise ValueError("alpha must lie in (0, sqrt(pi/8)) for a positive bound")
     trace = forward(net, x, rng)
     dims = net.arch.dims
-    ell = net.arch.ell
-    counts, bounds = [], []
+    layers = range(1, net.arch.ell)
     factor = 1.0 - 2.0 * np.sqrt(2.0 / np.pi) * alpha
-    for i in range(1, ell):
+    violations = 0
+    for i in layers:
         norm_i = np.linalg.norm(trace.postactivations[i - 1])
         if norm_i == 0.0:
             raise DegenerateInput(f"layer {i} image is the zero vector")
         thresh = alpha * norm_i / np.sqrt(dims[i])
-        counts.append(int(np.sum(np.abs(trace.preactivations[i]) >= thresh)))
-        bounds.append(factor * dims[i + 1])
-    counts = np.array(counts, dtype=np.float64)
-    bounds = np.array(bounds)
-    violations = int(np.sum(counts < bounds))
-    freq = violations / max(len(counts), 1)
-    row = {"violations": violations, "layers": len(counts), "violation_frequency": freq}
-    return ProbeReport(
-        {"counts": counts}, [(rng.stream_id, row)], summary=row,
-        violation_frequency=freq,
-    )
+        count = int(np.sum(np.abs(trace.preactivations[i]) >= thresh))
+        violations += count < factor * dims[i + 1]
+    freq = violations / max(len(layers), 1)
+    row = {"violations": violations, "layers": len(layers), "violation_frequency": freq}
+    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
 
 
 def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
                               n_samples: int, rng: RngStream) -> ProbeReport:
-    """Gradient drift over a ball: ||grad(x) - grad(y)||, the per-layer
-    decomposition term norms, mask flip counts, and the drift ratio
-    relative to ||grad(x)||.  Raises DegenerateInput when grad(x) = 0, where
-    the ratio has no scale."""
-    trace = forward(net, x, rng)
-    suffix = _suffix_rows(net, trace)   # x's rows, shared by every sample
-    g_norm = float(np.linalg.norm(suffix[0]))
+    """Largest gradient drift ||grad(x) - grad(y)|| over sampled y in a
+    ball, and its ratio to ||grad(x)||.  Raises DegenerateInput when
+    grad(x) = 0, where the ratio has no scale."""
+    grad_x = gradient(net, forward(net, x, rng))
+    g_norm = float(np.linalg.norm(grad_x))
     if g_norm == 0.0:
         raise DegenerateInput("||grad f(x)|| = 0")
-    ell = net.arch.ell
-    drifts = np.zeros(n_samples)
-    term_norms = np.zeros((n_samples, ell))
-    flip_counts = np.zeros((n_samples, ell), dtype=np.int64)
-    for s in range(n_samples):
-        y = rng.ball_point(x, radius)
-        ty = forward(net, y, rng)
-        dec = _decompose(net, suffix, trace, ty)
-        drifts[s] = np.linalg.norm(dec.grad_x - dec.grad_y)
-        for j in range(ell):
-            term_norms[s, j] = np.linalg.norm(dec.terms[j])
-            flip_counts[s, j] = int(np.sum(np.abs(trace.masks[j] - ty.masks[j])))
-    max_drift = float(drifts.max()) if n_samples else 0.0
+    max_drift = 0.0
+    for _ in range(n_samples):
+        grad_y = gradient(net, forward(net, rng.ball_point(x, radius), rng))
+        max_drift = max(max_drift, float(np.linalg.norm(grad_x - grad_y)))
     row = {"max_drift": max_drift, "max_drift_ratio": max_drift / g_norm,
            "violation_frequency": 0.0}
-    return ProbeReport(
-        {"grad_drift": drifts, "term_norms": term_norms, "mask_flips": flip_counts},
-        [(rng.stream_id, row)], summary=row,
-        violation_frequency=0.0,
-    )
+    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=0.0)
 
 
 def _masked_segment(net: Network, trace: ForwardTrace, top: int, bottom: int) -> np.ndarray:
@@ -246,10 +211,7 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
         c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
     freq = violations / norms.size
     row = {"violations": violations, "fitted_c": c_fit, "violation_frequency": freq}
-    return ProbeReport(
-        {"segment_norms": norms}, [(rng.stream_id, row)], summary=row,
-        violation_frequency=freq,
-    )
+    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
 
 
 def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
@@ -284,7 +246,7 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
     std_err = float(np.sqrt(max(oracle * (1.0 - oracle), 1.0 / n_draws) / n_draws))
     row = {"empirical": empirical, "bound": bound, "oracle": oracle, "std_error": std_err}
     return ProbeReport(
-        {}, [(rng.stream_id, row)], summary=row,
+        [(rng.stream_id, row)], summary=row,
         violation_frequency=None if bound is None else float(empirical > bound),
     )
 
@@ -332,11 +294,8 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
     threshold = ks_critical_value(trials, trials)
     summary = {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
                "mask_p": p, "trials": trials}
-    return ProbeReport(
-        {"masked_grad_norm": np.array(a), "bernoulli_norm": np.array(b)},
-        [(0, summary)], summary=summary,
-        violation_frequency=0.0 if summary["pass"] else 1.0,
-    )
+    return ProbeReport([(0, summary)], summary=summary,
+                       violation_frequency=0.0 if summary["pass"] else 1.0)
 
 
 def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
@@ -353,8 +312,5 @@ def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
     summary = {"violations": violations, "bound": float(bound), "samples": samples,
                "mean_norm": float(norms.mean()),
                "mean_norm_over_edge": float(norms.mean() / (np.sqrt(m) + np.sqrt(n)))}
-    return ProbeReport(
-        {"spectral_norm": norms}, [(0, summary)],
-        summary=summary,
-        violation_frequency=violations / samples,
-    )
+    return ProbeReport([(0, summary)], summary=summary,
+                       violation_frequency=violations / samples)

@@ -229,8 +229,9 @@ class TestCli:
             "exceeds alert level -1.0\n")
 
     def test_flags_override_config(self, tmp_path, capsys):
+        # a config file may name the subcommand's own kind
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"theta_0": 3.0, "steps": 4}))
+        cfgfile.write_text(json.dumps({"kind": "kernel", "theta_0": 3.0, "steps": 4}))
         rc = main(["kernel", "--config", str(cfgfile), "--steps", "7",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -300,6 +301,7 @@ class TestCli:
         ('{"d": NaN}', "d"), ('{"trials": 2.5}', "trials"), ('{"workers": true}', "workers"),
         ('{"widths": 5}', "widths"), ('{"widths": [4, NaN]}', "widths"),
         ('{"radius": "1"}', "radius"), ('{"t_max": [1]}', "t_max"),
+        ('{"kind": "collapse", "d": 8, "widths": [8], "trials": 2}', "kind"),
     ])
     def test_wrongly_typed_config_file_rejected(self, tmp_path, capsys, config, key):
         cfgfile = tmp_path / "cfg.json"
@@ -447,8 +449,9 @@ class TestCli:
     "probe segment_spectral --d 256 --widths 256 64 256 --trials 3 --n-samples 2 --radius 1.6",
     "probe value_gradient --d 256 --widths 256 256 --trials 20",
     "probe dist_equiv --d 128 --widths 128 128 --trials 50",
+    "probe gradient_smoothness --d 256 --widths 256 256 --trials 3 --n-samples 5 --radius 0.8",
 ], ids=["attack", "sweep", "collapse", "gaussian_spectral", "segment_spectral",
-        "value_gradient", "dist_equiv"])
+        "value_gradient", "dist_equiv", "gradient_smoothness"])
 def test_outputs_independent_of_blas_threads(tmp_path, argv):
     # BLAS reads its thread count once, at import, so each run is a fresh process
     src = str(Path(relurand.__file__).parents[1])

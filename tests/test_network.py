@@ -16,6 +16,7 @@ from relurand.network import (
     forward,
     grad_difference_decomposition,
     gradient,
+    lazy_network,
     load_network,
     network_from_weights,
     save_network,
@@ -119,11 +120,13 @@ class TestGradient:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_euler_identity(self, seed):
+        # a dense net, and a lazy one of the same shape
         net, rng = random_net(seed)
         x = rng.normal(20)
-        t = forward(net, x, rng)
-        g = gradient(net, t)
-        assert abs(t.output - g @ x) <= 1e-10 * (abs(t.output) + 1e-30)
+        for net in (net, lazy_network(net.arch, rng)):
+            t = forward(net, x, rng)
+            g = gradient(net, t)
+            assert abs(t.output - g @ x) <= 1e-10 * (abs(t.output) + 1e-30)
 
     def test_finite_differences_with_mask_guard(self):
         net, rng = random_net(7, d=50, widths=(40, 40))

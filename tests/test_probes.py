@@ -7,7 +7,15 @@ from scipy.stats import norm
 from relurand import probes
 from relurand.errors import DegenerateInput
 from relurand.linalg import ks_critical_value, ks_two_sample
-from relurand.network import Architecture, InitMode, build_network, forward, gradient, sphere_input
+from relurand.network import (
+    Architecture,
+    InitMode,
+    build_network,
+    forward,
+    grad_difference_decomposition,
+    gradient,
+    sphere_input,
+)
 from relurand.probes import (
     _bernoulli_product_norm,
     probe_activation_margin,
@@ -29,6 +37,23 @@ def net_and_input(seed, d=64, widths=(64, 64)):
     return net, rng.sphere_point(d, norm=np.sqrt(d)), rng
 
 
+@pytest.fixture
+def record(monkeypatch):
+    """record(name) wraps probes.<name> for the test and returns the list
+    that each call's result is appended to, in call order."""
+    def wrap(name):
+        results = []
+        fn = getattr(probes, name)
+
+        def recorded(*args):
+            results.append(fn(*args))
+            return results[-1]
+
+        monkeypatch.setattr(probes, name, recorded)
+        return results
+    return wrap
+
+
 class TestValueGradient:
     def test_linear_chi_concentration(self):
         # l = 0: ||grad|| = ||w||, w ~ N(0, I/d), concentrates at 1 for d >= 64
@@ -39,33 +64,41 @@ class TestValueGradient:
         rep = probe_value_gradient(Architecture(256, (256, 256)), 200, 0.1, master_seed=2)
         assert rep.summary["grad_bound_freq"] >= 0.99  # 2^-3 bound
 
-    def test_euler_identity_across_ensemble(self):
+    def test_euler_identity_across_ensemble(self, record):
+        # f(x) = grad f(x) . x on every net the probe sampled, at its input
+        traces, grads = record("forward"), record("gradient")
         rep = probe_value_gradient(Architecture(64, (64,)), 100, 0.1, master_seed=3)
-        assert np.max(rep.measurements["euler_error"]) <= 1e-10 * (
-            1.0 + np.max(rep.measurements["abs_f"]))
+        x = sphere_input(64, RngStream(3, 0))
+        abs_f = [row["abs_f"] for _, row in rep.rows]
+        assert abs_f == [abs(t.output) for t in traces]
+        euler_error = [abs(t.output - g @ x) for t, g in zip(traces, grads)]
+        assert max(euler_error) <= 1e-10 * (1.0 + max(abs_f))
 
 
 class TestScalePreservation:
     def test_zero_radius(self):
         net, x, rng = net_and_input(5)
         rep = probe_scale_preservation(net, x, 0.0, 10, rng)
-        assert np.max(rep.measurements["pre_spread_over_radius"]) == 0.0
-        assert np.max(rep.measurements["post_spread_over_radius"]) == 0.0
+        assert rep.summary["max_post_spread_over_radius"] == 0.0
 
     def test_layer1_operator_norm_bound(self):
-        net, x, rng = net_and_input(6)
+        # one hidden layer, and relu is 1-Lipschitz: ||f_1(x) - f_1(y)|| <=
+        # ||ft_1(x) - ft_1(y)|| <= ||W_1|| ||x - y|| <= ||W_1|| radius
+        net, x, rng = net_and_input(6, widths=(64,))
         radius = 1.0
         W1_norm = np.linalg.norm(net.weights[0], 2)
         rep = probe_scale_preservation(net, x, radius, 20, rng)
-        # ||ft_1(x) - ft_1(y)|| <= ||W_1|| ||x - y|| <= ||W_1|| radius
-        assert np.all(rep.measurements["pre_spread_over_radius"][:, 0] <= W1_norm + 1e-12)
+        assert 0.0 < rep.summary["max_post_spread_over_radius"] <= W1_norm + 1e-12
 
-    def test_row_holds_largest_post_spread(self):
+    def test_row_holds_largest_post_spread(self, record):
+        traces = record("forward")
         net, x, rng = net_and_input(9)
         rep = probe_scale_preservation(net, x, 0.5, 6, rng)
-        spread = rep.measurements["post_spread_over_radius"]
-        assert spread.shape == (6, 2)
-        assert rep.rows[0][1]["max_post_spread_over_radius"] == spread.max() > 0.0
+        tx, samples = traces[0], traces[1:]
+        assert len(samples) == 6
+        spread = max(np.linalg.norm(fx - fy) / 0.5 for ty in samples
+                     for fx, fy in zip(tx.postactivations, ty.postactivations))
+        assert rep.rows[0][1]["max_post_spread_over_radius"] == spread > 0.0
         assert rep.summary is rep.rows[0][1]
 
     def test_no_norm_violations_at_width_512(self):
@@ -84,9 +117,11 @@ class TestActivationMargin:
             probe_activation_margin(net, x, 0.0, rng)
 
     def test_tiny_alpha_count_is_full(self):
+        # every nonzero preactivation clears a 1e-12 margin, so the count is
+        # the full width and the one hidden-to-hidden layer never violates
         net, x, rng = net_and_input(9, d=128, widths=(128, 128))
         rep = probe_activation_margin(net, x, 1e-12, rng)
-        assert np.all(rep.measurements["counts"] == 128)
+        assert (rep.summary["violations"], rep.summary["layers"]) == (0, 1)
 
     def test_single_neuron_density_oracle(self):
         # per-neuron miss probability P(|Z| <= 0.1) vs the 0.1 sqrt(2/pi) density bound
@@ -108,14 +143,19 @@ class TestGradientSmoothness:
     def test_zero_radius(self):
         net, x, rng = net_and_input(10)
         rep = probe_gradient_smoothness(net, x, 0.0, 5, rng)
-        assert np.max(rep.measurements["grad_drift"]) == 0.0
-        assert np.max(rep.measurements["mask_flips"]) == 0
+        assert rep.summary["max_drift"] == 0.0
 
-    def test_triangle_inequality(self):
+    def test_triangle_inequality(self, record):
+        # the reported drift, decomposed layerwise at each sampled y: it is
+        # the largest ||grad_x - grad_y||, and no more than its term norms' sum
+        traces = record("forward")
         net, x, rng = net_and_input(11)
         rep = probe_gradient_smoothness(net, x, 2.0, 30, rng)
-        sums = rep.measurements["term_norms"].sum(axis=1)
-        assert np.all(sums + 1e-12 >= rep.measurements["grad_drift"])
+        decs = [grad_difference_decomposition(net, traces[0], ty) for ty in traces[1:]]
+        drifts = [np.linalg.norm(dec.grad_x - dec.grad_y) for dec in decs]
+        assert rep.summary["max_drift"] == max(drifts) > 0.0
+        for dec, drift in zip(decs, drifts):
+            assert sum(np.linalg.norm(t) for t in dec.terms) + 1e-12 >= drift
 
     def test_drift_shrinks_with_radius(self):
         # drift ratio stays well below 1 at 5% relative radius; cutting the
@@ -256,13 +296,14 @@ class TestLazyNets:
         rep = probe_value_gradient(self.arch, 1000, 0.1, master_seed=8101)
         dense = _dense_value_gradient(self.arch, 1000, 8102)
         for column, name in enumerate(("abs_f", "grad_norm")):
-            stat = ks_two_sample(rep.measurements[name], dense[column])
+            stat = ks_two_sample([row[name] for _, row in rep.rows], dense[column])
             assert stat <= ks_critical_value(1000, 1000), name
 
-    def test_dist_equiv_sample_a_matches_dense_in_distribution(self):
-        rep = probe_dist_equiv(self.arch, 1000, master_seed=8103)
+    def test_dist_equiv_sample_a_matches_dense_in_distribution(self, record):
+        grads = record("gradient")   # sample A's gradients; sample B takes none
+        probe_dist_equiv(self.arch, 1000, master_seed=8103)
         dense = _dense_value_gradient(self.arch, 1000, 8104)[1]
-        stat = ks_two_sample(rep.measurements["masked_grad_norm"], dense)
+        stat = ks_two_sample([np.linalg.norm(g) for g in grads], dense)
         assert stat <= ks_critical_value(1000, 1000)
 
     def test_value_gradient_net_draws_one_direction_per_side(self, monkeypatch):
