@@ -8,7 +8,6 @@ from .network import (  # noqa: F401
     Architecture,
     InitMode,
     Network,
-    TiePolicy,
     bottleneck_decomposition,
     build_network,
     forward,

@@ -264,7 +264,7 @@ def _ensemble(probe):
     return run
 
 
-def _per_trial(probe, summarize=lambda reports, freq: {}):
+def _per_trial(probe, summarize=lambda reports: {}):
     """Runner for a probe called once per trial on stream i.  A trial whose
     input is degenerate (DegenerateInput, e.g. a zero layer image) is a
     `degenerate` row; the violation frequency is the mean over the other
@@ -280,7 +280,7 @@ def _per_trial(probe, summarize=lambda reports, freq: {}):
         reports = [r for r in results if r is not None]
         freqs = [r.violation_frequency for r in reports if r.violation_frequency is not None]
         freq = float(np.mean(freqs)) if freqs else 0.0
-        return _records(results), {**summarize(reports, freq), "violation_frequency": freq}
+        return _records(results), {**summarize(reports), "violation_frequency": freq}
     return run
 
 
@@ -320,7 +320,7 @@ KINDS = {
     "probe:gradient_smoothness": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_gradient_smoothness(
             *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
-        lambda reports, freq: {"median_max_drift_ratio": float(
+        lambda reports: {"median_max_drift_ratio": float(
             np.median([r.summary["max_drift_ratio"] for r in reports])) if reports else None})),
     "probe:segment_spectral": _Kind(_per_trial(
         # whole masked segment products need dense weights: the net, then x
@@ -329,8 +329,7 @@ KINDS = {
             cfg.radius, cfg.n_samples, rng)),
         lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
         "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
-    "probe:sign_flip": _Kind(_per_trial(
-        _sign_flip, lambda reports, freq: {"bound_violation_frequency": freq})),
+    "probe:sign_flip": _Kind(_per_trial(_sign_flip)),
     "probe:dist_equiv": _Kind(_ensemble(
         lambda cfg: probes.probe_dist_equiv(_arch(cfg), cfg.trials, cfg.master_seed))),
     "probe:gaussian_spectral": _Kind(_ensemble(

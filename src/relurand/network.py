@@ -3,9 +3,9 @@
 A network is f(x) = W_{l+1} relu(W_l relu(... relu(W_1 x))), no biases,
 scalar output.  Standard initialization draws layer i entries from
 N(0, 1/d_{i-1}); depth-collapse initialization uses variance 2/fan-in at
-every layer.  Exactly-zero preactivations are resolved by the network's
-tie policy, which save_network records and forward honours; the default
-randomizes the activation bit with probability 1/2.
+every layer.  An exactly-zero preactivation, a probability-zero event
+under gaussian weights, is active with probability 1/2: forward breaks
+the tie with a fair coin from its rng.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .rng import RngStream
 __all__ = [
     "Architecture",
     "InitMode",
-    "TiePolicy",
     "Network",
     "ForwardTrace",
     "GradDecomposition",
@@ -46,12 +45,6 @@ __all__ = [
 class InitMode(Enum):
     STANDARD = 0        # layer i entries ~ N(0, 1/d_{i-1})
     DEPTH_COLLAPSE = 1  # layer entries ~ N(0, 2/fan_in), all layers
-
-
-class TiePolicy(Enum):
-    RANDOMIZED = 0   # zero preactivation active with probability 1/2
-    TIES_TO_ONE = 1
-    TIES_TO_ZERO = 2
 
 
 @dataclass(frozen=True)
@@ -83,15 +76,14 @@ class Architecture:
 @dataclass(frozen=True)
 class Network:
     """A network's weights W_1..W_{l+1}, exactly l + 1 of them, each of the
-    shape arch.dims gives it, and the seeds and tie policy it was built with.
-    The hidden weights of a lazy_network are LazyGaussian, not ndarray."""
+    shape arch.dims gives it, and the seeds it was built with.  The hidden
+    weights of a lazy_network are LazyGaussian, not ndarray."""
 
     arch: Architecture
     mode: InitMode
     weights: tuple[np.ndarray, ...]  # W_1..W_{l+1}, weights[i]: d_{i+1} x d_i
     master_seed: int = 0
     stream_id: int = 0
-    tie_policy: TiePolicy = TiePolicy.RANDOMIZED  # read by forward, recorded by save_network
 
     def __post_init__(self):
         dims = self.arch.dims
@@ -181,10 +173,10 @@ def network_from_weights(weights) -> Network:
 def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> ForwardTrace:
     """Evaluate the network, recording preactivations and activation masks.
 
-    An exactly-zero preactivation is resolved by net.tie_policy; rng is
-    consumed only then, and only under the randomized policy.  Zero
-    detection is exact equality: an epsilon band would break positive
-    homogeneity and the Euler identity.
+    An exactly-zero preactivation is active with probability 1/2, by a
+    fair coin from rng; rng is consumed only then, and a tie without an
+    rng is a ValueError.  Zero detection is exact equality: an epsilon
+    band would break positive homogeneity and the Euler identity.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.arch.input_dim,):
@@ -196,12 +188,9 @@ def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> For
         mask = (pre > 0.0).astype(np.float64)
         zeros = pre == 0.0
         if zeros.any():
-            if net.tie_policy is TiePolicy.RANDOMIZED:
-                if rng is None:
-                    raise ValueError("randomized tie policy hit a zero preactivation without an rng")
-                mask[zeros] = rng.bernoulli(0.5, int(zeros.sum())).astype(np.float64)
-            elif net.tie_policy is TiePolicy.TIES_TO_ONE:
-                mask[zeros] = 1.0
+            if rng is None:
+                raise ValueError("a zero preactivation needs an rng to break the tie")
+            mask[zeros] = rng.bernoulli(0.5, int(zeros.sum())).astype(np.float64)
         cur = mask * pre
         pres.append(pre)
         masks.append(mask)
@@ -270,43 +259,31 @@ def bottleneck_decomposition(arch: Architecture) -> BottleneckDecomposition:
 
 _MAGIC = b"RRNN"
 _VERSION = 2
+_HEADER = struct.Struct("<IBBI")  # version, mode byte, tie byte (always 0), l
 
 
 def save_network(net: Network, path) -> None:
     """Binary format version 2: magic 'RRNN', u32 LE version, mode byte,
-    net.tie_policy byte, u32 LE l, l+2 dims as u32 LE, each W_i row-major
-    f64 LE, u64 LE master seed, u64 LE stream id."""
+    tie byte 0, u32 LE l, l+2 dims as u32 LE, each W_i row-major f64 LE,
+    u64 LE master seed, u64 LE stream id.  A weight that is not a dense
+    ndarray, such as a LazyGaussian, is a ValueError before any file opens."""
+    for i, W in enumerate(net.weights):
+        if not isinstance(W, np.ndarray):
+            raise ValueError(f"weight {i + 1} is a {type(W).__name__}, not a dense ndarray")
     dims = net.arch.dims
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(bytes([net.mode.value, net.tie_policy.value]))
-        fh.write(struct.pack("<I", net.arch.ell))
+        fh.write(_MAGIC + _HEADER.pack(_VERSION, net.mode.value, 0, net.arch.ell))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         for W in net.weights:
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
         fh.write(struct.pack("<2Q", net.master_seed % (1 << 64), net.stream_id % (1 << 64)))
 
 
-def _v1_ell(data: bytes, off: int) -> int:
-    """l of a version 1 file, which stores no l: the one candidate whose
-    dims (ending in 1) and weights fill the file up to its 8-byte seed."""
-    remaining = len(data) - off - 8
-    for cand in range(0, 10_000):
-        ndims = cand + 2
-        if off + 4 * ndims > len(data) - 8:
-            break
-        dims = struct.unpack(f"<{ndims}I", data[off:off + 4 * ndims])
-        wbytes = 8 * sum(dims[i + 1] * dims[i] for i in range(ndims - 1))
-        if 4 * ndims + wbytes == remaining and dims[-1] == 1 and all(d >= 1 for d in dims):
-            return cand
-    raise FormatError("dimension table inconsistent with file length")
-
-
 def load_network(path) -> Network:
-    """Read a network file of format version 1 or 2.  Version 1 stores no
-    l and no stream id; its l is recovered from the file length and its
-    stream id reads as 0."""
+    """Read a network file of format version 2 with tie byte 0; any other
+    version or tie byte is a FormatError.  `relurand sample` redraws the
+    net of a version 1 file it wrote from the d, widths, mode and seed the
+    file records."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -321,19 +298,15 @@ def load_network(path) -> Network:
     off = 0
     if take(4, "magic") != _MAGIC:
         raise FormatError("bad magic bytes; not a network file")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version not in (1, 2):
-        raise FormatError(f"unsupported format version {version} (supported: 1, 2)")
-    mode_byte, policy_byte = take(2, "mode/policy bytes")
+    version, mode_byte, tie_byte, ell = _HEADER.unpack(take(_HEADER.size, "header"))
+    if version != _VERSION:
+        raise FormatError(f"unsupported format version {version} (supported: {_VERSION})")
+    if tie_byte != 0:
+        raise FormatError(f"unsupported tie byte {tie_byte} (supported: 0)")
     try:
         mode = InitMode(mode_byte)
-        policy = TiePolicy(policy_byte)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    if version == 1:
-        ell = _v1_ell(data, off)
-    else:
-        (ell,) = struct.unpack("<I", take(4, "l"))
     ndims = ell + 2
     dims = struct.unpack(f"<{ndims}I", take(4 * ndims, "dimensions"))
     if dims[-1] != 1 or min(dims) < 1:
@@ -343,9 +316,8 @@ def load_network(path) -> Network:
         n = dims[i + 1] * dims[i]
         raw = take(8 * n, f"weight matrix {i + 1}")
         weights.append(np.frombuffer(raw, dtype="<f8").reshape(dims[i + 1], dims[i]).copy())
-    (seed,) = struct.unpack("<Q", take(8, "master seed"))
-    stream_id = struct.unpack("<Q", take(8, "stream id"))[0] if version == 2 else 0
+    seed, stream_id = struct.unpack("<2Q", take(16, "master seed and stream id"))
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes after the network")
     arch = Architecture(dims[0], dims[1:-1])
-    return Network(arch, mode, tuple(weights), seed, stream_id, policy)
+    return Network(arch, mode, tuple(weights), seed, stream_id)

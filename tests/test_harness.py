@@ -398,6 +398,25 @@ class TestCli:
         assert net.arch.input_dim == 8
         assert net.arch.hidden_widths == (6, 4)
 
+    @pytest.mark.parametrize("mode", ["standard", "depth-collapse"])
+    def test_sample_writes_the_seeded_build(self, tmp_path, capsys, mode):
+        # a version 1 file that sample wrote is regenerated from its d,
+        # widths, mode and seed only because sample draws exactly this net
+        from relurand.network import (Architecture, InitMode, build_network,
+                                      load_network, save_network)
+        from relurand.rng import RngStream
+        out = tmp_path / "net.rrnn"
+        rc = main(["sample", "--d", "7", "--widths", "5", "3", "--seed", "11",
+                   "--mode", mode, "--out", str(out)])
+        assert rc == 0
+        init = InitMode.DEPTH_COLLAPSE if mode == "depth-collapse" else InitMode.STANDARD
+        net = build_network(Architecture(7, (5, 3)), init, RngStream(11, 0))
+        loaded = load_network(out)
+        assert (loaded.mode, loaded.master_seed, loaded.stream_id) == (init, 11, 0)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, net.weights))
+        save_network(net, tmp_path / "built.rrnn")
+        assert out.read_bytes() == (tmp_path / "built.rrnn").read_bytes()
+
     def test_sample_reads_config_and_creates_out_dir(self, tmp_path, capsys):
         from relurand.network import load_network
         cfgfile = tmp_path / "cfg.json"

@@ -1,4 +1,3 @@
-import dataclasses
 import struct
 
 import numpy as np
@@ -10,7 +9,6 @@ from relurand.network import (
     Architecture,
     InitMode,
     Network,
-    TiePolicy,
     bottleneck_decomposition,
     build_network,
     forward,
@@ -84,14 +82,6 @@ class TestForward:
             for k in range(10_000)
         )
         assert 4700 <= ones <= 5300  # Bernoulli(1/2), 10^4 draws
-
-    def test_tie_policies(self):
-        net = network_from_weights([[[1.0]], [[1.0]]])
-        x = np.array([0.0])
-        to_one = dataclasses.replace(net, tie_policy=TiePolicy.TIES_TO_ONE)
-        to_zero = dataclasses.replace(net, tie_policy=TiePolicy.TIES_TO_ZERO)
-        assert forward(to_one, x).masks[0][0] == 1.0
-        assert forward(to_zero, x).masks[0][0] == 0.0
 
     def test_determinism(self):
         net, _ = random_net(2)
@@ -243,11 +233,11 @@ class TestSerialization:
 
 class TestFormatVersions:
     @staticmethod
-    def v1_bytes(net, policy):
+    def v1_bytes(net):
         # version 1 layout: no l, no stream id
         dims = net.arch.dims
         return b"".join([
-            b"RRNN", struct.pack("<I", 1), bytes([net.mode.value, policy.value]),
+            b"RRNN", struct.pack("<I", 1), bytes([net.mode.value, 0]),
             struct.pack(f"<{len(dims)}I", *dims),
             *(np.ascontiguousarray(W, dtype="<f8").tobytes() for W in net.weights),
             struct.pack("<Q", net.master_seed),
@@ -255,39 +245,68 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize("widths", [(), (6,), (6, 4, 5)])
     def test_v1_read(self, tmp_path, widths):
+        # version 1 is no longer read; `relurand sample` regenerates such a file
         net = build_network(Architecture(9, widths), InitMode.DEPTH_COLLAPSE, RngStream(41, 7))
         path = tmp_path / "v1.rrnn"
-        path.write_bytes(self.v1_bytes(net, TiePolicy.TIES_TO_ONE))
-        loaded = load_network(path)
-        assert loaded.arch == net.arch and loaded.mode == net.mode
-        assert loaded.master_seed == 41 and loaded.stream_id == 0
-        assert loaded.tie_policy is TiePolicy.TIES_TO_ONE
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
+        path.write_bytes(self.v1_bytes(net))
+        with pytest.raises(FormatError, match="version 1 "):
+            load_network(path)
 
-    @pytest.mark.parametrize("policy", list(TiePolicy))
-    def test_v2_round_trip(self, tmp_path, policy):
+    # the tie bytes once written for the randomized, ties-to-one and ties-to-zero policies
+    @pytest.mark.parametrize("old_tie_byte", [
+        pytest.param(0, id="TiePolicy.RANDOMIZED"),
+        pytest.param(1, id="TiePolicy.TIES_TO_ONE"),
+        pytest.param(2, id="TiePolicy.TIES_TO_ZERO"),
+    ])
+    def test_v2_round_trip(self, tmp_path, old_tie_byte):
         net = build_network(Architecture(5, (3, 1, 4)), InitMode.STANDARD, RngStream(42, 12345))
         path = tmp_path / "v2.rrnn"
-        save_network(dataclasses.replace(net, tie_policy=policy), path)
+        save_network(net, path)
         data = path.read_bytes()
         assert struct.unpack("<I", data[4:8]) == (2,)      # version
+        assert data[9] == 0                                # tie byte
         assert struct.unpack("<I", data[10:14]) == (3,)    # l, stored
+        # a file saved under an old policy differs only in its tie byte;
+        # it is refused as it stands and loads once that byte is cleared
+        old = bytearray(data)
+        old[9] = old_tie_byte
+        path.write_bytes(bytes(old))
+        if old_tie_byte:
+            with pytest.raises(FormatError, match=f"tie byte {old_tie_byte}"):
+                load_network(path)
+            old[9] = 0
+            path.write_bytes(bytes(old))
         loaded = load_network(path)
         assert loaded.arch == net.arch and loaded.mode == net.mode
         assert (loaded.master_seed, loaded.stream_id) == (42, 12345)
-        assert loaded.tie_policy is policy
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
-        # the loaded network, policy included, saves to the same bytes
+        # the loaded network saves to the same bytes
         again = tmp_path / "again.rrnn"
         save_network(loaded, again)
         assert again.read_bytes() == data
 
-    def test_loaded_network_honours_tie_policy(self, tmp_path):
-        net = network_from_weights([[[1.0]], [[1.0]]])
+    def test_nonzero_tie_byte_rejected(self, tmp_path):
+        # files once recorded ties-to-one (1) and ties-to-zero (2) policies
         path = tmp_path / "ties.rrnn"
-        save_network(dataclasses.replace(net, tie_policy=TiePolicy.TIES_TO_ONE), path)
-        # an exact zero preactivation, no rng: the recorded policy decides
-        assert forward(load_network(path), np.array([0.0])).masks[0][0] == 1.0
+        save_network(network_from_weights([[[1.0]], [[1.0]]]), path)
+        data = bytearray(path.read_bytes())
+        for tie_byte in (1, 2):
+            data[9] = tie_byte
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError, match=f"tie byte {tie_byte}"):
+                load_network(path)
+
+    def test_lazy_network_is_not_saved(self, tmp_path):
+        # the check precedes open(): no file is created, none is overwritten
+        net = lazy_network(Architecture(4, (3,)), RngStream(1, 2))
+        path = tmp_path / "lazy.rrnn"
+        with pytest.raises(ValueError, match="weight 1 is a LazyGaussian"):
+            save_network(net, path)
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="weight 1"):
+            save_network(net, path)
+        assert path.read_bytes() == b"kept"
 
     def test_v2_truncated(self, tmp_path):
         net, _ = random_net(34, d=3, widths=(2,))
