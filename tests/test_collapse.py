@@ -10,6 +10,8 @@ from relurand.collapse import (
     sin_cos_gap,
 )
 from relurand.errors import DomainError
+from relurand.linalg import gaussian_times
+from relurand.network import InitMode, init_std
 from relurand.rng import RngStream
 
 
@@ -96,6 +98,29 @@ class TestCollapseSimulate:
         assert np.allclose(rep.layer_cosines, 1.0, atol=1e-12)
         assert np.all(rep.constancy_ratios == 0.0)
         assert rep.initial_angles[0] == 0.0
+
+    def test_cosines_and_constancy_match_per_pair_loop(self):
+        # one layer of 8 units over 80 points of the circle: at this seed 6
+        # of them get an all-zero image, and 4 pairs a NaN cosine
+        d, width, seed = 2, 8, 13
+        angles = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
+        points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        pairs = list(zip(points[0::2], points[1::2]))
+        rep = collapse_simulate(d, width, 1, len(pairs), master_seed=seed, pairs=pairs)
+        X = np.stack([v for p in pairs for v in p], axis=1)
+        cur = np.maximum(gaussian_times(X, width, init_std(d, InitMode.DEPTH_COLLAPSE),
+                                        RngStream(seed, 2)), 0.0)
+        out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(seed, 1).normal(width) @ cur
+        norms = rep.layer_norms[:, 0]
+        assert np.array_equal(norms, np.linalg.norm(cur, axis=0)) and np.any(norms == 0.0)
+        for p in range(len(pairs)):
+            x, y = 2 * p, 2 * p + 1
+            if norms[x] == 0.0 or norms[y] == 0.0:
+                assert np.isnan(rep.layer_cosines[p, 0])
+            else:
+                cos = cur[:, x] @ cur[:, y] / (norms[x] * norms[y])
+                assert abs(rep.layer_cosines[p, 0] - cos) <= 1e-14
+            assert rep.constancy_ratios[p, 0] == abs(out[x] - out[y]) / (abs(out[x]) + 1e-12)
 
     def test_kernel_track_matches_iterate(self):
         rep = collapse_simulate(8, 32, 6, 3, master_seed=13)

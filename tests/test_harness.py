@@ -463,7 +463,7 @@ class TestCli:
 @pytest.mark.parametrize("argv", [
     "attack --d 500 --widths 500 500 --trials 6",
     "sweep --dims 64 128 --trials 4",
-    "collapse --d 10 --width 2000 --depth 10 --n-pairs 50",
+    "collapse --d 10 --width 2000 --depth 40 --n-pairs 50",
     "probe gaussian_spectral --dims 200 300 --trials 5",
     "probe segment_spectral --d 256 --widths 256 64 256 --trials 3 --n-samples 2 --radius 1.6",
     "probe value_gradient --d 256 --widths 256 256 --trials 20",

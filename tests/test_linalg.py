@@ -5,6 +5,7 @@ from scipy.stats import ks_2samp, norm
 
 from relurand.linalg import (
     LazyGaussian,
+    _gram_factor,
     gaussian_matrix,
     gaussian_times,
     ks_critical_value,
@@ -81,6 +82,50 @@ class TestGaussianTimes:
         C = Z.T @ Z / n
         se = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S ** 2) / n)
         assert np.all(np.abs(C - S) <= 3 * se)
+
+
+def _householder(U):
+    R = np.linalg.qr(U, mode="r")
+    return R * np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+
+
+def _collinear(eps, seed=2):
+    """2000 x 100 relu images of one shared column plus eps times
+    independent ones: min/max of the Cholesky diagonal is about 0.8 eps."""
+    base = np.maximum(RngStream(seed).normal((2000, 1)), 0.0)
+    return base + eps * np.maximum(RngStream(seed + 1).normal((2000, 100)), 0.0)
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("U", [
+        np.maximum(RngStream(12).normal((2000, 100)), 0.0),
+        _collinear(1e-3),
+    ], ids=["relu_gaussian", "nearly_collinear"])
+    def test_cholesky_gram_matches_householder(self, U, monkeypatch):
+        H = _householder(U)
+        def no_householder(*args, **kwargs):
+            raise AssertionError("fell back to Householder")
+        monkeypatch.setattr(np.linalg, "qr", no_householder)
+        R = _gram_factor(U)
+        assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0.0)
+        assert np.linalg.norm(R.T @ R - H.T @ H) <= 1e-13 * np.linalg.norm(H.T @ H)
+
+    @pytest.mark.parametrize("U", [
+        _collinear(1e-7),                                           # cond 1.5e8
+        np.hstack([RngStream(13).normal((50, 4)), np.zeros((50, 1))]),
+        np.hstack([RngStream(13).normal((50, 4)), 2.0 * RngStream(13).normal((50, 4))[:, :1]]),
+    ], ids=["ill_conditioned", "zero_column", "rank_deficient"])
+    def test_near_singular_falls_back_to_householder(self, U):
+        assert np.linalg.cond(U) >= 1e8
+        assert np.array_equal(_gram_factor(U), _householder(U))
+
+    def test_fallback_keeps_equal_and_zero_columns_exact(self):
+        U = _collinear(1e-7)[:, :6]
+        M = np.hstack([U, U[:, :1], np.zeros((len(U), 1)), U[:, 1:2] * 0.5])
+        Z = gaussian_times(M, 300, 1.0, RngStream(14))
+        assert np.all(np.isfinite(Z))
+        assert np.array_equal(Z[:, 0], Z[:, 6]) and np.all(Z[:, 7] == 0.0)
+        assert np.all(np.delete(Z, 7, axis=1) != 0.0)
 
 
 class _CountingStream(RngStream):
