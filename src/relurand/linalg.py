@@ -7,7 +7,8 @@ a fresh gaussian W from a triangular factor of M's Gram (one Cholesky
 pass over a Gram summed in a fixed block order, Householder QR where that
 would lose accuracy), a gaussian matrix revealed only where it is queried
 until drawing it whole is cheaper (LazyGaussian), a Lanczos spectral
-norm, and the two-sample Kolmogorov-Smirnov statistic.
+norm and a draw of its law on a gaussian matrix from chi variates, and
+the two-sample Kolmogorov-Smirnov statistic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .rng import RngStream
 
 __all__ = ["gaussian_matrix", "gaussian_times", "LazyGaussian", "spectral_norm",
-           "ks_two_sample", "ks_critical_value"]
+           "gaussian_spectral_norm", "ks_two_sample", "ks_critical_value"]
 
 
 def gaussian_matrix(rows: int, cols: int, std: float, rng: RngStream) -> np.ndarray:
@@ -144,12 +145,16 @@ class _Side:
         """Add v's residual direction e to the basis, with its image
         other.basis^T (other.images e) + std (I - other.basis^T other.basis) g,
         g fresh normals, and return the number of normals drawn; nothing
-        when the residual is at most _REVEAL_FLOOR ||v||."""
+        when the residual is at most _REVEAL_FLOOR ||v||, which skips the
+        second orthogonalization pass when the first already gets there."""
         B = self.basis
+        floor = _REVEAL_FLOOR * float(np.linalg.norm(v))
         r = v - B.T @ (B @ v)
+        if not float(np.linalg.norm(r)) > floor:
+            return 0
         r -= B.T @ (B @ r)
         norm = float(np.linalg.norm(r))
-        if not norm > _REVEAL_FLOOR * float(np.linalg.norm(v)):
+        if not norm > floor:
             return 0
         e = r / norm
         image = other.basis.T @ (other.images @ e)
@@ -181,9 +186,10 @@ class LazyGaussian:
     It keeps an orthonormal basis Q of the right queries with Y = W Q, and
     one U of the left queries with C = W^T U.  Given those, the rest of W
     is std (I - U U^T) G (I - Q Q^T) for a fresh standard gaussian G.  A
-    right query v is orthogonalized twice against Q; if its residual
-    direction e is new, W e = U (C^T e) + std (I - U U^T) g is revealed
-    with g fresh normals, and the answer is W v = Y (Q^T v).  Left queries
+    right query v is orthogonalized against Q, twice unless the first
+    pass leaves nothing new; if its residual direction e is new,
+    W e = U (C^T e) + std (I - U U^T) g is revealed with g fresh normals,
+    and the answer is W v = Y (Q^T v).  Left queries
     mirror this with W^T f = Q (Y^T f) + std (I - Q Q^T) h.  A residual of
     at most 1e-12 of the query's norm reveals nothing, so a query in the
     revealed span, and a zero query, draw nothing; the latter returns exact
@@ -233,7 +239,9 @@ class LazyGaussian:
         than the dense rest.  A column on a side of dimension n with k
         directions, the other side of dimension m with k', costs two
         orthogonalization passes (8 k n flops), its answer (2 k (n + m)),
-        its image (2 k' (n + m) + 4 k' m) and its draws."""
+        its image (2 k' (n + m) + 4 k' m) and its draws.  A column that
+        reveals nothing after one pass is still charged both, so where W
+        completes does not depend on the skipped pass."""
         size = self.shape[0] * self.shape[1]
         n, m, k2 = side.dim, other.dim, other.k
         for v in (V.T if V.ndim == 2 else (V,)):
@@ -302,6 +310,34 @@ class LazyGaussian:
 _TOL = 1e-8  # sigma within 1e-8 relative of the SVD value, far below any probe's noise
 
 
+def _top_ritz(recurrence, steps: int) -> float:
+    """Largest eigenvalue estimate of a Lanczos recurrence that runs at
+    most `steps` steps.
+
+    recurrence yields, at step j, the pair (alpha_j, beta_j): the j-th
+    diagonal entry of the tridiagonal matrix T and the norm of the j-th
+    residual, which is T's (j+1, j) entry.  The estimate after step j is
+    the largest eigenvalue of T's leading j x j block T_j; it never
+    decreases.  The loop returns it at exact breakdown (beta_j = 0), after
+    `steps` steps, or once it moves by at most _TOL (relatively) between
+    steps.  T is kept in a zero buffer whose side doubles when full.
+    """
+    T = np.zeros((min(steps, 32),) * 2)
+    prev = estimate = -1.0
+    for j, (alpha, beta) in enumerate(recurrence):
+        T[j, j] = alpha
+        # eigvalsh reads only the lower triangle
+        estimate = float(np.linalg.eigvalsh(T[:j + 1, :j + 1])[-1])
+        if (beta == 0.0 or j + 1 == steps
+                or prev >= 0.0 and abs(estimate - prev) <= _TOL * max(estimate, 1e-300)):
+            break
+        if j + 1 == len(T):
+            T = np.pad(T, (0, min(j + 1, steps - j - 1)))
+        T[j + 1, j] = beta
+        prev = estimate
+    return estimate
+
+
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of M by Lanczos on M^T M with full
     reorthogonalization.
@@ -309,16 +345,17 @@ def spectral_norm(M: np.ndarray) -> float:
     Step j extends the orthonormal Krylov basis q_1..q_j of M^T M by one
     product M^T (M q_j), reorthogonalized twice against the whole basis,
     and takes sigma^2 as the largest eigenvalue of the j x j tridiagonal
-    matrix of the recurrence.  That estimate never decreases and, for a
-    random-like start, reaches the top of the spectrum in a few dozen
-    steps where power iteration needs hundreds (Kuczynski & Wozniakowski
-    1992).  Deterministic start: e_1 plus a fixed small perturbation so
-    the initial vector is never orthogonal to the top singular direction
-    of any matrix we care about.  Convergence is declared when the
-    estimate of sigma^2 moves by at most _TOL (relatively) between steps;
-    at exact breakdown (a zero residual, or M.shape[1] steps) the estimate
-    is exact and is returned, so the loop always ends.  M is first scaled
-    by a power of two near its largest entry, so that M^T M q neither
+    matrix of the recurrence (_top_ritz, which also holds the stopping
+    rule).  That estimate never decreases and, for a random-like start,
+    reaches the top of the spectrum in a few dozen steps where power
+    iteration needs hundreds (Kuczynski & Wozniakowski 1992).
+    Deterministic start: e_1 plus a fixed small perturbation so the
+    initial vector is never orthogonal to the top singular direction of
+    any matrix we care about.  Convergence is declared when the estimate
+    of sigma^2 moves by at most _TOL (relatively) between steps; at exact
+    breakdown (a zero residual, or M.shape[1] steps) the estimate is exact
+    and is returned, so the loop always ends.  M is first scaled by a
+    power of two near its largest entry, so that M^T M q neither
     underflows nor overflows at any finite scale.  The scaling is exact,
     so at scales where nothing underflowed or overflowed the result is
     the same to the bit as without it.
@@ -331,32 +368,66 @@ def spectral_norm(M: np.ndarray) -> float:
         return 0.0
     exponent = int(np.frexp(peak)[1])
     M = np.ldexp(M, -exponent)
+    estimate = _top_ritz(_krylov_steps(M), M.shape[1])
+    return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
+
+
+def _krylov_steps(M: np.ndarray):
+    """The (alpha_j, beta_j) of Lanczos on M^T M from spectral_norm's
+    start.  The basis is kept as rows of a buffer that doubles when full."""
     n = M.shape[1]
     q = np.zeros(n)
     q[0] = 1.0
     q += 1e-4 / (1.0 + np.arange(n))
     q /= np.linalg.norm(q)
-
-    basis: list[np.ndarray] = []
-    alphas: list[float] = []
-    betas: list[float] = []
-    prev = -1.0
-    for step in range(1, n + 1):
-        basis.append(q)
+    basis = np.empty((min(n, 32), n))
+    for j in range(n):
+        if j == len(basis):
+            basis = np.concatenate([basis, np.empty((min(j, n - j), n))])
+        basis[j] = q
         w = M.T @ (M @ q)
-        alphas.append(float(q @ w))
-        Q = np.array(basis)
+        alpha = float(q @ w)
+        Q = basis[:j + 1]
         for _ in range(2):
             w -= Q.T @ (Q @ w)
         beta = float(np.linalg.norm(w))
-        # eigvalsh reads only the lower triangle of the tridiagonal matrix
-        estimate = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1])
-        if (beta == 0.0 or step == n
-                or prev >= 0.0 and abs(estimate - prev) <= _TOL * max(estimate, 1e-300)):
-            return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
-        prev = estimate
-        betas.append(beta)
+        yield alpha, beta
         q = w / beta
+
+
+def gaussian_spectral_norm(rows: int, cols: int, rng: RngStream) -> float:
+    """A draw of the law of spectral_norm(A) for a rows x cols matrix A
+    with iid N(0, 1) entries, without forming A.
+
+    Golub-Kahan bidiagonalization of A from a fixed unit vector gives
+    A Q = P B with B upper bidiagonal, whose diagonal entries a_i ~
+    chi_{rows-i+1} and superdiagonal entries b_i ~ chi_{cols-i} are
+    independent (Golub & Kahan 1965; Dumitriu & Edelman, J. Math. Phys.
+    2002); a_{rows+1} and b_cols are 0.  Lanczos on A^T A from that vector
+    has the tridiagonal T_j = B_j^T B_j, B_j the leading j x j block of B:
+    alpha_j = a_j^2 + b_{j-1}^2 and beta_j = a_j b_j.  So spectral_norm's
+    recurrence is drawn step by step, two chi draws per step and no
+    normals, and run under the same stopping rule (_top_ritz).  It breaks
+    down at step rows + 1 when rows < cols (a_{rows+1} = 0, so beta = 0)
+    and ends at step cols otherwise; at most rows + cols chi draws in all.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError("gaussian_spectral_norm requires rows, cols >= 1")
+    estimate = _top_ritz(_bidiagonal_steps(rows, cols, rng), min(rows + 1, cols))
+    return float(np.sqrt(max(estimate, 0.0)))
+
+
+def _bidiagonal_steps(rows: int, cols: int, rng: RngStream):
+    """The (alpha_j, beta_j) of Lanczos on A^T A for a standard gaussian
+    A, drawn from the chi entries of its Golub-Kahan bidiagonal.  Step j
+    draws a_j unless j > rows (then a_j = 0) and b_j unless a_j = 0 or
+    j = cols, where no later step reads it."""
+    b = 0.0
+    for j in range(1, min(rows + 1, cols) + 1):
+        a = float(rng.chi(rows - j + 1)) if j <= rows else 0.0
+        alpha = a * a + b * b
+        b = float(rng.chi(cols - j)) if a > 0.0 and j < cols else 0.0
+        yield alpha, a * b
 
 
 def ks_two_sample(a, b) -> float:

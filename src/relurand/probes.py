@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .linalg import (
-    gaussian_matrix,
+    gaussian_spectral_norm,
     gaussian_times,
     ks_critical_value,
     ks_two_sample,
@@ -254,18 +254,21 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
 def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> float:
     """||W_{l+1} prod D_i W_i|| with iid Bernoulli(p) diagonal masks.
 
-    Each W_i is fresh and independent of the masks and of the row vector v
-    it multiplies, so v <- (v D_i) W_i is a draw of the 1-column image of
-    (v D_i)^T under a gaussian matrix (linalg.gaussian_times): d_{i-1}
-    normals per layer instead of d_i x d_{i-1}.
+    Each mask and each W_i is independent of the row it multiplies, so
+    every row is a scaled standard gaussian vector: the output row is
+    std_{l+1} g, and a row s g maps to (s g D_i) W_i = s ||g D_i|| std_i g'
+    in law, g' fresh, where ||g D_i|| ~ chi_{K_i} and K_i ~ Bin(d_i, p) is
+    the active count.  The norm is therefore the product of every layer's
+    std with chi_{K_l} ... chi_{K_1} chi_{d_0}: one Bernoulli count per
+    layer and one chi draw per factor, no weights.  An empty mask
+    (K_i = 0) gives exactly 0.0 and draws no chi.
     """
     dims = arch.dims
-    v = gaussian_matrix(1, dims[-2], init_std(dims[-2], InitMode.STANDARD), rng)[0]
-    for i in range(arch.ell, 0, -1):
-        mask = rng.bernoulli(p, dims[i]).astype(np.float64)
-        v = gaussian_times((v * mask)[:, None], dims[i - 1],
-                           init_std(dims[i - 1], InitMode.STANDARD), rng)[:, 0]
-    return float(np.linalg.norm(v))
+    active = [int(rng.bernoulli(p, dims[i]).sum()) for i in range(arch.ell, 0, -1)]
+    if 0 in active:
+        return 0.0
+    scale = np.prod([init_std(fan_in, InitMode.STANDARD) for fan_in in dims[:-1]])
+    return float(scale * np.prod(rng.chi(active + [dims[0]])))
 
 
 def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
@@ -275,10 +278,10 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
     Sample A: gradient norms of standard lazy nets (network.lazy_network)
     with data-dependent masks at a fixed sphere input.  Sample B: norms of
     the same weight products with iid Bernoulli(1/2) masks; its weights
-    are independent of its masks, so it draws only the row images
-    v D_i W_i, never a whole network.  The identity predicts equality in
-    distribution, tested at level 0.01; control_p substitutes a different
-    mask probability to demonstrate the test's power.
+    are independent of its masks, so each norm is a product of chi draws
+    (_bernoulli_product_norm), never a weight.  The identity predicts
+    equality in distribution, tested at level 0.01; control_p substitutes
+    a different mask probability to demonstrate the test's power.
     """
     x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
     p = 0.5 if control_p is None else control_p
@@ -301,13 +304,12 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
 def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
                             master_seed: int) -> ProbeReport:
     """Violation count of ||A|| <= 3(sqrt m + sqrt n + sqrt(log 1/delta))
-    for iid standard gaussian matrices."""
+    for iid standard gaussian matrices.  Each ||A|| is a draw of
+    spectral_norm's output law on such a matrix from the chi entries of
+    its Golub-Kahan bidiagonal (linalg.gaussian_spectral_norm), never A."""
     bound = 3.0 * (np.sqrt(m) + np.sqrt(n) + np.sqrt(np.log(1.0 / delta)))
-    norms = np.zeros(samples)
-    for k in range(samples):
-        rng = RngStream(master_seed, k)
-        A = gaussian_matrix(m, n, 1.0, rng)
-        norms[k] = spectral_norm(A)
+    norms = np.array([gaussian_spectral_norm(m, n, RngStream(master_seed, k))
+                      for k in range(samples)])
     violations = int(np.sum(norms > bound))
     summary = {"violations": violations, "bound": float(bound), "samples": samples,
                "mean_norm": float(norms.mean()),

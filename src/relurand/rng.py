@@ -35,6 +35,12 @@ class RngStream:
     def bernoulli(self, p: float, size=None) -> np.ndarray:
         return self._gen.random(size) < p
 
+    def chi(self, df, size=None):
+        """Chi draws with df > 0 degrees of freedom: the norm of a
+        standard gaussian vector in df dimensions, from one chisquare draw
+        each."""
+        return np.sqrt(self._gen.chisquare(df, size))
+
     def sphere_point(self, dim: int, norm: float = 1.0) -> np.ndarray:
         """Uniform point on the sphere of the given radius."""
         v = self._gen.standard_normal(dim)

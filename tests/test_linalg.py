@@ -7,6 +7,7 @@ from relurand.linalg import (
     LazyGaussian,
     _gram_factor,
     gaussian_matrix,
+    gaussian_spectral_norm,
     gaussian_times,
     ks_critical_value,
     ks_two_sample,
@@ -129,13 +130,19 @@ class TestGramFactor:
 
 
 class _CountingStream(RngStream):
-    """An RngStream that counts the normals drawn from it."""
+    """An RngStream that counts the normals and the chi variates drawn
+    from it."""
 
     draws = 0
+    chis = 0
 
     def normal(self, size=None):
         self.draws += int(np.prod(size))
         return super().normal(size)
+
+    def chi(self, df, size=None):
+        self.chis += int(np.prod(np.shape(df) if size is None else size))
+        return super().chi(df, size)
 
 
 def _mixed_queries(W, seed, n=12):
@@ -338,6 +345,83 @@ class TestSpectralNorm:
     def test_exact_on_rank_one(self, M):
         exact = np.linalg.svd(M, compute_uv=False)[0]
         assert spectral_norm(M) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(200, 300), (300, 200), (20, 30), (3, 50),
+                                       (50, 3), (1, 1), (1, 40), (40, 1), (64, 64)])
+    def test_same_bits_as_list_based_loop(self, shape):
+        for k in range(5):
+            M = gaussian_matrix(*shape, 1.0, RngStream(9001, k))
+            assert spectral_norm(M) == _list_lanczos(M)
+        M = np.outer(np.arange(1.0, 31.0), np.arange(1.0, 21.0))
+        assert spectral_norm(M) == _list_lanczos(M)
+
+
+def _list_lanczos(M):
+    """spectral_norm as a loop over growing lists: the basis rebuilt with
+    np.array and the tridiagonal with np.diag at every step."""
+    peak = max(float(M.max()), -float(M.min()))
+    exponent = int(np.frexp(peak)[1])
+    M = np.ldexp(M, -exponent)
+    n = M.shape[1]
+    q = np.zeros(n)
+    q[0] = 1.0
+    q += 1e-4 / (1.0 + np.arange(n))
+    q /= np.linalg.norm(q)
+    basis, alphas, betas, prev = [], [], [], -1.0
+    for step in range(1, n + 1):
+        basis.append(q)
+        w = M.T @ (M @ q)
+        alphas.append(float(q @ w))
+        Q = np.array(basis)
+        for _ in range(2):
+            w -= Q.T @ (Q @ w)
+        beta = float(np.linalg.norm(w))
+        estimate = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1])
+        if (beta == 0.0 or step == n
+                or prev >= 0.0 and abs(estimate - prev) <= 1e-8 * max(estimate, 1e-300)):
+            return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
+        prev = estimate
+        betas.append(beta)
+        q = w / beta
+
+
+class TestGaussianSpectralNorm:
+    # (rows, cols, draws a side, dense seed, chi seed)
+    @pytest.mark.parametrize("rows, cols, draws, dense_seed, chi_seed", [
+        (200, 300, 400, 9101, 9102), (300, 200, 400, 9103, 9104),
+        (20, 30, 1000, 9105, 9106), (3, 50, 1000, 9107, 9108),
+        (50, 3, 1000, 9109, 9110), (1, 1, 1000, 9111, 9112),
+    ])
+    def test_matches_dense_spectral_norm_in_distribution(self, rows, cols, draws,
+                                                         dense_seed, chi_seed):
+        dense = [spectral_norm(gaussian_matrix(rows, cols, 1.0, RngStream(dense_seed, k)))
+                 for k in range(draws)]
+        chi = [gaussian_spectral_norm(rows, cols, RngStream(chi_seed, k))
+               for k in range(draws)]
+        assert ks_two_sample(dense, chi) <= ks_critical_value(draws, draws)
+
+    @pytest.mark.parametrize("shape", [(200, 300), (300, 200), (20, 30), (3, 50),
+                                       (50, 3), (1, 1), (1, 40), (40, 1)])
+    def test_at_most_rows_plus_cols_chi_draws_and_no_normals(self, shape):
+        for k in range(20):
+            rng = _CountingStream(9113, k)
+            gaussian_spectral_norm(*shape, rng)
+            assert rng.draws == 0 and 1 <= rng.chis <= sum(shape)
+
+    def test_rank_one_shapes_are_exact(self):
+        # n x 1 stops at step 1 with sigma = a_1 ~ chi_n; 1 x n breaks down
+        # at step 2 with sigma^2 = a_1^2 + b_1^2, the row's squared norm
+        for n in (1, 2, 40):
+            rng, again = RngStream(9114, n), RngStream(9114, n)
+            assert gaussian_spectral_norm(n, 1, rng) == float(again.chi(n))
+            rng, again = RngStream(9115, n), RngStream(9115, n)
+            a = float(again.chi(1))
+            row = np.hypot(a, float(again.chi(n - 1))) if n > 1 else a
+            assert gaussian_spectral_norm(1, n, rng) == pytest.approx(row, rel=1e-14)
+
+    def test_rejects_empty_shape(self):
+        with pytest.raises(ValueError):
+            gaussian_spectral_norm(0, 3, RngStream(1))
 
 
 class TestKsTwoSample:

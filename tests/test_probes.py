@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from relurand import probes
 from relurand.errors import DegenerateInput
-from relurand.linalg import ks_critical_value, ks_two_sample
+from relurand.linalg import gaussian_matrix, gaussian_times, ks_critical_value, ks_two_sample
 from relurand.network import (
     Architecture,
     InitMode,
@@ -259,6 +259,38 @@ class TestBernoulliSample:
         a = _bernoulli_product_norm(arch, 0.5, RngStream(23, 4))
         b = _bernoulli_product_norm(arch, 0.5, RngStream(23, 4))
         assert a == b
+
+    @pytest.mark.parametrize("arch, p, seed", [
+        (Architecture(128, (128, 128)), 0.5, 24),
+        (Architecture(64, (32, 48)), 0.9, 26),
+        (Architecture(16, (3,)), 0.3, 28),
+    ])
+    def test_chi_product_matches_vector_path_in_distribution(self, arch, p, seed):
+        # 1000 chi products against 1000 row vectors pushed through the
+        # masked layers, KS at level 0.01
+        chi = [_bernoulli_product_norm(arch, p, RngStream(seed, k)) for k in range(1000)]
+        vector = [_vector_product_norm(arch, p, RngStream(seed + 1, k))
+                  for k in range(1000)]
+        assert ks_two_sample(chi, vector) <= ks_critical_value(1000, 1000)
+
+    def test_empty_mask_is_exactly_zero_without_a_chi_draw(self):
+        for arch, p in ((Architecture(8, (4, 4)), 0.0), (Architecture(8, (1,)), 1e-9)):
+            rng = _CountingStream(27)
+            assert _bernoulli_product_norm(arch, p, rng) == 0.0
+            assert rng.chis == 0 and rng.draws == 0
+
+
+def _vector_product_norm(arch, p, rng):
+    """||W_{l+1} prod D_i W_i|| by pushing the gaussian output row through
+    fresh Bernoulli(p) masks, each layer's image v D_i W_i drawn by
+    gaussian_times."""
+    dims = arch.dims
+    v = gaussian_matrix(1, dims[-2], 1.0 / np.sqrt(dims[-2]), rng)[0]
+    for i in range(arch.ell, 0, -1):
+        mask = rng.bernoulli(p, dims[i]).astype(np.float64)
+        v = gaussian_times((v * mask)[:, None], dims[i - 1],
+                           1.0 / np.sqrt(dims[i - 1]), rng)[:, 0]
+    return float(np.linalg.norm(v))
 
 
 class TestGaussianSpectral:
