@@ -10,6 +10,7 @@ summary, but no kind reads it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -23,6 +24,7 @@ from . import __version__, probes
 from .adversarial import AttackResult, flip_search, paper_eta
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError, DegenerateInput
+from .linalg import one_blas_thread
 from .network import (Architecture, InitMode, bottleneck_decomposition, build_network,
                       lazy_network, sphere_input)
 from .network import forward  # noqa: F401  perfbench's tracer test rebinds harness.forward
@@ -349,7 +351,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     config.validate()
     if config.kind == SAMPLE:
         raise ConfigError(f"kind '{SAMPLE}' builds a network and is no experiment to run")
-    rows, summary = KINDS[config.kind].run(config)
+    # A probe's products are a few hundred wide at most, where a second
+    # OpenBLAS thread saves no time, costs up to 1.9x the CPU, and stalls
+    # whenever the other core is busy; probes run their BLAS on one thread.
+    with one_blas_thread() if config.kind.startswith("probe:") else contextlib.nullcontext():
+        rows, summary = KINDS[config.kind].run(config)
     summary = {"config": dataclasses.asdict(config), "version": f"relurand-{__version__}",
                **summary}
     return {"rows": rows, "summary": summary}

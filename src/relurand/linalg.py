@@ -7,12 +7,15 @@ a fresh gaussian W from a triangular factor of M's Gram (one Cholesky
 pass over a Gram summed in a fixed block order, Householder QR where that
 would lose accuracy), a gaussian matrix revealed only where it is queried
 until drawing it whole is cheaper (LazyGaussian), a Lanczos spectral
-norm and a draw of its law on a gaussian matrix from chi variates, and
-the two-sample Kolmogorov-Smirnov statistic.
+norm and a draw of its law on a gaussian matrix from chi variates, the
+two-sample Kolmogorov-Smirnov statistic, and numpy's BLAS held to one
+thread for the length of a block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from typing import Optional
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from .rng import RngStream
 
 __all__ = ["gaussian_matrix", "gaussian_times", "LazyGaussian", "spectral_norm",
-           "gaussian_spectral_norm", "ks_two_sample", "ks_critical_value"]
+           "gaussian_spectral_norm", "ks_two_sample", "ks_critical_value", "one_blas_thread"]
 
 
 def gaussian_matrix(rows: int, cols: int, std: float, rng: RngStream) -> np.ndarray:
@@ -451,3 +454,50 @@ def ks_critical_value(n_a: int, n_b: int) -> float:
     # c(alpha) = sqrt(-ln(alpha/2)/2); c(0.01) = 1.628
     c = np.sqrt(-0.5 * np.log(_KS_LEVEL / 2.0))
     return float(c * np.sqrt((n_a + n_b) / (n_a * n_b)))
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread-count functions of the OpenBLAS this
+    process has loaded, under the plain, 64_-suffixed or scipy_-prefixed
+    names (numpy's wheels use the last), or None where no OpenBLAS shows in
+    /proc/self/maps (another BLAS, or no such file off Linux)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread and restore its
+    thread count after.  Where no OpenBLAS can be found
+    (_openblas_thread_calls) the block runs unchanged."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

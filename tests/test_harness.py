@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relurand
+from relurand import harness, probes
 from relurand.cli import main
 from relurand.errors import ConfigError
 from relurand.harness import (
@@ -26,6 +27,7 @@ from relurand.harness import (
     write_csv,
     write_summary_json,
 )
+from relurand.linalg import _openblas_thread_calls
 
 
 class TestConfig:
@@ -485,6 +487,30 @@ def test_outputs_independent_of_blas_threads(tmp_path, argv):
         outputs.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
     assert len(outputs) == 1
     assert len(outputs.pop()) == 2  # the CSV and the summary
+
+
+def test_probes_run_on_one_blas_thread(monkeypatch):
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS found in /proc/self/maps")
+    count = calls[0]
+    seen = {}
+
+    def spy(key, fn):
+        def wrapped(*args, **kwargs):
+            seen[key] = count()
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(probes, "probe_gaussian_spectral",
+                        spy("probe", probes.probe_gaussian_spectral))
+    monkeypatch.setattr(harness, "kernel_iterate", spy("kernel", harness.kernel_iterate))
+    before = count()
+    run_experiment(ExperimentConfig.from_dict(
+        {"kind": "probe:gaussian_spectral", "dims": [3, 4], "trials": 2}))
+    assert count() == before
+    run_experiment(ExperimentConfig.from_dict({"kind": "kernel", "steps": 3}))
+    assert seen == {"probe": 1, "kernel": before}
 
 
 def _sizes(lo, hi):

@@ -6,11 +6,13 @@ from scipy.stats import ks_2samp, norm
 from relurand.linalg import (
     LazyGaussian,
     _gram_factor,
+    _openblas_thread_calls,
     gaussian_matrix,
     gaussian_spectral_norm,
     gaussian_times,
     ks_critical_value,
     ks_two_sample,
+    one_blas_thread,
     spectral_norm,
 )
 from relurand.rng import RngStream
@@ -464,3 +466,25 @@ class TestKsTwoSample:
     def test_critical_value_constant(self):
         assert ks_critical_value(1000, 1000) == pytest.approx(
             1.628 * np.sqrt(2 / 1000), rel=1e-2)
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def _count() -> int:
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS found in /proc/self/maps")
+        return calls[0]()
+
+    def test_one_thread_then_restores(self):
+        before = self._count()
+        with one_blas_thread():
+            assert self._count() == 1
+        assert self._count() == before
+
+    def test_restores_after_raise(self):
+        before = self._count()
+        with pytest.raises(RuntimeError):
+            with one_blas_thread():
+                raise RuntimeError
+        assert self._count() == before
