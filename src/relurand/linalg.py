@@ -22,7 +22,8 @@ import numpy as np
 
 from .rng import RngStream
 
-__all__ = ["gaussian_matrix", "gaussian_times", "LazyGaussian", "spectral_norm",
+__all__ = ["gaussian_matrix", "gaussian_times", "gaussian_times_factor",
+           "gaussian_times_apply", "LazyGaussian", "spectral_norm",
            "gaussian_spectral_norm", "ks_two_sample", "ks_critical_value", "one_blas_thread"]
 
 
@@ -43,19 +44,74 @@ def gaussian_times(M: np.ndarray, rows: int, std: float, rng: RngStream) -> np.n
     The images are scattered back to M's columns: equal columns get
     bitwise-equal images and a zero column stays exactly zero.  Valid only
     where W is independent of M; a caller that reuses W or chooses M from W
-    needs gaussian_matrix.
+    needs gaussian_matrix.  It is gaussian_times_factor followed by
+    gaussian_times_apply, which a caller may run apart, for example to draw
+    G elsewhere.
     """
+    R, inverse = gaussian_times_factor(M)
+    return gaussian_times_apply(rng.normal((rows, R.shape[0])), R, inverse, std)
+
+
+def gaussian_times_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factor step of gaussian_times: (R, inverse), with R the upper
+    triangular factor of the distinct columns U of M (_gram_factor; U
+    keeps M's column order, R.shape = (min(U.shape), U.shape[1])) and
+    inverse[j] the column of U equal to M's column j.  U is handed to
+    _gram_factor column-major, as a view of M where M is column-major and
+    has no repeated column."""
     M = np.asarray(M, dtype=np.float64)
-    cols = np.ascontiguousarray(M.T)
-    slot: dict[bytes, int] = {}
-    keep = []                      # index of each distinct column's first occurrence
-    inverse = np.empty(len(cols), dtype=np.intp)
-    for j, col in enumerate(cols):
-        inverse[j] = slot.setdefault(col.tobytes(), len(slot))
-        if inverse[j] == len(keep):
+    keep, inverse = _distinct_columns(M)
+    U = M if len(keep) == M.shape[1] else M[:, keep]
+    return _gram_factor(np.asfortranarray(U)), inverse
+
+
+def gaussian_times_apply(G: np.ndarray, R: np.ndarray, inverse: np.ndarray,
+                         std: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The apply step of gaussian_times: std * G @ R scattered to the
+    columns of M by inverse, for G a rows x R.shape[0] standard normal
+    matrix, which is scaled in place.  The result goes to out, a
+    column-major rows x len(inverse) array (a new one when None): straight
+    from the product where M has no repeated column, else gathered."""
+    if out is None:
+        out = np.empty((len(G), len(inverse)), order="F")
+    G *= std
+    if R.shape[1] == len(inverse):
+        return np.matmul(G, R, out=out)
+    return np.take(G @ R, inverse, axis=1, out=out)
+
+
+@functools.lru_cache(maxsize=4)
+def _hash_weights(n: int) -> np.ndarray:
+    """n distinct odd 64-bit multipliers, one per row of a column."""
+    return np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, inverse): the index of each distinct column's first
+    occurrence in M, in column order, and for each column the position in
+    keep of its equal.  Columns are equal when their bytes are, so 0.0 and
+    -0.0 differ.  Each column hashes to the wrapping sum of its 64-bit
+    words times _hash_weights; only columns whose hashes tie are compared
+    word by word."""
+    k = M.shape[1]
+    words = M.view(np.uint64)
+    hashes = np.einsum("ij,i->j", words, _hash_weights(M.shape[0]))
+    if len(np.unique(hashes)) == k:
+        return np.arange(k), np.arange(k)
+    keep: list[int] = []
+    inverse = np.empty(k, dtype=np.intp)
+    slots: dict[int, list[int]] = {}   # hash -> positions in keep
+    for j, h in enumerate(hashes.tolist()):
+        same = slots.setdefault(h, [])
+        for s in same:
+            if np.array_equal(words[:, keep[s]], words[:, j]):
+                inverse[j] = s
+                break
+        else:
+            inverse[j] = len(keep)
+            same.append(len(keep))
             keep.append(j)
-    R = _gram_factor(cols[keep].T)
-    return (std * rng.normal((rows, R.shape[0])) @ R)[:, inverse]
+    return np.array(keep, dtype=np.intp), inverse
 
 
 # The Gram is summed over blocks of this many rows, in row order.  Those

@@ -26,8 +26,10 @@ class RngStream:
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
+    def normal(self, size=None, out=None) -> np.ndarray:
+        """Standard normals, written into out when given (out.shape ==
+        size): the same values as a fresh array of that size."""
+        return self._gen.standard_normal(size, out=out)
 
     def uniform(self, size=None) -> np.ndarray:
         return self._gen.random(size)

@@ -1,8 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relurand import collapse, linalg
 from relurand.collapse import (
+    _kernel_steps,
     collapse_simulate,
     kernel_iterate,
     kernel_map,
@@ -10,7 +14,7 @@ from relurand.collapse import (
     sin_cos_gap,
 )
 from relurand.errors import DomainError
-from relurand.linalg import gaussian_times
+from relurand.linalg import _gram_factor, gaussian_times
 from relurand.network import InitMode, init_std
 from relurand.rng import RngStream
 
@@ -149,3 +153,129 @@ class TestCollapseSimulate:
         assert rep.checkpoint_depths == (5, 8)
         with pytest.raises(ValueError):
             collapse_simulate(1, 32, 8, 1, master_seed=1)
+
+
+def _serial_gaussian_times(M, rows, std, rng):
+    """gaussian_times as it was before the factor and apply steps split:
+    a bytes-keyed dedup and a gather into a new array."""
+    cols = np.ascontiguousarray(np.asarray(M, dtype=np.float64).T)
+    slot, keep = {}, []
+    inverse = np.empty(len(cols), dtype=np.intp)
+    for j, col in enumerate(cols):
+        inverse[j] = slot.setdefault(col.tobytes(), len(slot))
+        if inverse[j] == len(keep):
+            keep.append(j)
+    R = _gram_factor(cols[keep].T)
+    return (std * rng.normal((rows, R.shape[0])) @ R)[:, inverse]
+
+
+def _serial_collapse(d, width, depth, n_pairs, master_seed, pairs=None):
+    """The layer loop of collapse_simulate drawn in series, with fresh
+    arrays per layer and a per-pair kernel track."""
+    checkpoint_depths = (5, depth) if depth > 5 else (depth,)
+    pair_rng = RngStream(master_seed, 0)
+    if pairs is None:
+        pairs = [(pair_rng.sphere_point(d), pair_rng.sphere_point(d)) for _ in range(n_pairs)]
+    n_pairs = len(pairs)
+    X = np.stack([np.asarray(v, dtype=np.float64) for p in pairs for v in p], axis=1)
+    angles = np.zeros(n_pairs)
+    for p, (a, b) in enumerate(pairs):
+        c = np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)
+        angles[p] = np.arccos(c)
+    w_out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(master_seed, 1).normal(width)
+    layer_cos = np.full((n_pairs, depth), np.nan)
+    layer_norms = np.zeros((2 * n_pairs, depth))
+    norm_ratios = np.zeros((2 * n_pairs, depth))
+    constancy = np.zeros((n_pairs, len(checkpoint_depths)))
+    cur, fan_in, prev_norms = X, d, np.linalg.norm(X, axis=0)
+    for t in range(1, depth + 1):
+        std = init_std(fan_in, InitMode.DEPTH_COLLAPSE)
+        cur = np.maximum(_serial_gaussian_times(cur, width, std, RngStream(master_seed, t + 1)),
+                         0.0)
+        norms = np.linalg.norm(cur, axis=0)
+        layer_norms[:, t - 1] = norms
+        expected = np.sqrt(width / fan_in) * prev_norms
+        norm_ratios[:, t - 1] = np.divide(norms, expected, out=np.zeros_like(norms),
+                                          where=expected > 0)
+        prev_norms, fan_in = norms, width
+        nx, ny = norms[0::2], norms[1::2]
+        np.divide(np.einsum("ij,ij->j", cur[:, 0::2], cur[:, 1::2]), nx * ny,
+                  out=layer_cos[:, t - 1], where=(nx > 0.0) & (ny > 0.0))
+        if t in checkpoint_depths:
+            out = w_out @ cur
+            fx, fy = out[0::2], out[1::2]
+            constancy[:, checkpoint_depths.index(t)] = np.abs(fx - fy) / (np.abs(fx) + 1e-12)
+    track = np.stack([kernel_iterate(a, depth).rhos for a in angles])
+    return {"initial_angles": angles, "layer_cosines": layer_cos, "layer_norms": layer_norms,
+            "norm_ratios": norm_ratios, "kernel_track": track, "constancy_ratios": constancy}
+
+
+def _circle_pairs(n):
+    angles = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
+    points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return list(zip(points[0::2], points[1::2]))
+
+
+_X6 = RngStream(3).sphere_point(6)
+_E6 = RngStream(4).sphere_point(6)
+
+
+class TestPipelinedCollapse:
+    """collapse_simulate against its serial layer loop, bit for bit, with
+    the normals drawn ahead on the helper thread and in the calling one."""
+
+    @pytest.mark.parametrize("ahead_min", [0, 10 ** 12], ids=["ahead", "inline"])
+    @pytest.mark.parametrize("args, pairs, householder", [
+        ((10, 2000, 40, 50, 3), None, True),                     # the benchmark shape
+        ((6, 3000, 6, 2, 11), [(_X6, _X6), (_X6, _E6)], False),  # repeated columns
+        ((2, 8, 3, 40, 13), _circle_pairs(40), True),            # zero columns from layer 1
+        ((6, 3000, 6, 1, 5), [(_X6, _X6 + 1e-9 * _E6)], True),   # nearly collinear
+        ((5, 500, 7, 4, 17), None, True),                        # d < 2 n_pairs
+    ], ids=["workload", "equal_pair", "zero_columns", "householder", "wide_first"])
+    def test_same_bits_as_serial_loop(self, args, pairs, householder, ahead_min, monkeypatch):
+        monkeypatch.setattr(collapse, "_AHEAD_MIN_NORMALS", ahead_min)
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(1) or qr(*a, **kw))
+        rep = collapse_simulate(*args, pairs=pairs)
+        ours, qr_calls[:] = len(qr_calls), []
+        expected = _serial_collapse(*args, pairs=pairs)
+        for name, want in expected.items():
+            got = getattr(rep, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        # the same layers took R from Householder: a wide first layer, a
+        # singular or an ill-conditioned Gram
+        assert ours == len(qr_calls) and (ours > 0) == householder
+
+    def test_helper_thread_joined_on_return(self):
+        before = threading.active_count()
+        collapse_simulate(10, 2000, 5, 5, master_seed=1)
+        assert threading.active_count() == before
+
+    def test_helper_thread_joined_when_a_layer_raises(self, monkeypatch):
+        before = threading.active_count()
+        seen = []
+
+        def failing(U):
+            seen.append(threading.active_count())
+            if len(seen) == 3:
+                raise RuntimeError("layer 3")
+            return _gram_factor(U)
+
+        monkeypatch.setattr(linalg, "_gram_factor", failing)
+        with pytest.raises(RuntimeError, match="layer 3"):
+            collapse_simulate(10, 2000, 8, 5, master_seed=1)
+        assert seen == [before + 1] * 3    # the helper ran while the layers did
+        assert threading.active_count() == before
+
+
+def test_kernel_steps_equal_scalar_iteration():
+    # the vectorized iteration against kernel_map applied one angle at a time
+    angles = np.concatenate([np.linspace(0.0, np.pi, 498), [np.pi / 3, 1e-9]])
+    thetas, rhos = _kernel_steps(angles, 40)
+    for p, theta in enumerate(angles):
+        for t in range(40):
+            rho = kernel_map(theta)
+            theta = float(np.arccos(np.clip(rho, -1.0, 1.0)))
+            assert rhos[p, t] == rho and thetas[p, t] == theta

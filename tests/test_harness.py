@@ -466,13 +466,14 @@ class TestCli:
     "attack --d 500 --widths 500 500 --trials 6",
     "sweep --dims 64 128 --trials 4",
     "collapse --d 10 --width 2000 --depth 40 --n-pairs 50",
+    "collapse --d 10 --width 2000 --depth 3 --n-pairs 200",
     "probe gaussian_spectral --dims 200 300 --trials 5",
     "probe segment_spectral --d 256 --widths 256 64 256 --trials 3 --n-samples 2 --radius 1.6",
     "probe value_gradient --d 256 --widths 256 256 --trials 20",
     "probe dist_equiv --d 128 --widths 128 128 --trials 50",
     "probe gradient_smoothness --d 256 --widths 256 256 --trials 3 --n-samples 5 --radius 0.8",
-], ids=["attack", "sweep", "collapse", "gaussian_spectral", "segment_spectral",
-        "value_gradient", "dist_equiv", "gradient_smoothness"])
+], ids=["attack", "sweep", "collapse", "collapse_400_columns", "gaussian_spectral",
+        "segment_spectral", "value_gradient", "dist_equiv", "gradient_smoothness"])
 def test_outputs_independent_of_blas_threads(tmp_path, argv):
     # BLAS reads its thread count once, at import, so each run is a fresh process
     src = str(Path(relurand.__file__).parents[1])

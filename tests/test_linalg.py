@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp, norm
 
+from relurand import linalg
 from relurand.linalg import (
     LazyGaussian,
+    _distinct_columns,
     _gram_factor,
     _openblas_thread_calls,
     gaussian_matrix,
     gaussian_spectral_norm,
     gaussian_times,
+    gaussian_times_apply,
+    gaussian_times_factor,
     ks_critical_value,
     ks_two_sample,
     one_blas_thread,
@@ -85,6 +89,68 @@ class TestGaussianTimes:
         C = Z.T @ Z / n
         se = np.sqrt((np.outer(np.diag(S), np.diag(S)) + S ** 2) / n)
         assert np.all(np.abs(C - S) <= 3 * se)
+
+
+def _bytes_dedup(M):
+    """First-occurrence dedup by a dict keyed on each column's bytes."""
+    slot, keep = {}, []
+    inverse = []
+    for j, col in enumerate(np.ascontiguousarray(M.T)):
+        inverse.append(slot.setdefault(col.tobytes(), len(slot)))
+        if inverse[-1] == len(keep):
+            keep.append(j)
+    return keep, inverse
+
+
+class TestDistinctColumns:
+    @staticmethod
+    def _repeated(seed=20):
+        rng = RngStream(seed)
+        base = rng.normal((30, 5))
+        return np.asfortranarray(base[:, [3, 0, 3, 1, 4, 0, 2, 2, 1, 3]])
+
+    def test_first_occurrence_order(self):
+        M = self._repeated()
+        keep, inverse = _distinct_columns(M)
+        assert keep.tolist() == [0, 1, 3, 4, 6] and inverse.tolist() == [0, 1, 0, 2, 3, 1, 4, 4, 2, 0]
+        assert (keep.tolist(), inverse.tolist()) == _bytes_dedup(M)
+
+    def test_signed_zeros_are_distinct(self):
+        M = np.zeros((4, 4))
+        M[2, 1] = M[2, 3] = -0.0
+        keep, inverse = _distinct_columns(M)
+        assert keep.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0, 1]
+        assert (keep.tolist(), inverse.tolist()) == _bytes_dedup(M)
+
+    def test_hash_tie_falls_back_to_bytes(self, monkeypatch):
+        M = self._repeated()
+        M[:, 9] = -M[:, 9]
+        expected = _bytes_dedup(M)
+        monkeypatch.setattr(linalg, "_hash_weights", lambda n: np.zeros(n, dtype=np.uint64))
+        keep, inverse = _distinct_columns(M)
+        assert (keep.tolist(), inverse.tolist()) == expected and len(keep) == 6
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_bytes_dict(self, order):
+        pool = np.hstack([RngStream(21).normal((8, 2)), np.zeros((8, 1)), -np.zeros((8, 1))])
+        keep, inverse = _distinct_columns(pool[:, order])
+        assert (keep.tolist(), inverse.tolist()) == _bytes_dedup(pool[:, order])
+
+
+class TestFactorApply:
+    @pytest.mark.parametrize("M", [
+        RngStream(22).normal((40, 6)),
+        np.stack([np.ones(9), np.zeros(9), np.ones(9)], axis=1),
+        RngStream(23).normal((3, 8)),
+    ], ids=["distinct", "repeated", "wide"])
+    def test_steps_give_gaussian_times(self, M):
+        Z = gaussian_times(M, 50, 0.5, RngStream(24))
+        R, inverse = gaussian_times_factor(M)
+        G = RngStream(24).normal((50, R.shape[0]))
+        out = np.empty((50, M.shape[1]), order="F")
+        assert gaussian_times_apply(G, R, inverse, 0.5, out=out) is out
+        assert Z.flags.f_contiguous and Z.tobytes() == out.tobytes()
 
 
 def _householder(U):
