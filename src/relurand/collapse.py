@@ -25,21 +25,25 @@ back to Householder QR.
 
 A layer runs gaussian_times' factor and apply steps apart.  While the
 calling thread factors layer t's input, applies its normals, and takes
-the ReLU and the statistics, one helper thread draws layer t + 1's
-normals from that layer's own stream into one reused buffer
-(_LayerNormals; layers of fewer than _AHEAD_MIN_NORMALS normals draw in
-the calling thread).  A stream's normals do not depend on the thread
-that draws them, so the bits are those of drawing in series.  The layer
-algebra runs on one BLAS thread (linalg.one_blas_thread), which leaves
-the helper the second core and makes every product's bits independent of
-OPENBLAS_NUM_THREADS at any size.  The image, its ReLU and the statistics
+the ReLU and the statistics, a one-thread executor draws layer t + 1's
+normals from that layer's own stream into one reused buffer (numpy
+releases the GIL while it fills it).  Layer t + 1's draw is submitted
+only once layer t's normals are consumed.  Leaving the loop, on return
+or on a raise, joins the thread, and an error in a draw is raised in the
+caller.  Layers of fewer than _AHEAD_MIN_NORMALS normals draw in the
+calling thread, and then no thread starts.  A stream's normals do not
+depend on the thread that draws them, so the bits are those of drawing
+in series.  The layer algebra runs on one BLAS thread
+(linalg.one_blas_thread), which leaves the helper the second core and
+makes every product's bits independent of OPENBLAS_NUM_THREADS at any
+size.  The image, its ReLU and the statistics
 reuse one column-major width x k buffer, the layout gaussian_times
 returns, on which the column sums run in a fixed order.
 """
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,68 +144,6 @@ def sin_cos_gap(n_grid: int) -> dict:
 _AHEAD_MIN_NORMALS = 10_000
 
 
-class _LayerNormals:
-    """The normals of layers 1, 2, ... of a collapse simulation in one
-    reused buffer, layer t's from its own stream RngStream(master_seed,
-    t + 1).  The first n normals of a stream are the same whether n or
-    more are drawn, so take(n) gives the bits of that stream's
-    normal(n).  With ahead, a helper thread draws layer t's sizes[t - 1]
-    normals while the caller works on layer t - 1, from the moment the
-    caller releases layer t - 1's (numpy releases the GIL while it fills
-    the buffer); leaving the with block stops that thread and joins it.
-    Without, take draws in the calling thread."""
-
-    def __init__(self, master_seed: int, sizes: list[int], ahead: bool):
-        self._master_seed = master_seed
-        self._buffer = np.empty(max(sizes))
-        self._layer = 0
-        self._thread = threading.Thread(target=self._draw, args=(sizes,)) if ahead else None
-        self._free = threading.Semaphore(1)
-        self._full = threading.Semaphore(0)
-        self._stop = False
-        self._error: BaseException | None = None
-
-    def _fill(self, layer: int, n: int) -> np.ndarray:
-        return RngStream(self._master_seed, layer + 1).normal(n, out=self._buffer[:n])
-
-    def _draw(self, sizes: list[int]) -> None:
-        try:
-            for t, n in enumerate(sizes, 1):
-                self._free.acquire()
-                if self._stop:
-                    return
-                self._fill(t, n)
-                self._full.release()
-        except BaseException as exc:
-            self._error = exc
-            self._full.release()
-
-    def take(self, n: int) -> np.ndarray:
-        """The first n of the next layer's normals; the caller owns them
-        until release()."""
-        self._layer += 1
-        if self._thread is None:
-            return self._fill(self._layer, n)
-        self._full.acquire()
-        if self._error is not None:
-            raise self._error
-        return self._buffer[:n]
-
-    def release(self) -> None:
-        self._free.release()
-
-    def __enter__(self) -> "_LayerNormals":
-        if self._thread is not None:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._stop = True
-            self._free.release()
-            self._thread.join()
-
-
 @dataclass(frozen=True)
 class CollapseReport:
     d: int
@@ -264,18 +206,29 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     # layer t draws at most width x min(fan_in, k) normals
     k = 2 * n_pairs
     sizes = [width * min(d if t == 1 else width, k) for t in range(1, depth + 1)]
-    normals = _LayerNormals(master_seed, sizes, ahead=max(sizes) >= _AHEAD_MIN_NORMALS)
+    ahead = max(sizes) >= _AHEAD_MIN_NORMALS
+    buffer = np.empty(max(sizes))
+
+    def draw(t: int, n: int) -> np.ndarray:
+        # the first n normals of a stream are the same whether n or more are drawn
+        return RngStream(master_seed, t + 1).normal(n, out=buffer[:n])
+
     image = np.empty((width, k), order="F")
     cur = X
     fan_in = d
     prev_norms = np.linalg.norm(X, axis=0)
-    with one_blas_thread(), normals:
+    with one_blas_thread(), ThreadPoolExecutor(1) as helper:
+        if ahead:
+            pending = helper.submit(draw, 1, sizes[0])
         for t in range(1, depth + 1):
             R, inverse = gaussian_times_factor(cur)
-            G = normals.take(width * R.shape[0]).reshape(width, -1)
+            n = width * R.shape[0]
+            G = (pending.result()[:n] if ahead else draw(t, n)).reshape(width, -1)
             cur = gaussian_times_apply(G, R, inverse, init_std(fan_in, InitMode.DEPTH_COLLAPSE),
                                        out=image)
-            normals.release()
+            if ahead and t < depth:
+                # G is consumed, so the helper may refill the buffer
+                pending = helper.submit(draw, t + 1, sizes[t])
             np.maximum(cur, 0.0, out=cur)
             norms = np.linalg.norm(cur, axis=0)
             layer_norms[:, t - 1] = norms

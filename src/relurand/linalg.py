@@ -91,27 +91,17 @@ def _distinct_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     occurrence in M, in column order, and for each column the position in
     keep of its equal.  Columns are equal when their bytes are, so 0.0 and
     -0.0 differ.  Each column hashes to the wrapping sum of its 64-bit
-    words times _hash_weights; only columns whose hashes tie are compared
-    word by word."""
+    words times _hash_weights; only when two hashes tie are the columns
+    keyed on their bytes in a dict."""
     k = M.shape[1]
     words = M.view(np.uint64)
     hashes = np.einsum("ij,i->j", words, _hash_weights(M.shape[0]))
     if len(np.unique(hashes)) == k:
         return np.arange(k), np.arange(k)
-    keep: list[int] = []
-    inverse = np.empty(k, dtype=np.intp)
-    slots: dict[int, list[int]] = {}   # hash -> positions in keep
-    for j, h in enumerate(hashes.tolist()):
-        same = slots.setdefault(h, [])
-        for s in same:
-            if np.array_equal(words[:, keep[s]], words[:, j]):
-                inverse[j] = s
-                break
-        else:
-            inverse[j] = len(keep)
-            same.append(len(keep))
-            keep.append(j)
-    return np.array(keep, dtype=np.intp), inverse
+    first: dict[bytes, int] = {}
+    inverse = np.array([first.setdefault(words[:, j].tobytes(), len(first)) for j in range(k)],
+                       dtype=np.intp)
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 # The Gram is summed over blocks of this many rows, in row order.  Those

@@ -269,6 +269,36 @@ class TestPipelinedCollapse:
         assert seen == [before + 1] * 3    # the helper ran while the layers did
         assert threading.active_count() == before
 
+    def test_helper_error_raised_in_caller(self, monkeypatch):
+        before = threading.active_count()
+        normal = RngStream.normal
+        drawn_on = []
+
+        def failing(self, size=None, out=None):
+            if self.stream_id == 4:
+                drawn_on.append(threading.current_thread())
+                raise RuntimeError("layer 3 draw")
+            return normal(self, size, out=out)
+
+        monkeypatch.setattr(RngStream, "normal", failing)
+        with pytest.raises(RuntimeError, match="layer 3 draw"):
+            collapse_simulate(10, 2000, 8, 5, master_seed=1)
+        assert len(drawn_on) == 1 and drawn_on[0] is not threading.current_thread()
+        assert threading.active_count() == before
+
+    def test_inline_side_starts_no_thread(self, monkeypatch):
+        # 2,000 normals a layer, below _AHEAD_MIN_NORMALS
+        before = threading.active_count()
+        seen = []
+
+        def counting(U):
+            seen.append(threading.active_count())
+            return _gram_factor(U)
+
+        monkeypatch.setattr(linalg, "_gram_factor", counting)
+        collapse_simulate(10, 200, 6, 5, master_seed=1)
+        assert seen == [before] * 6
+
 
 def test_kernel_steps_equal_scalar_iteration():
     # the vectorized iteration against kernel_map applied one angle at a time
