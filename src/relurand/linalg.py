@@ -4,7 +4,7 @@ Matrices and vectors are plain float64 numpy arrays throughout the
 package; this module adds the few operations the rest of the code needs:
 gaussian matrix sampling, sampling the image W @ M of a thin matrix under
 a fresh gaussian W from a triangular factor of M's Gram (one Cholesky
-pass over a Gram summed in a fixed block order, Householder QR where that
+pass over a Gram formed on one BLAS thread, Householder QR where that
 would lose accuracy), a gaussian matrix revealed only where it is queried
 until drawing it whole is cheaper (LazyGaussian), a Lanczos spectral
 norm and a draw of its law on a gaussian matrix from chi variates, the
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Optional
 
 import numpy as np
@@ -104,20 +105,15 @@ def _distinct_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(inverse, return_index=True)[1], inverse
 
 
-# The Gram is summed over blocks of this many rows, in row order.  Those
-# sums gave the same bits at 1 and 2 OpenBLAS threads at every shape tried
-# (up to 2000 x 1000); one U^T U at 2000 x 100 does not.
-_GRAM_BLOCK = 16
-
 # Rounding the Gram perturbs it by O(u ||U||^2), u = 2^-53, so a direction
 # at relative distance rho from the span of the other columns gets its
 # variance, rho^2 ||U||^2, wrong by O(u / rho^2) relatively; Householder
 # perturbs U instead, and that variance by O(u / rho).  The ratio min/max
 # of R's diagonal tracks rho.  On nearly collinear 2000 x 100 relu images
 # the largest relative error of a direction's variance against
-# Householder, ||R_h^-T R^T R R_h^-1 - I||, was 1.2e-6 at a ratio of 8e-5
-# and 1.1e-2 at 8e-7.  Over the 999 tall layers of a depth-1000 collapse
-# the ratio stayed above 3.2e-4 and that error below 8e-8.  Below this
+# Householder, ||R_h^-T R^T R R_h^-1 - I||, was 9.2e-7 at a ratio of 8e-5
+# and 9.3e-3 at 8e-7.  Over the 999 tall layers of a depth-1000 collapse
+# the ratio stayed above 3.2e-4 and that error below 6.1e-8.  Below this
 # floor R comes from Householder.
 _CHOLESKY_FLOOR = 1e-4
 
@@ -127,30 +123,29 @@ def _gram_factor(U: np.ndarray) -> np.ndarray:
     and a nonnegative diagonal.
 
     A tall U with full numerical rank takes R as the upper Cholesky factor
-    of U^T U, summed over _GRAM_BLOCK-row blocks in row order (Cholesky QR:
-    Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014).  One pass
-    suffices: the law of W @ U depends only on R^T R, which one pass gets
-    to O(u) of ||U||^2 like Householder does; a second pass would only make
-    the never-formed Q orthogonal.  A wide U, a Gram that Cholesky rejects
-    (a zero or dependent column), or min/max of R's diagonal below
-    _CHOLESKY_FLOOR takes R from Householder QR, rows sign-flipped to a
-    nonnegative diagonal.
+    of U^T U, formed by one product (Cholesky QR: Fukaya, Nakatsukasa,
+    Yanagisawa & Yamamoto, ScalA 2014).  One pass suffices: the law of
+    W @ U depends only on R^T R, which one pass gets to O(u) of ||U||^2
+    like Householder does; a second pass would only make the never-formed
+    Q orthogonal.  A wide U, a Gram that Cholesky rejects (a zero or
+    dependent column), or min/max of R's diagonal below _CHOLESKY_FLOOR
+    takes R from Householder QR, rows sign-flipped to a nonnegative
+    diagonal.  It all runs on one BLAS thread (one_blas_thread): U^T U
+    sums in another order at 2 OpenBLAS threads than at 1, so R's bits
+    would otherwise depend on the caller's thread count.
     """
     n, r = U.shape
-    if 0 < r <= n:
-        G = np.zeros((r, r))
-        for i in range(0, n, _GRAM_BLOCK):
-            B = U[i:i + _GRAM_BLOCK]
-            G += B.T @ B
-        try:
-            R = np.linalg.cholesky(G).T
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            diag = np.diag(R)
-            if diag.min() >= _CHOLESKY_FLOOR * diag.max():
-                return R
-    R = np.linalg.qr(U, mode="r")
+    with one_blas_thread():
+        if 0 < r <= n:
+            try:
+                R = np.linalg.cholesky(U.T @ U).T
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                diag = np.diag(R)
+                if diag.min() >= _CHOLESKY_FLOOR * diag.max():
+                    return R
+        R = np.linalg.qr(U, mode="r")
     R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
     return R
 
@@ -195,20 +190,31 @@ class _Side:
         other.basis^T (other.images e) + std (I - other.basis^T other.basis) g,
         g fresh normals, and return the number of normals drawn; nothing
         when the residual is at most _REVEAL_FLOOR ||v||, which skips the
-        second orthogonalization pass when the first already gets there."""
-        B = self.basis
-        floor = _REVEAL_FLOOR * float(np.linalg.norm(v))
-        r = v - B.T @ (B @ v)
-        if not float(np.linalg.norm(r)) > floor:
-            return 0
-        r -= B.T @ (B @ r)
-        norm = float(np.linalg.norm(r))
+        second orthogonalization pass when the first already gets there.
+        An empty basis on either side skips its products, whose terms are
+        zero."""
+        # v may be a strided column, whose v @ v may sum in another order
+        # than np.linalg.norm's contiguous copy; r below is contiguous
+        norm = float(np.linalg.norm(v))
+        floor = _REVEAL_FLOOR * norm
+        r = v
+        if self.k:
+            B = self._basis[:self.k]
+            r = v - B.T @ (B @ v)
+            if not math.sqrt(r @ r) > floor:
+                return 0
+            r -= B.T @ (B @ r)
+            norm = math.sqrt(r @ r)
         if not norm > floor:
             return 0
         e = r / norm
-        image = other.basis.T @ (other.images @ e)
-        g = rng.normal(len(image))
-        image += std * (g - other.basis.T @ (other.basis @ g))
+        g = rng.normal(other.dim)
+        if other.k:
+            Q, C = other._basis[:other.k], other._images[:other.k]
+            image = Q.T @ (C @ e)
+            image += std * (g - Q.T @ (Q @ g))
+        else:
+            image = std * g
         if self.k == len(self._basis):
             grow = min(self.k, self.dim - self.k)
             self._basis = np.concatenate([self._basis, np.empty((grow, self.dim))])

@@ -188,6 +188,25 @@ class TestGramFactor:
         assert np.linalg.cond(U) >= 1e8
         assert np.array_equal(_gram_factor(U), _householder(U))
 
+    def test_bits_independent_of_blas_threads(self):
+        """With no pin held by the caller, R has the same bytes at 2
+        OpenBLAS threads as at 1, and the caller's count is restored."""
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS found in /proc/self/maps")
+        get, put = calls
+        U = np.asfortranarray(np.maximum(RngStream(12).normal((2000, 100)), 0.0))
+        before = get()
+        factors = []
+        try:
+            for threads in (2, 1):
+                put(threads)
+                factors.append(_gram_factor(U).tobytes())
+                assert get() == threads
+        finally:
+            put(before)
+        assert factors[0] == factors[1]
+
     def test_fallback_keeps_equal_and_zero_columns_exact(self):
         U = _collinear(1e-7)[:, :6]
         M = np.hstack([U, U[:, :1], np.zeros((len(U), 1)), U[:, 1:2] * 0.5])
