@@ -6,10 +6,10 @@ gaussian matrix sampling, sampling the image W @ M of a thin matrix under
 a fresh gaussian W from a triangular factor of M's Gram (one Cholesky
 pass over a Gram formed on one BLAS thread, Householder QR where that
 would lose accuracy), a gaussian matrix revealed only where it is queried
-until drawing it whole is cheaper (LazyGaussian), a Lanczos spectral
-norm and a draw of its law on a gaussian matrix from chi variates, the
-two-sample Kolmogorov-Smirnov statistic, and numpy's BLAS held to one
-thread for the length of a block.
+until drawing it whole is cheaper (LazyGaussian), the spectral norm from
+the top eigenvalue of the smaller Gram and a draw of its law on a
+gaussian matrix from chi variates, the two-sample Kolmogorov-Smirnov
+statistic, and numpy's BLAS held to one thread for the length of a block.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -362,58 +363,17 @@ class LazyGaussian:
         return self @ e
 
 
-_TOL = 1e-8  # sigma within 1e-8 relative of the SVD value, far below any probe's noise
-
-
-def _top_ritz(recurrence, steps: int) -> float:
-    """Largest eigenvalue estimate of a Lanczos recurrence that runs at
-    most `steps` steps.
-
-    recurrence yields, at step j, the pair (alpha_j, beta_j): the j-th
-    diagonal entry of the tridiagonal matrix T and the norm of the j-th
-    residual, which is T's (j+1, j) entry.  The estimate after step j is
-    the largest eigenvalue of T's leading j x j block T_j; it never
-    decreases.  The loop returns it at exact breakdown (beta_j = 0), after
-    `steps` steps, or once it moves by at most _TOL (relatively) between
-    steps.  T is kept in a zero buffer whose side doubles when full.
-    """
-    T = np.zeros((min(steps, 32),) * 2)
-    prev = estimate = -1.0
-    for j, (alpha, beta) in enumerate(recurrence):
-        T[j, j] = alpha
-        # eigvalsh reads only the lower triangle
-        estimate = float(np.linalg.eigvalsh(T[:j + 1, :j + 1])[-1])
-        if (beta == 0.0 or j + 1 == steps
-                or prev >= 0.0 and abs(estimate - prev) <= _TOL * max(estimate, 1e-300)):
-            break
-        if j + 1 == len(T):
-            T = np.pad(T, (0, min(j + 1, steps - j - 1)))
-        T[j + 1, j] = beta
-        prev = estimate
-    return estimate
-
-
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of M by Lanczos on M^T M with full
-    reorthogonalization.
+    """Largest singular value of M: the square root of the top eigenvalue
+    of its smaller Gram, M M^T or M^T M (eigvalsh), exact to rounding.
 
-    Step j extends the orthonormal Krylov basis q_1..q_j of M^T M by one
-    product M^T (M q_j), reorthogonalized twice against the whole basis,
-    and takes sigma^2 as the largest eigenvalue of the j x j tridiagonal
-    matrix of the recurrence (_top_ritz, which also holds the stopping
-    rule).  That estimate never decreases and, for a random-like start,
-    reaches the top of the spectrum in a few dozen steps where power
-    iteration needs hundreds (Kuczynski & Wozniakowski 1992).
-    Deterministic start: e_1 plus a fixed small perturbation so the
-    initial vector is never orthogonal to the top singular direction of
-    any matrix we care about.  Convergence is declared when the estimate
-    of sigma^2 moves by at most _TOL (relatively) between steps; at exact
-    breakdown (a zero residual, or M.shape[1] steps) the estimate is exact
-    and is returned, so the loop always ends.  M is first scaled by a
-    power of two near its largest entry, so that M^T M q neither
-    underflows nor overflows at any finite scale.  The scaling is exact,
-    so at scales where nothing underflowed or overflowed the result is
-    the same to the bit as without it.
+    M is first scaled by a power of two near its largest entry, so that
+    the Gram neither underflows nor overflows at any finite scale.  The
+    scaling is exact, so at scales where nothing underflowed or overflowed
+    the result is the same to the bit as without it.  It runs on one BLAS
+    thread (one_blas_thread): the Gram sums in another order at 2 OpenBLAS
+    threads than at 1, so its bits would otherwise depend on the caller's
+    thread count.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:
@@ -423,36 +383,18 @@ def spectral_norm(M: np.ndarray) -> float:
         return 0.0
     exponent = int(np.frexp(peak)[1])
     M = np.ldexp(M, -exponent)
-    estimate = _top_ritz(_krylov_steps(M), M.shape[1])
-    return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
+    with one_blas_thread():
+        gram = M @ M.T if M.shape[0] < M.shape[1] else M.T @ M
+        top = float(np.linalg.eigvalsh(gram)[-1])
+    return float(np.ldexp(np.sqrt(top), exponent))
 
 
-def _krylov_steps(M: np.ndarray):
-    """The (alpha_j, beta_j) of Lanczos on M^T M from spectral_norm's
-    start.  The basis is kept as rows of a buffer that doubles when full."""
-    n = M.shape[1]
-    q = np.zeros(n)
-    q[0] = 1.0
-    q += 1e-4 / (1.0 + np.arange(n))
-    q /= np.linalg.norm(q)
-    basis = np.empty((min(n, 32), n))
-    for j in range(n):
-        if j == len(basis):
-            basis = np.concatenate([basis, np.empty((min(j, n - j), n))])
-        basis[j] = q
-        w = M.T @ (M @ q)
-        alpha = float(q @ w)
-        Q = basis[:j + 1]
-        for _ in range(2):
-            w -= Q.T @ (Q @ w)
-        beta = float(np.linalg.norm(w))
-        yield alpha, beta
-        q = w / beta
+_TOL = 1e-8  # sigma within 1e-8 relative of ||A||, far below any probe's noise
 
 
 def gaussian_spectral_norm(rows: int, cols: int, rng: RngStream) -> float:
-    """A draw of the law of spectral_norm(A) for a rows x cols matrix A
-    with iid N(0, 1) entries, without forming A.
+    """A draw of ||A|| to within _TOL, for a rows x cols matrix A with iid
+    N(0, 1) entries, without forming A.
 
     Golub-Kahan bidiagonalization of A from a fixed unit vector gives
     A Q = P B with B upper bidiagonal, whose diagonal entries a_i ~
@@ -460,29 +402,37 @@ def gaussian_spectral_norm(rows: int, cols: int, rng: RngStream) -> float:
     independent (Golub & Kahan 1965; Dumitriu & Edelman, J. Math. Phys.
     2002); a_{rows+1} and b_cols are 0.  Lanczos on A^T A from that vector
     has the tridiagonal T_j = B_j^T B_j, B_j the leading j x j block of B:
-    alpha_j = a_j^2 + b_{j-1}^2 and beta_j = a_j b_j.  So spectral_norm's
-    recurrence is drawn step by step, two chi draws per step and no
-    normals, and run under the same stopping rule (_top_ritz).  It breaks
-    down at step rows + 1 when rows < cols (a_{rows+1} = 0, so beta = 0)
-    and ends at step cols otherwise; at most rows + cols chi draws in all.
+    alpha_j = a_j^2 + b_{j-1}^2 on the diagonal and beta_j = a_j b_j below
+    it.  Step j draws a_j unless j > rows (then a_j = 0) and b_j unless
+    a_j = 0 or j = cols, where no later step reads it: two chi draws per
+    step and no normals.  The estimate of ||A||^2 after step j is the
+    largest eigenvalue of T_j; it never decreases (Kuczynski & Wozniakowski
+    1992).  It is returned at exact breakdown (beta_j = 0), which comes at
+    step rows + 1 when rows < cols, after step cols otherwise, or once it
+    moves by at most _TOL (relatively) between steps; at most rows + cols
+    chi draws in all.  T is kept in a zero buffer whose side doubles when
+    full.
     """
     if rows < 1 or cols < 1:
         raise ValueError("gaussian_spectral_norm requires rows, cols >= 1")
-    estimate = _top_ritz(_bidiagonal_steps(rows, cols, rng), min(rows + 1, cols))
-    return float(np.sqrt(max(estimate, 0.0)))
-
-
-def _bidiagonal_steps(rows: int, cols: int, rng: RngStream):
-    """The (alpha_j, beta_j) of Lanczos on A^T A for a standard gaussian
-    A, drawn from the chi entries of its Golub-Kahan bidiagonal.  Step j
-    draws a_j unless j > rows (then a_j = 0) and b_j unless a_j = 0 or
-    j = cols, where no later step reads it."""
+    steps = min(rows + 1, cols)
+    T = np.zeros((min(steps, 32),) * 2)
+    prev = estimate = -1.0
     b = 0.0
-    for j in range(1, min(rows + 1, cols) + 1):
-        a = float(rng.chi(rows - j + 1)) if j <= rows else 0.0
-        alpha = a * a + b * b
-        b = float(rng.chi(cols - j)) if a > 0.0 and j < cols else 0.0
-        yield alpha, a * b
+    for j in range(steps):   # step j + 1 of the recurrence
+        a = float(rng.chi(rows - j)) if j < rows else 0.0
+        T[j, j] = a * a + b * b
+        b = float(rng.chi(cols - j - 1)) if a > 0.0 and j + 1 < cols else 0.0
+        # eigvalsh reads only the lower triangle
+        estimate = float(np.linalg.eigvalsh(T[:j + 1, :j + 1])[-1])
+        if (a * b == 0.0 or j + 1 == steps
+                or prev >= 0.0 and abs(estimate - prev) <= _TOL * max(estimate, 1e-300)):
+            break
+        if j + 1 == len(T):
+            T = np.pad(T, (0, min(j + 1, steps - j - 1)))
+        T[j + 1, j] = a * b
+        prev = estimate
+    return float(np.sqrt(max(estimate, 0.0)))
 
 
 def ks_two_sample(a, b) -> float:
@@ -537,19 +487,34 @@ def _openblas_thread_calls():
     return None
 
 
+# OpenBLAS's thread count is process-wide, so pins are counted across threads
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread and restore its
-    thread count after.  Where no OpenBLAS can be found
+    thread count after.  Pins may nest and may overlap across threads:
+    under one lock, the first pin to enter saves the count and sets 1, and
+    the last to leave restores it.  Where no OpenBLAS can be found
     (_openblas_thread_calls) the block runs unchanged."""
+    global _pin_depth, _pin_saved
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, put = calls
-    before = get()
-    put(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        put(before)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)

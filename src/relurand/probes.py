@@ -304,9 +304,9 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
 def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
                             master_seed: int) -> ProbeReport:
     """Violation count of ||A|| <= 3(sqrt m + sqrt n + sqrt(log 1/delta))
-    for iid standard gaussian matrices.  Each ||A|| is a draw of
-    spectral_norm's output law on such a matrix from the chi entries of
-    its Golub-Kahan bidiagonal (linalg.gaussian_spectral_norm), never A."""
+    for iid standard gaussian matrices.  Each ||A|| is a draw of its law,
+    to within 1e-8 relative, from the chi entries of A's Golub-Kahan
+    bidiagonal (linalg.gaussian_spectral_norm), never A."""
     bound = 3.0 * (np.sqrt(m) + np.sqrt(n) + np.sqrt(np.log(1.0 / delta)))
     norms = np.array([gaussian_spectral_norm(m, n, RngStream(master_seed, k))
                       for k in range(samples)])

@@ -30,6 +30,35 @@ from relurand.harness import (
 from relurand.linalg import _openblas_thread_calls
 
 
+# one tiny config of each kind
+_QUICK = {
+    "attack": {"d": 16, "widths": [16, 16], "trials": 3},
+    "sweep": {"dims": [8, 16], "trials": 3},
+    "collapse": {"d": 4, "width": 16, "depth": 3, "n_pairs": 2},
+    "kernel": {"steps": 5},
+    "probe:value_gradient": {"d": 32, "widths": [32], "trials": 5},
+    "probe:scale_preservation": {"d": 32, "widths": [32, 32], "trials": 3,
+                                 "radius": 0.5, "n_samples": 3},
+    "probe:activation_margin": {"d": 32, "widths": [32, 32], "trials": 3},
+    "probe:gradient_smoothness": {"d": 32, "widths": [32, 32], "trials": 3,
+                                  "radius": 0.5, "n_samples": 3},
+    "probe:segment_spectral": {"d": 32, "widths": [32, 16, 32], "trials": 2,
+                               "radius": 0.5, "n_samples": 2},
+    "probe:sign_flip": {"d": 16, "trials": 3, "radius": 0.2, "n_draws": 1000},
+    "probe:dist_equiv": {"d": 32, "widths": [32], "trials": 100},
+    "probe:gaussian_spectral": {"dims": [20, 30], "trials": 5},
+}
+
+
+def _quick_argv(kind, out_dir):
+    """The CLI arguments of kind's _QUICK config at seed 3."""
+    argv = kind.split(":") + ["--seed", "3", "--out-dir", str(out_dir)]
+    for key, v in _QUICK[kind].items():
+        argv += ["--" + key.replace("_", "-")]
+        argv += [str(x) for x in v] if isinstance(v, list) else [str(v)]
+    return argv
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -122,35 +151,14 @@ class TestRunExperiment:
         assert row["ratio_median"] == attack["summary"]["ratio_median"]
 
     def test_probe_dispatch_all_names(self, tmp_path, capsys):
-        quick = {
-            "attack": {"d": 16, "widths": [16, 16], "trials": 3},
-            "sweep": {"dims": [8, 16], "trials": 3},
-            "collapse": {"d": 4, "width": 16, "depth": 3, "n_pairs": 2},
-            "kernel": {"steps": 5},
-            "probe:value_gradient": {"d": 32, "widths": [32], "trials": 5},
-            "probe:scale_preservation": {"d": 32, "widths": [32, 32], "trials": 3,
-                                         "radius": 0.5, "n_samples": 3},
-            "probe:activation_margin": {"d": 32, "widths": [32, 32], "trials": 3},
-            "probe:gradient_smoothness": {"d": 32, "widths": [32, 32], "trials": 3,
-                                          "radius": 0.5, "n_samples": 3},
-            "probe:segment_spectral": {"d": 32, "widths": [32, 16, 32], "trials": 2,
-                                       "radius": 0.5, "n_samples": 2},
-            "probe:sign_flip": {"d": 16, "trials": 3, "radius": 0.2, "n_draws": 1000},
-            "probe:dist_equiv": {"d": 32, "widths": [32], "trials": 100},
-            "probe:gaussian_spectral": {"dims": [20, 30], "trials": 5},
-        }
-        assert list(quick) == list(KINDS)
-        for kind, extra in quick.items():
+        assert list(_QUICK) == list(KINDS)
+        for kind, extra in _QUICK.items():
             cfg = ExperimentConfig.from_dict({"kind": kind, "master_seed": 3, **extra})
             out = run_experiment(cfg)
             assert out["rows"], kind
             if kind.startswith("probe:"):
                 assert "violation_frequency" in out["summary"], kind
-            argv = kind.split(":") + ["--seed", "3", "--out-dir", str(tmp_path)]
-            for key, v in extra.items():
-                argv += ["--" + key.replace("_", "-")]
-                argv += [str(x) for x in v] if isinstance(v, list) else [str(v)]
-            assert main(argv) == 0, kind
+            assert main(_quick_argv(kind, tmp_path)) == 0, kind
             stem = kind.replace(":", "_")
             write_csv(out["rows"], tmp_path / "direct.csv")
             assert (tmp_path / f"{stem}.csv").read_bytes() == \
@@ -488,6 +496,26 @@ def test_outputs_independent_of_blas_threads(tmp_path, argv):
         outputs.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
     assert len(outputs) == 1
     assert len(outputs.pop()) == 2  # the CSV and the summary
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    """Every kind's _QUICK config, and a sample, run through the CLI in a
+    fresh interpreter where scipy, hypothesis and pytest cannot be
+    imported."""
+    script = ("import json, sys\n"
+              "for name in ('scipy', 'hypothesis', 'pytest'):\n"
+              "    sys.modules[name] = None\n"
+              "from relurand.cli import main\n"
+              "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    runs = [_quick_argv(kind, tmp_path / kind.replace(":", "_")) for kind in KINDS]
+    runs.append([SAMPLE, "--d", "8", "--widths", "4", "--out-dir", str(tmp_path / SAMPLE)])
+    src = str(Path(relurand.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          check=True, capture_output=True, text=True, timeout=300)
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert len(codes) == len(runs) and all(rc in (0, 3) for rc in codes), codes
 
 
 def test_probes_run_on_one_blas_thread(monkeypatch):

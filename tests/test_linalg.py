@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,23 +191,29 @@ class TestGramFactor:
         assert np.array_equal(_gram_factor(U), _householder(U))
 
     def test_bits_independent_of_blas_threads(self):
-        """With no pin held by the caller, R has the same bytes at 2
-        OpenBLAS threads as at 1, and the caller's count is restored."""
+        """With no pin held by the caller, R and the spectral norms of a
+        wide and a tall matrix have the same bytes at 2 OpenBLAS threads as
+        at 1, and the caller's count is restored.  The 64-wide Grams and
+        their eigvalsh give the same bits at 1 and 2 threads even unpinned;
+        the 256 x 256 Gram's eigvalsh does not."""
         calls = _openblas_thread_calls()
         if calls is None:
             pytest.skip("no OpenBLAS found in /proc/self/maps")
         get, put = calls
         U = np.asfortranarray(np.maximum(RngStream(12).normal((2000, 100)), 0.0))
+        M = gaussian_matrix(64, 256, 1.0, RngStream(16))
+        wide = gaussian_matrix(256, 1024, 1.0, RngStream(17))
         before = get()
-        factors = []
+        results = []
         try:
             for threads in (2, 1):
                 put(threads)
-                factors.append(_gram_factor(U).tobytes())
+                results.append((_gram_factor(U).tobytes(), spectral_norm(M), spectral_norm(M.T),
+                                spectral_norm(wide)))
                 assert get() == threads
         finally:
             put(before)
-        assert factors[0] == factors[1]
+        assert results[0] == results[1]
 
     def test_fallback_keeps_equal_and_zero_columns_exact(self):
         U = _collinear(1e-7)[:, :6]
@@ -385,8 +393,14 @@ class TestSpectralNorm:
         assert spectral_norm(np.diag([3.0, 1.0, 0.5])) == pytest.approx(3.0, rel=1e-8)
 
     def test_agrees_with_svd(self):
-        M = gaussian_matrix(40, 60, 1.0, RngStream(1))
-        assert spectral_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-6)
+        matrices = [gaussian_matrix(40, 60, 1.0, RngStream(1)),
+                    np.outer(np.arange(1.0, 31.0), np.arange(1.0, 21.0))]   # rank 1
+        for shape in [(200, 300), (300, 200), (20, 30), (3, 50), (50, 3), (1, 1),
+                      (1, 40), (40, 1), (64, 64)]:
+            matrices += [gaussian_matrix(*shape, 1.0, RngStream(9001, k)) for k in range(5)]
+        for M in matrices:
+            exact = np.linalg.svd(M, compute_uv=False)[0]
+            assert spectral_norm(M) == pytest.approx(exact, rel=1e-13)
 
     def test_gaussian_bound(self):
         # ||A|| <= 3(sqrt m + sqrt n + sqrt(log 1/delta)) at delta = 0.01
@@ -432,44 +446,6 @@ class TestSpectralNorm:
     def test_exact_on_rank_one(self, M):
         exact = np.linalg.svd(M, compute_uv=False)[0]
         assert spectral_norm(M) == pytest.approx(exact, rel=1e-13)
-
-    @pytest.mark.parametrize("shape", [(200, 300), (300, 200), (20, 30), (3, 50),
-                                       (50, 3), (1, 1), (1, 40), (40, 1), (64, 64)])
-    def test_same_bits_as_list_based_loop(self, shape):
-        for k in range(5):
-            M = gaussian_matrix(*shape, 1.0, RngStream(9001, k))
-            assert spectral_norm(M) == _list_lanczos(M)
-        M = np.outer(np.arange(1.0, 31.0), np.arange(1.0, 21.0))
-        assert spectral_norm(M) == _list_lanczos(M)
-
-
-def _list_lanczos(M):
-    """spectral_norm as a loop over growing lists: the basis rebuilt with
-    np.array and the tridiagonal with np.diag at every step."""
-    peak = max(float(M.max()), -float(M.min()))
-    exponent = int(np.frexp(peak)[1])
-    M = np.ldexp(M, -exponent)
-    n = M.shape[1]
-    q = np.zeros(n)
-    q[0] = 1.0
-    q += 1e-4 / (1.0 + np.arange(n))
-    q /= np.linalg.norm(q)
-    basis, alphas, betas, prev = [], [], [], -1.0
-    for step in range(1, n + 1):
-        basis.append(q)
-        w = M.T @ (M @ q)
-        alphas.append(float(q @ w))
-        Q = np.array(basis)
-        for _ in range(2):
-            w -= Q.T @ (Q @ w)
-        beta = float(np.linalg.norm(w))
-        estimate = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1])
-        if (beta == 0.0 or step == n
-                or prev >= 0.0 and abs(estimate - prev) <= 1e-8 * max(estimate, 1e-300)):
-            return float(np.ldexp(np.sqrt(max(estimate, 0.0)), exponent))
-        prev = estimate
-        betas.append(beta)
-        q = w / beta
 
 
 class TestGaussianSpectralNorm:
@@ -573,3 +549,32 @@ class TestOneBlasThread:
             with one_blas_thread():
                 raise RuntimeError
         assert self._count() == before
+
+    def test_overlapping_pins_across_threads(self):
+        """This thread pins, thread B pins, this thread leaves, then B
+        leaves: B's block runs at 1 thread throughout, and the count from
+        before the first pin is restored after the last."""
+        before = self._count()
+        get, put = _openblas_thread_calls()
+        b_entered, a_left = threading.Event(), threading.Event()
+        seen = []
+
+        def pin_b():
+            with one_blas_thread():
+                b_entered.set()
+                a_left.wait(10)
+                seen.append(get())
+
+        b = threading.Thread(target=pin_b)
+        try:
+            put(2)
+            with one_blas_thread():
+                b.start()
+                assert b_entered.wait(10)
+            a_left.set()
+            b.join(10)
+            assert not b.is_alive()
+            assert seen == [1] and get() == 2
+        finally:
+            a_left.set()
+            put(before)
