@@ -32,10 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AttackResult:
-    """What flip_search found: f and grad f at x, the direction, its first zero crossing."""
+    """What flip_search found: f and grad f at x, the direction, its first zero crossing.
+
+    A bias-free net has f(x) = grad f(x).x (Euler's identity), so a flipped
+    result has ratio = linearity |cos_grad_x| up to rounding.
+    """
 
     f_x: float
     grad_norm: float
+    cos_grad_x: float              # grad f(x).x / (||grad f(x)|| ||x||)
     direction: np.ndarray          # unit vector -sign(f(x)) grad/||grad||
     t_star: Optional[float]        # minimal flipping step, None if not flipped
     ratio: Optional[float]         # t_star / ||x||
@@ -165,14 +170,15 @@ def flip_search(
     g_norm = float(np.linalg.norm(g))
     if f_x == 0.0 or g_norm == 0.0:
         raise DegenerateInput(f"f(x)={f_x}, ||grad||={g_norm}")
+    cos_grad_x = float(g @ x) / (g_norm * x_norm)
     s = np.sign(f_x)
     direction = -s * g / g_norm
 
     t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
     if t_star is None:
-        return AttackResult(f_x, g_norm, direction, None, None, False, pieces)
+        return AttackResult(f_x, g_norm, cos_grad_x, direction, None, None, False, pieces)
     ratio = t_star / x_norm if x_norm > 0 else None
-    return AttackResult(f_x, g_norm, direction, t_star, ratio, True, pieces)
+    return AttackResult(f_x, g_norm, cos_grad_x, direction, t_star, ratio, True, pieces)
 
 
 @dataclass(frozen=True)

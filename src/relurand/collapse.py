@@ -26,19 +26,25 @@ back to Householder QR.
 A layer runs gaussian_times' factor and apply steps apart.  While the
 calling thread factors layer t's input, applies its normals, and takes
 the ReLU and the statistics, a one-thread executor draws layer t + 1's
-normals from that layer's own stream into one reused buffer (numpy
-releases the GIL while it fills it).  Layer t + 1's draw is submitted
-only once layer t's normals are consumed.  Leaving the loop, on return
-or on a raise, joins the thread, and an error in a draw is raised in the
-caller.  Layers of fewer than _AHEAD_MIN_NORMALS normals draw in the
-calling thread, and then no thread starts.  A stream's normals do not
-depend on the thread that draws them, so the bits are those of drawing
-in series.  The layer algebra runs on one BLAS thread
+normals from that layer's own stream (numpy releases the GIL while it
+fills the buffer).  Layers draw into two buffers of width x k floats in
+turn, so layer t + 1's draw is submitted as soon as layer t's normals
+are in hand, before they are applied, and the helper draws layer after
+layer without waiting on the product.  Once applied, layer t's buffer
+holds the squares of its image for the norms, the temporary that
+np.linalg.norm would allocate, so the second buffer costs no memory at
+the peak.  Leaving the loop, on return or on a raise, joins the thread,
+and an error in a draw is raised in the caller.  Layers of fewer than
+_AHEAD_MIN_NORMALS normals draw in the calling thread, and then no
+thread starts.  A stream's normals do not depend on the thread that
+draws them, so the bits are those of drawing in series.  The layer
+algebra runs on one BLAS thread
 (linalg.one_blas_thread), which leaves the helper the second core and
 makes every product's bits independent of OPENBLAS_NUM_THREADS at any
-size.  The image, its ReLU and the statistics
-reuse one column-major width x k buffer, the layout gaussian_times
-returns, on which the column sums run in a fixed order.
+size.  The image, its ReLU and the statistics reuse one column-major
+width x k buffer, the layout gaussian_times returns, on which the column
+sums run in a fixed order; the squares take the same layout in their
+buffer, so the norms have the bits of np.linalg.norm(image, axis=0).
 """
 
 from __future__ import annotations
@@ -138,9 +144,10 @@ def sin_cos_gap(n_grid: int) -> dict:
 
 # Layers draw ahead on a helper thread only when one needs at least this
 # many normals.  Below it the thread's start and handoffs cost more than
-# the overlap buys: at depth 20 (2 cores, median of 7 calls), 8000
-# normals a layer took 22.5 ms either way, 2000 (6 layers) 4.7 ms ahead
-# against 1.4 ms in the calling thread, and 20000 25.7 against 31.7 ms.
+# the overlap buys.  At depth 20 with d = 10 and 5 pairs (2 cores; the
+# median over 9 alternating rounds of the median of 7 calls), 2000
+# normals a layer took 7.9 ms ahead against 4.1 ms in the calling
+# thread, 8000 took 7.6 against 6.3 ms and 20000 12.6 against 13.6 ms.
 _AHEAD_MIN_NORMALS = 10_000
 
 
@@ -168,10 +175,10 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     (linalg.gaussian_times).  A layer draws width x min(fan_in, 2 n_pairs)
     normals instead of width x fan_in, and memory stays at a few
     width x 2 n_pairs arrays at any depth (the module docstring says how
-    the layers reuse them and draw ahead).  At depth 5 and at the last
-    depth the same sampled output vector (variance 2/width) is applied to
-    the current images, giving the output constancy ratio a network of
-    that depth would produce.
+    the layers take turns between two buffers and draw ahead).  At depth
+    5 and at the last depth the same sampled output vector (variance
+    2/width) is applied to the current images, giving the output
+    constancy ratio a network of that depth would produce.
 
     pairs overrides the uniform-sphere sampling with explicit (x, y)
     pairs; used by tests to force degenerate geometry.
@@ -203,15 +210,16 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     norm_ratios = np.zeros((2 * n_pairs, depth))
     constancy = np.zeros((n_pairs, len(checkpoint_depths)))
 
-    # layer t draws at most width x min(fan_in, k) normals
+    # layer t draws at most width x min(fan_in, k) normals into buffers[t % 2],
+    # which then holds the squares of its image
     k = 2 * n_pairs
     sizes = [width * min(d if t == 1 else width, k) for t in range(1, depth + 1)]
     ahead = max(sizes) >= _AHEAD_MIN_NORMALS
-    buffer = np.empty(max(sizes))
+    buffers = (np.empty(width * k), np.empty(width * k))
 
     def draw(t: int, n: int) -> np.ndarray:
         # the first n normals of a stream are the same whether n or more are drawn
-        return RngStream(master_seed, t + 1).normal(n, out=buffer[:n])
+        return RngStream(master_seed, t + 1).normal(n, out=buffers[t % 2][:n])
 
     image = np.empty((width, k), order="F")
     cur = X
@@ -224,13 +232,15 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
             R, inverse = gaussian_times_factor(cur)
             n = width * R.shape[0]
             G = (pending.result()[:n] if ahead else draw(t, n)).reshape(width, -1)
+            if ahead and t < depth:
+                # the other buffer was consumed by layer t - 1
+                pending = helper.submit(draw, t + 1, sizes[t])
             cur = gaussian_times_apply(G, R, inverse, init_std(fan_in, InitMode.DEPTH_COLLAPSE),
                                        out=image)
-            if ahead and t < depth:
-                # G is consumed, so the helper may refill the buffer
-                pending = helper.submit(draw, t + 1, sizes[t])
             np.maximum(cur, 0.0, out=cur)
-            norms = np.linalg.norm(cur, axis=0)
+            # np.linalg.norm(cur, axis=0), its squares in the consumed buffer
+            squares = buffers[t % 2].reshape((width, k), order="F")
+            norms = np.sqrt(np.add.reduce(np.multiply(cur, cur, out=squares), axis=0))
             layer_norms[:, t - 1] = norms
             # the 2/fan-in scaling gives E ||f_t||^2 = (width/fan_in) ||f_{t-1}||^2;
             # ratio 1 means the layer preserved length at its expected scale

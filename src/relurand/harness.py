@@ -169,7 +169,7 @@ def _run_attack(cfg: ExperimentConfig):
         # the reference eta needs d >= 2; 1-d nets get NaN
         eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
                if arch.input_dim >= 2 else float("nan"))
-        vals = {"f_x": res.f_x, "grad_norm": res.grad_norm,
+        vals = {"f_x": res.f_x, "grad_norm": res.grad_norm, "cos_grad_x": res.cos_grad_x,
                 "paper_eta": eta, "evaluations": res.evaluations}
         if res.flipped:
             vals.update(t_star=res.t_star, ratio=res.ratio, linearity=res.linearity)

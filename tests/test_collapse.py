@@ -231,7 +231,10 @@ class TestPipelinedCollapse:
         ((2, 8, 3, 40, 13), _circle_pairs(40), True),            # zero columns from layer 1
         ((6, 3000, 6, 1, 5), [(_X6, _X6 + 1e-9 * _E6)], True),   # nearly collinear
         ((5, 500, 7, 4, 17), None, True),                        # d < 2 n_pairs
-    ], ids=["workload", "equal_pair", "zero_columns", "householder", "wide_first"])
+        ((5, 2000, 1, 20, 19), None, True),                      # one layer, d < 2 n_pairs
+        ((10, 2000, 9, 50, 23), None, True),                     # odd depth: ends on buffer 1
+    ], ids=["workload", "equal_pair", "zero_columns", "householder", "wide_first",
+            "one_wide_layer", "odd_depth"])
     def test_same_bits_as_serial_loop(self, args, pairs, householder, ahead_min, monkeypatch):
         monkeypatch.setattr(collapse, "_AHEAD_MIN_NORMALS", ahead_min)
         qr_calls = []
@@ -247,6 +250,55 @@ class TestPipelinedCollapse:
         # the same layers took R from Householder: a wide first layer, a
         # singular or an ill-conditioned Gram
         assert ours == len(qr_calls) and (ours > 0) == householder
+
+    def test_draws_double_buffered(self, monkeypatch):
+        # the schedule from call order and buffers, with no timing: layer
+        # t + 1's draw is submitted before layer t's apply, into the buffer
+        # that layer t neither applies nor takes its squares in
+        width, depth, n_pairs = 2000, 5, 5      # 20,000 normals a layer: drawn ahead
+        events, outs = [], {}
+        submit, normal = collapse.ThreadPoolExecutor.submit, RngStream.normal
+        apply, multiply = collapse.gaussian_times_apply, np.multiply
+
+        def recording_submit(self, fn, t, n):
+            events.append(("submit", t))
+            return submit(self, fn, t, n)
+
+        def recording_normal(self, size=None, out=None):
+            if out is not None:
+                outs[self.stream_id - 1] = out    # layer t draws from stream t + 1
+            return normal(self, size, out=out)
+
+        def recording_apply(G, *args, **kwargs):
+            events.append(("apply", G))
+            return apply(G, *args, **kwargs)
+
+        def recording_multiply(*args, out=None):
+            if out is not None and out.shape == (width, 2 * n_pairs):
+                events.append(("squares", out))
+            return multiply(*args, out=out)
+
+        monkeypatch.setattr(collapse.ThreadPoolExecutor, "submit", recording_submit)
+        monkeypatch.setattr(RngStream, "normal", recording_normal)
+        monkeypatch.setattr(collapse, "gaussian_times_apply", recording_apply)
+        monkeypatch.setattr(np, "multiply", recording_multiply)
+        collapse_simulate(10, width, depth, n_pairs, master_seed=1)
+
+        expected = [1]                          # submitted layers, and the layer steps
+        for t in range(1, depth + 1):
+            expected += [t + 1] * (t < depth) + ["apply", "squares"]
+        assert [a if kind == "submit" else kind for kind, a in events] == expected
+        applied = [a for kind, a in events if kind == "apply"]
+        squares = [a for kind, a in events if kind == "squares"]
+        assert sorted(outs) == list(range(1, depth + 1))
+        for t in range(1, depth + 1):
+            G, S = applied[t - 1], squares[t - 1]
+            assert np.shares_memory(G, outs[t]) and np.shares_memory(S, outs[t])
+            if t < depth:
+                # layer t + 1's draw is in flight during layer t's apply and squares
+                ahead = outs[t + 1]
+                assert not np.shares_memory(ahead, outs[t])
+                assert not np.shares_memory(ahead, G) and not np.shares_memory(ahead, S)
 
     def test_helper_thread_joined_on_return(self):
         before = threading.active_count()

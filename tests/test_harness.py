@@ -150,6 +150,25 @@ class TestRunExperiment:
         assert row["linearity_median"] == float(np.median(linearity))
         assert row["ratio_median"] == attack["summary"]["ratio_median"]
 
+    @pytest.mark.parametrize("d, widths", [(16, [16, 16]), (200, [300, 50]), (1, [3])])
+    def test_ratio_is_linearity_times_cosine(self, d, widths):
+        # Euler's identity f(x) = grad f(x).x splits the flip ratio t*/||x||
+        # into linearity and |cos(grad f(x), x)|, up to rounding
+        rows = run_experiment(ExperimentConfig.from_dict(
+            {"kind": "attack", "d": d, "widths": widths, "trials": 40, "master_seed": 5}))["rows"]
+        flipped = 0
+        for r in rows:
+            v = r.values
+            if r.status == "degenerate":
+                assert "cos_grad_x" not in v
+                continue
+            assert -1.0 <= v["cos_grad_x"] <= 1.0
+            if r.status == "ok":
+                assert v["ratio"] == pytest.approx(v["linearity"] * abs(v["cos_grad_x"]),
+                                                   rel=1e-12)
+                flipped += 1
+        assert flipped >= 10
+
     def test_probe_dispatch_all_names(self, tmp_path, capsys):
         assert list(_QUICK) == list(KINDS)
         for kind, extra in _QUICK.items():
