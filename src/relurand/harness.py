@@ -136,7 +136,7 @@ def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
 
     `cfg.workers` is read by no kind: a thread pool ran lazy `attack` trials
     slower than one thread (many small numpy calls pass the GIL back and
-    forth) and won on only some per-trial probes (ROADMAP item 4)."""
+    forth) and won on only some per-trial probes (ROADMAP item 1)."""
     return [fn(i) for i in range(n)]
 
 

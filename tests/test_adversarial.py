@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from relurand.adversarial import flip_search, paper_eta, verify_theorem1
 from relurand.errors import DegenerateInput, DomainError
 from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.linalg import ks_critical_value, ks_two_sample
-from relurand.network import (Architecture, InitMode, build_network, forward, lazy_network,
-                              network_from_weights, sphere_input)
+from relurand.network import (Architecture, InitMode, build_network, forward, gradient,
+                              lazy_network, network_from_weights, sphere_input)
 from relurand.rng import RngStream
 
 
@@ -259,3 +261,76 @@ class TestLazyNetwork:
             net, x = _trial_net(arch, rng)
             flip_search(net, x, rng=rng)
             assert not any(W.completed for W in net.weights[:-1]), k
+
+
+def _ks_uniform(sample):
+    """One-sample KS statistic of sample against U[-1, 1], and its critical
+    value c(0.01)/sqrt(n) at level 0.01 (c(0.01) = 1.628, asymptotic)."""
+    u = np.sort((np.asarray(sample) + 1.0) / 2.0)
+    n = u.size
+    stat = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+    return stat, np.sqrt(-0.5 * np.log(0.005)) / np.sqrt(n)
+
+
+class TestExactLaws:
+    # For a bias-free gaussian ReLU net and a fixed x, given grad f(x) != 0,
+    # cos(grad f(x), x) is one coordinate of a uniform point on S^{d-1}: the
+    # x-perp part of the gradient is an isotropic gaussian independent of
+    # f(x) = grad f(x).x, and f(x) over its scale is exactly N(0, 1) (ROADMAP
+    # item 2).  At d = 3 that is U[-1, 1], at every width and depth.  The
+    # gradient is zero exactly when a hidden layer has no active unit, and
+    # the units of a layer are active independently with probability 1/2.
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _attack_rows(widths, seed):
+        return run_experiment(ExperimentConfig.from_dict(
+            {"kind": "attack", "d": 3, "widths": list(widths), "trials": 2000,
+             "master_seed": seed}))["rows"]
+
+    @staticmethod
+    def _cosines(d, widths, lazy, seed, n=2000):
+        arch = Architecture(d, widths)
+        cosines = []
+        for k in range(n):
+            rng = RngStream(seed, k)
+            if lazy:
+                net, x = _trial_net(arch, rng)
+            else:
+                x = sphere_input(d, rng)
+                net = build_network(arch, InitMode.STANDARD, rng)
+            g = gradient(net, forward(net, x, rng))
+            if g.any():
+                cosines.append(g @ x / (np.linalg.norm(g) * np.linalg.norm(x)))
+        return cosines
+
+    @pytest.mark.parametrize("widths, seed", [((2,), 2601), ((3, 3), 2602)],
+                             ids=["one_layer", "two_layers"])
+    def test_attack_degenerate_rate(self, widths, seed):
+        rows = self._attack_rows(widths, seed)
+        n = len(rows)
+        p = 1.0 - np.prod([1.0 - 2.0 ** -w for w in widths])
+        degenerate = sum(r.status == "degenerate" for r in rows)
+        assert abs(degenerate - n * p) <= 3 * np.sqrt(n * p * (1 - p)), degenerate
+
+    @pytest.mark.parametrize("widths, seed", [((2,), 2601), ((3, 3), 2602)],
+                             ids=["one_layer", "two_layers"])
+    def test_attack_cosine_uniform(self, widths, seed):
+        # the same attack rows as test_attack_degenerate_rate, drawn once
+        stat, crit = _ks_uniform([r.values["cos_grad_x"] for r in self._attack_rows(widths, seed)
+                                  if r.status != "degenerate"])
+        assert stat <= crit, stat
+
+    @pytest.mark.parametrize("widths, lazy, seed", [
+        ((2, 50, 2), False, 2603), ((20,) * 6, False, 2604), ((1000, 8), True, 2605),
+    ], ids=["unequal", "deep", "lazy"])
+    def test_cosine_uniform_at_d3(self, widths, lazy, seed):
+        stat, crit = _ks_uniform(self._cosines(3, widths, lazy, seed))
+        assert stat <= crit, stat
+
+    def test_ks_gate_rejects_cosines_at_d5(self):
+        # at d = 5 the cosine has density (3/4)(1 - t^2), whose CDF is
+        # (t - t^3)/4 above U[-1, 1]'s at its worst, 0.096 at t = 1/sqrt(3):
+        # near three times the critical value at n = 2000, so the gate has power
+        stat, crit = _ks_uniform(self._cosines(5, (5,), False, 2606))
+        assert stat > crit, stat

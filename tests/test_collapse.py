@@ -66,6 +66,27 @@ class TestKernelIterate:
         assert np.all(np.diff(tr.rhos) >= -1e-15)
         assert tr.rhos[-1] > 0.99
 
+    # theta' = theta - theta^2/(3 pi) - theta^3/(18 pi^2) + O(theta^4), so
+    # u = 1/theta steps by a + (a^2 + b) theta + O(theta^2), a = 1/(3 pi),
+    # b = 1/(18 pi^2), and u_L = a L + (3a/2) ln L + C + O(ln L / L), with
+    # C near 1/theta_0.  Hence 1 - L theta_L/(3 pi) = 3 pi/(theta_0 L)
+    # + (3/2) ln L/L + O(1/L), and K(L) = L (3 pi/(L theta_L) - 1)
+    # - (3/2) ln L = 3 pi C + O(ln L / L) levels off; a log coefficient c
+    # other than 3/2 would move K by (c - 3/2) ln 10 between 10^3 and 10^4
+
+    @pytest.mark.parametrize("L", [10**3, 10**4])
+    def test_three_pi_over_depth_limit(self, L):
+        theta_0 = np.pi
+        gap = 1.0 - L * kernel_iterate(theta_0, L).thetas[L - 1] / (3 * np.pi)
+        lead = 3 * np.pi / (theta_0 * L) + 1.5 * np.log(L) / L
+        assert abs(gap - lead) <= 1.0 / L, gap
+
+    def test_three_halves_log_coefficient(self):
+        thetas = kernel_iterate(np.pi, 10**4).thetas
+        ks = [L * (3 * np.pi / (L * thetas[L - 1]) - 1.0) - 1.5 * np.log(L)
+              for L in (10**3, 10**4)]
+        assert abs(ks[1] - ks[0]) <= 0.05, ks
+
     def test_fixed_point_at_zero_angle(self):
         tr = kernel_iterate(0.0, 10)
         assert np.all(tr.rhos == 1.0)

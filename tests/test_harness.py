@@ -92,7 +92,7 @@ class TestConfig:
             assert ExperimentConfig.from_dict({"kind": kind, **data}).kind == kind
             assert f"configs/{path.name}" in readme, path.name
             kinds.add(kind)
-        assert kinds == {"sweep", "collapse", *(f"probe:{n}" for n in PROBE_NAMES)}
+        assert kinds == set(KINDS)
 
     def test_round_trip_dict(self):
         cfg = ExperimentConfig.from_dict(
@@ -489,52 +489,28 @@ class TestCli:
             assert summaries[0] == summaries[1] == summaries[2], kind
 
 
-@pytest.mark.parametrize("argv", [
-    "attack --d 500 --widths 500 500 --trials 6",
-    "sweep --dims 64 128 --trials 4",
-    "collapse --d 10 --width 2000 --depth 40 --n-pairs 50",
-    "collapse --d 10 --width 2000 --depth 3 --n-pairs 200",
-    "probe gaussian_spectral --dims 200 300 --trials 5",
-    "probe segment_spectral --d 256 --widths 256 64 256 --trials 3 --n-samples 2 --radius 1.6",
-    "probe value_gradient --d 256 --widths 256 256 --trials 20",
-    "probe dist_equiv --d 128 --widths 128 128 --trials 50",
-    "probe gradient_smoothness --d 256 --widths 256 256 --trials 3 --n-samples 5 --radius 0.8",
-], ids=["attack", "sweep", "collapse", "collapse_400_columns", "gaussian_spectral",
-        "segment_spectral", "value_gradient", "dist_equiv", "gradient_smoothness"])
-def test_outputs_independent_of_blas_threads(tmp_path, argv):
-    # BLAS reads its thread count once, at import, so each run is a fresh process
+def test_pinned_runs_independent_of_blas_threads(tmp_path):
+    """tests/pinned_runs.py at one and at two OpenBLAS threads: every run
+    exits 0, both passes print the same digests, and the runs cover every
+    kind and sample.  BLAS reads its thread count once, at import, so each
+    pass is a fresh process; the two run side by side."""
     src = str(Path(relurand.__file__).parents[1])
-    outputs = set()
+    passes = []
     for threads in ("1", "2"):
-        out = tmp_path / threads
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "relurand.cli", *argv.split(),
-                        "--out-dir", str(out)], env=env, check=True, capture_output=True,
-                       timeout=300)
-        outputs.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
-    assert len(outputs) == 1
-    assert len(outputs.pop()) == 2  # the CSV and the summary
-
-
-def test_numpy_is_the_only_runtime_dependency(tmp_path):
-    """Every kind's _QUICK config, and a sample, run through the CLI in a
-    fresh interpreter where scipy, hypothesis and pytest cannot be
-    imported."""
-    script = ("import json, sys\n"
-              "for name in ('scipy', 'hypothesis', 'pytest'):\n"
-              "    sys.modules[name] = None\n"
-              "from relurand.cli import main\n"
-              "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
-    runs = [_quick_argv(kind, tmp_path / kind.replace(":", "_")) for kind in KINDS]
-    runs.append([SAMPLE, "--d", "8", "--widths", "4", "--out-dir", str(tmp_path / SAMPLE)])
-    src = str(Path(relurand.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
-                          check=True, capture_output=True, text=True, timeout=300)
-    codes = json.loads(done.stdout.splitlines()[-1])
-    assert len(codes) == len(runs) and all(rc in (0, 3) for rc in codes), codes
+        passes.append(subprocess.Popen(
+            [sys.executable, str(Path(__file__).with_name("pinned_runs.py")),
+             str(tmp_path / threads)], env=env, stdout=subprocess.PIPE, text=True))
+    lines = [p.communicate(timeout=300)[0].splitlines() for p in passes]
+    assert [p.returncode for p in passes] == [0, 0]
+    assert lines[0] == lines[1]
+    kinds = set()
+    for line in lines[0]:
+        _, rc, *argv = line.split()
+        assert rc == "0", line
+        kinds.add(f"probe:{argv[1]}" if argv[0] == "probe" else argv[0])
+    assert kinds == {*KINDS, SAMPLE}
 
 
 def test_probes_run_on_one_blas_thread(monkeypatch):
