@@ -30,8 +30,11 @@ __all__ = ["gaussian_matrix", "gaussian_times", "gaussian_times_factor",
 
 
 def gaussian_matrix(rows: int, cols: int, std: float, rng: RngStream) -> np.ndarray:
-    """Dense rows x cols matrix with iid N(0, std^2) entries."""
-    return std * rng.normal((rows, cols))
+    """Dense rows x cols matrix with iid N(0, std^2) entries, scaled in
+    place: std * normals would hold a second matrix at the peak."""
+    G = rng.normal((rows, cols))
+    G *= std
+    return G
 
 
 def gaussian_times(M: np.ndarray, rows: int, std: float, rng: RngStream) -> np.ndarray:

@@ -275,7 +275,8 @@ def save_network(net: Network, path) -> None:
         fh.write(_MAGIC + _HEADER.pack(_VERSION, net.mode.value, 0, net.arch.ell))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         for W in net.weights:
-            fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
+            # from the array's own buffer: tobytes() would copy the whole weight
+            fh.write(memoryview(np.ascontiguousarray(W, dtype="<f8")))
         fh.write(struct.pack("<2Q", net.master_seed % (1 << 64), net.stream_id % (1 << 64)))
 
 

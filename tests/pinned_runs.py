@@ -23,6 +23,8 @@ GUARDS = [
     "collapse --d 10 --width 200 --depth 6 --n-pairs 5",  # below _AHEAD_MIN_NORMALS
     "collapse --d 5 --width 2000 --depth 1 --n-pairs 20",  # one layer, buffers sized by columns
     "sample --d 8 --widths 4",
+    "probe sign_flip --n-draws 8193 --trials 5",  # one row past a block of _SIGN_FLIP_BLOCK
+    "probe segment_spectral --d 64 --widths 64 16 64 8 --n-samples 3 --trials 4",  # two segments
 ]
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from relurand.adversarial import flip_search, paper_eta, verify_theorem1
 from relurand.errors import DegenerateInput, DomainError
@@ -326,6 +327,15 @@ class TestExactLaws:
     ], ids=["unequal", "deep", "lazy"])
     def test_cosine_uniform_at_d3(self, widths, lazy, seed):
         stat, crit = _ks_uniform(self._cosines(3, widths, lazy, seed))
+        assert stat <= crit, stat
+
+    def test_cosine_law_at_large_d(self):
+        # at d = 1000, (cos + 1)/2 ~ Beta((d - 1)/2, (d - 1)/2); its CDF maps
+        # the cosines to U[0, 1], which 2u - 1 takes to U[-1, 1]
+        d = 1000
+        law = beta((d - 1) / 2, (d - 1) / 2)
+        cosines = np.array(self._cosines(d, (1000, 1000), True, 2207))
+        stat, crit = _ks_uniform(2.0 * law.cdf((cosines + 1.0) / 2.0) - 1.0)
         assert stat <= crit, stat
 
     def test_ks_gate_rejects_cosines_at_d5(self):

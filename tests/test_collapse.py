@@ -87,6 +87,19 @@ class TestKernelIterate:
               for L in (10**3, 10**4)]
         assert abs(ks[1] - ks[0]) <= 0.05, ks
 
+    def test_matches_high_precision_iteration(self):
+        # theta_L from theta_0 = pi by the same map in 40-digit arithmetic
+        # (mpmath); arccos of rho near 1 was off by -3.4e-7 at L = 10^5 and
+        # read K(10^5) = 3.4238
+        thetas = kernel_iterate(np.pi, 10**5).thetas
+        exact = {10**3: 0.009296805913342214109, 10**4: 0.00094085883714408763937,
+                 10**5: 0.000094228312531856482913}
+        for L, theta in exact.items():
+            assert thetas[L - 1] == pytest.approx(theta, rel=1e-9), L
+        L = 10**5
+        assert L * (3 * np.pi / (L * thetas[L - 1]) - 1.0) - 1.5 * np.log(L) == pytest.approx(
+            3.3901, abs=0.005)
+
     def test_fixed_point_at_zero_angle(self):
         tr = kernel_iterate(0.0, 10)
         assert np.all(tr.rhos == 1.0)
@@ -374,11 +387,15 @@ class TestPipelinedCollapse:
 
 
 def test_kernel_steps_equal_scalar_iteration():
-    # the vectorized iteration against kernel_map applied one angle at a time
+    # the vectorized iteration against kernel_iterate one angle at a time,
+    # each rho against kernel_map of the angle before it, and each angle's
+    # cosine against its rho
     angles = np.concatenate([np.linspace(0.0, np.pi, 498), [np.pi / 3, 1e-9]])
     thetas, rhos = _kernel_steps(angles, 40)
     for p, theta in enumerate(angles):
+        tr = kernel_iterate(theta, 40)
+        assert np.array_equal(thetas[p], tr.thetas) and np.array_equal(rhos[p], tr.rhos)
         for t in range(40):
-            rho = kernel_map(theta)
-            theta = float(np.arccos(np.clip(rho, -1.0, 1.0)))
-            assert rhos[p, t] == rho and thetas[p, t] == theta
+            assert rhos[p, t] == kernel_map(theta)
+            theta = float(thetas[p, t])
+        assert np.max(np.abs(np.cos(thetas[p]) - rhos[p])) <= 1e-15

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ class TestGaussianMatrix:
         a = gaussian_matrix(10, 10, 1.0, RngStream(42, 0))
         b = gaussian_matrix(10, 10, 1.0, RngStream(42, 1))
         assert not np.array_equal(a, b)
+
+    def test_holds_one_matrix(self):
+        # the normals are scaled in place, with no second matrix at the peak;
+        # a numpy scalar std, as init_std gives, times a temporary array
+        # makes a new array, where a python float's product may reuse it
+        std, rng = np.float64(0.05), RngStream(43)
+        tracemalloc.start()
+        try:
+            M = gaussian_matrix(300, 400, std, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M.nbytes, peak
 
 
 class TestGaussianTimes:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,16 @@ class TestSerialization:
         assert loaded.master_seed == net.master_seed
         for a, b in zip(net.weights, loaded.weights):
             assert np.array_equal(a, b)
+
+    def test_writes_weights_without_copying(self, tmp_path):
+        net, _ = random_net(34, d=200, widths=(300, 300))
+        tracemalloc.start()
+        try:
+            save_network(net, tmp_path / "net.rrnn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(W.nbytes for W in net.weights), peak
 
     def test_truncated_file(self, tmp_path):
         net, _ = random_net(32)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from scipy.stats import norm
 
 from relurand import probes
 from relurand.errors import DegenerateInput
-from relurand.linalg import gaussian_matrix, gaussian_times, ks_critical_value, ks_two_sample
+from relurand.linalg import (gaussian_matrix, gaussian_times, ks_critical_value, ks_two_sample,
+                             spectral_norm)
 from relurand.network import (
     Architecture,
     InitMode,
+    bottleneck_decomposition,
     build_network,
     forward,
     grad_difference_decomposition,
@@ -17,7 +20,9 @@ from relurand.network import (
     sphere_input,
 )
 from relurand.probes import (
+    _SIGN_FLIP_BLOCK,
     _bernoulli_product_norm,
+    _masked_segment,
     probe_activation_margin,
     probe_dist_equiv,
     probe_gaussian_spectral,
@@ -196,6 +201,44 @@ class TestSegmentSpectral:
         rep = probe_segment_spectral(net, x, np.sqrt(512) / 10, 20, rng)
         assert rep.summary["violations"] == 0
 
+    @staticmethod
+    def _full_masked_segment(net, trace, top, bottom):
+        # D_top W_top ... D_{bottom+1} W_{bottom+1} with its zero rows, as
+        # _masked_segment formed it before it kept active blocks
+        P = trace.masks[bottom][:, None] * net.weights[bottom]
+        for k in range(bottom + 1, top):
+            P = trace.masks[k][:, None] * (net.weights[k] @ P)
+        return P
+
+    @pytest.mark.parametrize("d, widths, seed", [(256, (256, 64, 256), 2211),
+                                                 (64, (64, 16, 64, 8), 2212)],
+                             ids=["one_pair", "two_pairs"])
+    def test_active_block_norm_matches_full_product(self, d, widths, seed):
+        net, x, rng = net_and_input(seed, d, widths)
+        indices = bottleneck_decomposition(net.arch).indices
+        for _ in range(5):
+            trace = forward(net, rng.ball_point(x, 1.6), rng)
+            for hi, lo in zip(indices[:-1], indices[1:]):
+                full = spectral_norm(self._full_masked_segment(net, trace, hi, lo))
+                block = _masked_segment(net, trace, hi, lo)
+                assert block.shape == (trace.masks[hi - 1].sum(), net.arch.dims[lo])
+                assert spectral_norm(block) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("layer", [0, 1], ids=["below_top", "top"])
+    def test_inactive_layer_gives_zero_norm(self, layer, monkeypatch):
+        # one segment, D_2 W_2 D_1 W_1; with no unit of D_{layer+1} active
+        # every sampled norm, and so the fitted constant, is exactly 0
+        def inactive(net, y, rng):
+            trace = forward(net, y, rng)
+            masks = list(trace.masks)
+            masks[layer] = np.zeros_like(masks[layer])
+            return dataclasses.replace(trace, masks=tuple(masks))
+
+        monkeypatch.setattr(probes, "forward", inactive)
+        net, x, rng = net_and_input(2213, d=16, widths=(16, 4, 16))
+        rep = probe_segment_spectral(net, x, 0.5, 3, rng)
+        assert rep.summary["fitted_c"] == 0.0 and rep.summary["violations"] == 0
+
 
 class TestSignFlip:
     def test_identical_inputs(self):
@@ -226,6 +269,41 @@ class TestSignFlip:
         y = x + rng.sphere_point(50, norm=0.5)
         out = probe_sign_flip(x, y, 100_000, rng)
         assert out.summary["empirical"] <= out.summary["bound"]
+
+    @staticmethod
+    def _one_shot_row(x, y, n_draws, rng):
+        # probe_sign_flip's row from one n_draws x 2 image, as before blocks
+        R, ny, r = np.linalg.norm(x), np.linalg.norm(y), np.linalg.norm(x - y)
+        wx, wy = gaussian_times(np.stack([x, y], axis=1), n_draws, 1.0, rng).T
+        oracle = 0.0 if r == 0.0 else float(
+            np.arccos(np.clip(float(x @ y) / (R * ny), -1.0, 1.0)) / np.pi)
+        return {"empirical": float(np.mean(np.sign(wx) != np.sign(wy))),
+                "bound": float(3.0 * (r / R) * np.sqrt(np.log(R / r))) if 0.0 < r < R else None,
+                "oracle": oracle,
+                "std_error": float(np.sqrt(max(oracle * (1.0 - oracle), 1.0 / n_draws) / n_draws))}
+
+    @pytest.mark.parametrize("n_draws", [1, _SIGN_FLIP_BLOCK - 1, _SIGN_FLIP_BLOCK,
+                                         _SIGN_FLIP_BLOCK + 1, 3 * _SIGN_FLIP_BLOCK + 17])
+    @pytest.mark.parametrize("radius", [0.0, 0.7])
+    def test_blocks_count_as_one_image(self, n_draws, radius):
+        rng = RngStream(2214)
+        x = rng.sphere_point(20, norm=np.sqrt(20))
+        y = x + rng.sphere_point(20, norm=radius)
+        rep = probe_sign_flip(x, y, n_draws, RngStream(2215, 3))
+        assert rep.rows == [(3, self._one_shot_row(x, y, n_draws, RngStream(2215, 3)))]
+
+    def test_memory_is_one_block(self):
+        # one 10^6 x 2 image is 16 MB, and its sign temporaries as much again
+        rng = RngStream(2216)
+        x = rng.sphere_point(200, norm=np.sqrt(200))
+        y = x + rng.sphere_point(200, norm=0.7)
+        tracemalloc.start()
+        try:
+            probe_sign_flip(x, y, 10**6, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
 
 class TestDistEquiv:
