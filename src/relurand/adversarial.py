@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError
+from .errors import DegenerateInput
 from .network import Network, forward, gradient
 from .rng import RngStream
 
@@ -57,9 +57,9 @@ class AttackResult:
 def paper_eta(ell: int, d: int, delta: float, grad_norm: float) -> float:
     """Reference step -2^l ln(d) sqrt(ln 1/delta) / ||grad||^2 from the theory."""
     if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must be in (0,1), got {delta}")
+        raise ValueError(f"delta must be in (0,1), got {delta}")
     if d < 2 or grad_norm <= 0.0:
-        raise DomainError("need d >= 2 and grad_norm > 0")
+        raise ValueError("need d >= 2 and grad_norm > 0")
     return float(-(2.0 ** ell) * np.log(d) * np.sqrt(np.log(1.0 / delta)) / grad_norm ** 2)
 
 

@@ -1,7 +1,8 @@
 """Command line interface.
 
-Subcommands: sample, attack, sweep, probe <name>, collapse, kernel.
-Every subcommand builds one ExperimentConfig and validates it before any
+Subcommands: sample, and one per kind in harness.KINDS with that kind's
+help line, except that the kinds probe:<name> are probe <name>.  Every
+subcommand builds one ExperimentConfig and validates it before any
 work.  Every ExperimentConfig key is a flag (n_draws -> --n-draws), except
 that master_seed is --seed and theta_0 is --theta0.  A JSON config file
 (--config, such as configs/*.json) provides the same flat keys, and a
@@ -25,6 +26,7 @@ from pathlib import Path
 from .errors import ConfigError, RelurandError
 from .harness import (
     _HINTS,
+    KINDS,
     PROBE_NAMES,
     SAMPLE,
     ExperimentConfig,
@@ -108,13 +110,9 @@ def main(argv=None) -> int:
                           default="standard")
     p_sample.add_argument("--out", type=Path, default=None)
 
-    for name, help_text in [
-        ("attack", "single-configuration flip searches"),
-        ("sweep", "flip-ratio scaling across input dimensions"),
-        ("collapse", "deep-network collapse simulation"),
-        ("kernel", "closed-form kernel iteration"),
-    ]:
-        sub.add_parser(name, parents=[common], help=help_text)
+    for kind, spec in KINDS.items():
+        if not kind.startswith("probe:"):
+            sub.add_parser(kind, parents=[common], help=spec.help)
 
     p_probe = sub.add_parser("probe", parents=[common], help="Monte Carlo bound probes")
     p_probe.add_argument("name", choices=list(PROBE_NAMES))

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .linalg import gaussian_times, gaussian_times_apply, gaussian_times_factor, one_blas_thread
 from .network import InitMode, init_std
 from .rng import RngStream
@@ -74,7 +73,7 @@ __all__ = [
 def kernel_map(theta: float) -> float:
     """One-layer update of the normalized expected inner product."""
     if not (0.0 <= theta <= np.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     return float(_next_rho(theta))
 
 
@@ -94,7 +93,7 @@ def kernel_mc_estimate(theta: float, n_draws: int, rng: RngStream) -> dict:
     std errors of kernel_map" is directly testable.
     """
     if not (0.0 <= theta <= np.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     xy = np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]])
     gx, gy = gaussian_times(xy, n_draws, 1.0, rng).T
     prod = np.maximum(gx, 0.0) * np.maximum(gy, 0.0)
@@ -113,7 +112,7 @@ class KernelTrace:
 def kernel_iterate(theta_0: float, steps: int) -> KernelTrace:
     """Iterate the kernel map: rho_{t+1} = kernel_map(theta_t)."""
     if not (0.0 <= theta_0 <= np.pi):
-        raise DomainError(f"theta_0 must lie in [0, pi], got {theta_0}")
+        raise ValueError(f"theta_0 must lie in [0, pi], got {theta_0}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     thetas, rhos = _kernel_steps(np.array([theta_0], dtype=np.float64), steps)

@@ -5,10 +5,6 @@ class RelurandError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(RelurandError):
-    """An argument is outside the mathematical domain of the formula."""
-
-
 class DegenerateInput(RelurandError):
     """An input is degenerate for the requested operation (zero output, zero gradient, ...)."""
 

@@ -132,12 +132,21 @@ def _arch(cfg: ExperimentConfig) -> Architecture:
 
 
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], one after another in the calling thread.
+    """[fn(0), ..., fn(n - 1)], one after another in the calling thread,
+    with None in place of each trial whose input is degenerate (fn raised
+    DegenerateInput: f(x) = 0, a zero gradient, a zero layer image); the
+    runners write that None as a `degenerate` row.
 
     `cfg.workers` is read by no kind: a thread pool ran lazy `attack` trials
     slower than one thread (many small numpy calls pass the GIL back and
     forth) and won on only some per-trial probes (ROADMAP item 1)."""
-    return [fn(i) for i in range(n)]
+    results = []
+    for i in range(n):
+        try:
+            results.append(fn(i))
+        except DegenerateInput:
+            results.append(None)
+    return results
 
 
 def _trial_net(arch: Architecture, rng: RngStream):
@@ -147,15 +156,12 @@ def _trial_net(arch: Architecture, rng: RngStream):
     return lazy_network(arch, rng), x
 
 
-def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> Optional[AttackResult]:
-    """flip_search on trial i's net and input (_trial_net on stream i), or
-    None when f(x) = 0 or the gradient is zero and there is no direction
-    to search."""
+def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> AttackResult:
+    """flip_search on trial i's net and input (_trial_net on stream i).  It
+    raises DegenerateInput when f(x) = 0 or the gradient is zero and there
+    is no direction to search, which _map_trials turns into None."""
     rng = RngStream(cfg.master_seed, i)
-    try:
-        return flip_search(*_trial_net(arch, rng), cfg.t_max, rng=rng)
-    except DegenerateInput:
-        return None
+    return flip_search(*_trial_net(arch, rng), cfg.t_max, rng=rng)
 
 
 def _run_attack(cfg: ExperimentConfig):
@@ -231,9 +237,11 @@ def _run_collapse(cfg: ExperimentConfig):
     rep = collapse_simulate(cfg.d, cfg.width, cfg.depth, cfg.n_pairs, cfg.master_seed)
     rows = []
     for t in range(cfg.depth):
+        # a pair without two nonzero images has no cosine (NaN); with none, the median is nan
+        cosines = rep.layer_cosines[~np.isnan(rep.layer_cosines[:, t]), t]
         rows.append(TrialRecord(t, {
             "layer": t + 1,
-            "cosine_median": float(np.nanmedian(rep.layer_cosines[:, t])),
+            "cosine_median": float(np.median(cosines)) if cosines.size else float("nan"),
             "kernel_rho_median": float(np.median(rep.kernel_track[:, t])),
             "norm_median": float(np.median(rep.layer_norms[:, t])),
             "norm_ratio_median": float(np.median(rep.norm_ratios[:, t])),
@@ -268,17 +276,12 @@ def _ensemble(probe):
 
 def _per_trial(probe, summarize=lambda reports: {}):
     """Runner for a probe called once per trial on stream i.  A trial whose
-    input is degenerate (DegenerateInput, e.g. a zero layer image) is a
-    `degenerate` row; the violation frequency is the mean over the other
-    trials whose bound applies."""
+    input is degenerate is None from _map_trials and a `degenerate` row;
+    the violation frequency is the mean over the other trials whose bound
+    applies."""
     def run(cfg: ExperimentConfig):
-        def trial(i: int):
-            try:
-                return probe(cfg, RngStream(cfg.master_seed, i))
-            except DegenerateInput:
-                return None
-
-        results = _map_trials(cfg, trial, cfg.trials)
+        results = _map_trials(cfg, lambda i: probe(cfg, RngStream(cfg.master_seed, i)),
+                              cfg.trials)
         reports = [r for r in results if r is not None]
         freqs = [r.violation_frequency for r in reports if r.violation_frequency is not None]
         freq = float(np.mean(freqs)) if freqs else 0.0
@@ -296,18 +299,22 @@ class _Kind(NamedTuple):
     run: Callable                  # config -> (rows, summary)
     invalid: Callable = lambda cfg: False   # config -> True if this kind cannot run it
     error: str = ""                # the ConfigError message when invalid
+    help: str = ""                 # the CLI subcommand's help line; probes share `probe`'s
 
 
 # Probe functions are looked up on the module at call time, never stored,
 # so that a tracer rebinding probes.probe_* sees every call.
 KINDS = {
-    "attack": _Kind(_run_attack),
+    "attack": _Kind(_run_attack, help="single-configuration flip searches"),
     "sweep": _Kind(_run_sweep, lambda cfg: not cfg.dims or len(set(cfg.dims)) < len(cfg.dims),
-                   "'dims' must be a nonempty list of distinct dimensions for sweep"),
+                   "'dims' must be a nonempty list of distinct dimensions for sweep",
+                   help="flip-ratio scaling across input dimensions"),
     "collapse": _Kind(_run_collapse, lambda cfg: cfg.d < 2 or cfg.width < 8,
-                      "collapse needs 'd' >= 2 and 'width' >= 8"),
+                      "collapse needs 'd' >= 2 and 'width' >= 8",
+                      help="deep-network collapse simulation"),
     "kernel": _Kind(_run_kernel, lambda cfg: not (0.0 <= cfg.theta_0 <= np.pi),
-                    "'theta_0' must lie in [0, pi] for kernel"),
+                    "'theta_0' must lie in [0, pi] for kernel",
+                    help="closed-form kernel iteration"),
     "probe:value_gradient": _Kind(_ensemble(
         lambda cfg: probes.probe_value_gradient(_arch(cfg), cfg.trials, cfg.delta,
                                                 cfg.master_seed))),

@@ -193,10 +193,9 @@ class _Side:
         """Add v's residual direction e to the basis, with its image
         other.basis^T (other.images e) + std (I - other.basis^T other.basis) g,
         g fresh normals, and return the number of normals drawn; nothing
-        when the residual is at most _REVEAL_FLOOR ||v||, which skips the
-        second orthogonalization pass when the first already gets there.
-        An empty basis on either side skips its products, whose terms are
-        zero."""
+        when the residual after two orthogonalization passes is at most
+        _REVEAL_FLOOR ||v||.  An empty basis on either side skips its
+        products, whose terms are zero."""
         # v may be a strided column, whose v @ v may sum in another order
         # than np.linalg.norm's contiguous copy; r below is contiguous
         norm = float(np.linalg.norm(v))
@@ -205,8 +204,6 @@ class _Side:
         if self.k:
             B = self._basis[:self.k]
             r = v - B.T @ (B @ v)
-            if not math.sqrt(r @ r) > floor:
-                return 0
             r -= B.T @ (B @ r)
             norm = math.sqrt(r @ r)
         if not norm > floor:
@@ -245,10 +242,9 @@ class LazyGaussian:
     It keeps an orthonormal basis Q of the right queries with Y = W Q, and
     one U of the left queries with C = W^T U.  Given those, the rest of W
     is std (I - U U^T) G (I - Q Q^T) for a fresh standard gaussian G.  A
-    right query v is orthogonalized against Q, twice unless the first
-    pass leaves nothing new; if its residual direction e is new,
-    W e = U (C^T e) + std (I - U U^T) g is revealed with g fresh normals,
-    and the answer is W v = Y (Q^T v).  Left queries
+    right query v is orthogonalized against Q, twice; if its residual
+    direction e is new, W e = U (C^T e) + std (I - U U^T) g is revealed
+    with g fresh normals, and the answer is W v = Y (Q^T v).  Left queries
     mirror this with W^T f = Q (Y^T f) + std (I - Q Q^T) h.  A residual of
     at most 1e-12 of the query's norm reveals nothing, so a query in the
     revealed span, and a zero query, draw nothing; the latter returns exact
@@ -298,9 +294,7 @@ class LazyGaussian:
         than the dense rest.  A column on a side of dimension n with k
         directions, the other side of dimension m with k', costs two
         orthogonalization passes (8 k n flops), its answer (2 k (n + m)),
-        its image (2 k' (n + m) + 4 k' m) and its draws.  A column that
-        reveals nothing after one pass is still charged both, so where W
-        completes does not depend on the skipped pass."""
+        its image (2 k' (n + m) + 4 k' m) and its draws."""
         size = self.shape[0] * self.shape[1]
         n, m, k2 = side.dim, other.dim, other.k
         for v in (V.T if V.ndim == 2 else (V,)):
@@ -318,8 +312,8 @@ class LazyGaussian:
     def _complete(self) -> None:
         """Set W to a draw of its law given the revealed directions,
         Y^T Q + (U^T C + std (I - U^T U) G) (I - Q^T Q) with Q, Y, U, C as
-        stored rows and G fresh normals; nothing is drawn when Q spans
-        R^cols or U spans R^rows."""
+        stored rows and std G drawn by gaussian_matrix; nothing is drawn
+        when Q spans R^cols or U spans R^rows."""
         rows, cols = self.shape
         Q, Y = self._right.basis, self._right.images
         if len(Q) == cols:
@@ -329,8 +323,7 @@ class LazyGaussian:
             if len(U) == rows:
                 W = U.T @ C
             else:
-                W = self._rng.normal((rows, cols))
-                W *= self._std
+                W = gaussian_matrix(rows, cols, self._std, self._rng)
                 W -= U.T @ (U @ W - C)
             del U, C
             self._left = None   # freed before the last product's temporary

@@ -215,9 +215,8 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
             norms[s, p] = spectral_norm(M) if M.size else 0.0
     violations = int(np.sum(norms > bounds))
     # fitted constant: smallest c making every observed norm satisfy the bound
-    with np.errstate(divide="ignore"):
-        exps = np.array([(hi - lo) / 2.0 for hi, lo in pairs])
-        c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
+    exps = np.array([(hi - lo) / 2.0 for hi, lo in pairs])
+    c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
     freq = violations / norms.size
     row = {"violations": violations, "fitted_c": c_fit, "violation_frequency": freq}
     return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)

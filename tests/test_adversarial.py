@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import beta
 
 from relurand.adversarial import flip_search, paper_eta, verify_theorem1
-from relurand.errors import DegenerateInput, DomainError
+from relurand.errors import DegenerateInput
 from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.linalg import ks_critical_value, ks_two_sample
 from relurand.network import (Architecture, InitMode, build_network, forward, gradient,
@@ -78,9 +78,9 @@ class TestPaperEta:
         assert abs(a) == pytest.approx(4 * abs(b), rel=1e-12)
 
     def test_delta_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             paper_eta(1, 10, 1.5, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             paper_eta(1, 10, 0.0, 1.0)
 
 

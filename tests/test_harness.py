@@ -3,10 +3,12 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,18 @@ class TestRunExperiment:
             assert (tmp_path / f"{stem}_summary.json").exists(), kind
 
 
+    def test_collapse_layer_without_cosine_is_nan(self):
+        # at seed 7 no pair has two nonzero images past layer 1: those
+        # layers' cosine_median is nan, without a numpy warning
+        cfg = ExperimentConfig.from_dict({"kind": "collapse", "d": 2, "width": 8, "depth": 4,
+                                          "n_pairs": 1, "master_seed": 7})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_experiment(cfg)["rows"]
+        cosines = [r.values["cosine_median"] for r in rows]
+        assert np.isfinite(cosines[0]) and np.isnan(cosines[1:]).all()
+
+
 class TestOutputs:
     def test_csv_round_trips_floats(self, tmp_path):
         rows = [TrialRecord(0, {"a": 0.1, "b": None, "c": True}),
@@ -267,6 +281,19 @@ class TestCli:
         summary = json.loads((tmp_path / "kernel_summary.json").read_text())
         assert summary["config"]["steps"] == 7
         assert summary["config"]["theta_0"] == 3.0
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if not k.startswith("probe:")])
+    def test_kind_subcommand_help(self, capsys, kind):
+        # the CLI builds one subcommand per kind in KINDS, listed with its help line
+        with pytest.raises(SystemExit) as exc:
+            main([kind, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: relurand {kind} ")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert re.search(rf"^ +{kind} +{re.escape(KINDS[kind].help)}$",
+                         capsys.readouterr().out, re.MULTILINE)
 
     def test_every_config_key_is_a_flag(self, tmp_path, capsys):
         flags = {
