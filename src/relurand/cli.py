@@ -18,6 +18,7 @@ kind, the frequency and the level).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import typing
@@ -85,7 +86,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole argument parser, built on main's first call and reused by
+    every later one: parse_args returns a fresh Namespace each time, and
+    every default is None or an immutable Path."""
     # --config, --out-dir and the config flags, shared by every subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
@@ -117,7 +122,11 @@ def main(argv=None) -> int:
     p_probe = sub.add_parser("probe", parents=[common], help="Monte Carlo bound probes")
     p_probe.add_argument("name", choices=list(PROBE_NAMES))
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "sample":

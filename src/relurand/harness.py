@@ -196,7 +196,10 @@ def _run_sweep(cfg: ExperimentConfig):
 
     Trial k at dimension index j runs on stream j * trials + k.  A degenerate
     trial is counted in its row's `degenerate` column and stays in the
-    flip_rate denominator.
+    flip_rate denominator.  abs_cos_sqrt_d_median is the median of
+    sqrt(d) |cos_grad_x| over every other trial, flipped or not; over
+    flipped trials alone it would be biased, since whether a trial flips
+    within reach depends on its cosine.
     """
     ell = len(cfg.widths) if cfg.widths else 2
     archs = [Architecture(d, (d,) * ell) for d in cfg.dims]
@@ -205,7 +208,8 @@ def _run_sweep(cfg: ExperimentConfig):
     rows = []
     for j, d in enumerate(cfg.dims):
         trials = results[j * cfg.trials:(j + 1) * cfg.trials]
-        flipped = [r for r in trials if r is not None and r.flipped]
+        searched = [r for r in trials if r is not None]
+        flipped = [r for r in searched if r.flipped]
         ratios = [r.ratio for r in flipped]
         rows.append(TrialRecord(j, {
             "d": d, "trials": cfg.trials, "flips": len(ratios),
@@ -215,6 +219,9 @@ def _run_sweep(cfg: ExperimentConfig):
             "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
             "linearity_median": (float(np.median([r.linearity for r in flipped]))
                                  if flipped else None),
+            "abs_cos_sqrt_d_median": (
+                float(np.median(np.sqrt(d) * np.abs([r.cos_grad_x for r in searched])))
+                if searched else None),
         }))
     usable = [(r.values["d"], r.values["ratio_median"]) for r in rows
               if r.values["ratio_median"]]

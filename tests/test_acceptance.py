@@ -7,10 +7,10 @@ against an independent computation before being recorded here.
 
 import numpy as np
 
-from relurand.adversarial import flip_search
+from relurand.adversarial import flip_search, verify_theorem1
 from relurand.cli import main as cli_main
 from relurand.collapse import collapse_simulate, kernel_mc_estimate, kernel_map, sin_cos_gap
-from relurand.harness import ExperimentConfig, run_experiment
+from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.network import (
     Architecture,
     InitMode,
@@ -273,3 +273,29 @@ def test_16_bottleneck_width_tames_linearity_tail():
     ok = q90[8] > q90[32] > q90[128]
     _report(16, "bottleneck width tames the linearity tail", ok,
             f"linearity q90 {q90[8]:.3f}@8 > {q90[32]:.3f}@32 > {q90[128]:.3f}@128")
+
+
+def test_17_flipped_output_regains_its_magnitude():
+    # Theorem 1's second half: past the flip, |f| comes back to |f(x)|.  On
+    # lazy trial nets at d = 500, widths (500, 500), every flipped trial
+    # regains it within the default reach, at a step t_restore near 2 t*
+    # (exactly 2 when f is linear along the ray).  In 20000 bootstrap
+    # resamples of 100 trials from 400 at another seed, the median of
+    # t_restore/t* stayed within [2.048, 2.160].
+    arch = Architecture(500, (500, 500))
+    steps, lost = [], 0
+    for i in range(100):
+        rng = RngStream(9202, i)
+        t_star = flip_search(*_trial_net(arch, rng), rng=rng).ratio
+        rng = RngStream(9202, i)
+        net, x = _trial_net(arch, rng)
+        check = verify_theorem1(net, x, rng=rng)
+        if check.flipped and not check.magnitude_ok:
+            lost += 1
+        elif check.flipped:
+            steps.append(check.ratio / t_star)
+    median = float(np.median(steps))
+    ok = lost == 0 and len(steps) >= 90 and 2.0 <= median <= 2.2
+    _report(17, "flipped output regains its magnitude", ok,
+            f"{len(steps)} of 100 flipped and restored, {lost} not restored; "
+            f"median t_restore/t* {median:.3f} in [2.0, 2.2]")

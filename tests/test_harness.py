@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relurand
-from relurand import harness, probes
+from relurand import cli, harness, probes
 from relurand.cli import main
 from relurand.errors import ConfigError
 from relurand.harness import (
@@ -135,9 +135,11 @@ class TestRunExperiment:
     def test_linearity_columns(self):
         base = {"d": 16, "widths": [16, 16], "trials": 12, "master_seed": 3}
         attack = run_experiment(ExperimentConfig.from_dict({"kind": "attack", **base}))
-        linearity = []
+        linearity, abs_cos = [], []
         for r in attack["rows"]:
             v = r.values
+            if r.status != "degenerate":
+                abs_cos.append(abs(v["cos_grad_x"]))
             if r.status == "ok":
                 assert v["linearity"] == v["t_star"] * v["grad_norm"] / abs(v["f_x"])
                 linearity.append(v["linearity"])
@@ -151,6 +153,9 @@ class TestRunExperiment:
         row = sweep["rows"][0].values
         assert row["linearity_median"] == float(np.median(linearity))
         assert row["ratio_median"] == attack["summary"]["ratio_median"]
+        # over every non-degenerate trial, flipped or not
+        assert len(abs_cos) > len(linearity)
+        assert row["abs_cos_sqrt_d_median"] == float(np.median(np.sqrt(16) * np.array(abs_cos)))
 
     @pytest.mark.parametrize("d, widths", [(16, [16, 16]), (200, [300, 50]), (1, [3])])
     def test_ratio_is_linearity_times_cosine(self, d, widths):
@@ -294,6 +299,24 @@ class TestCli:
         assert exc.value.code == 0
         assert re.search(rf"^ +{kind} +{re.escape(KINDS[kind].help)}$",
                          capsys.readouterr().out, re.MULTILINE)
+
+    def test_parser_built_once_and_reused(self, tmp_path, capsys):
+        # main builds its parser once per process; help, a usage error and a
+        # config error in between leave a repeated run's outputs byte-identical
+        assert cli._parser() is cli._parser()
+        argv = ["attack", "--d", "16", "--widths", "16", "16", "--trials", "4", "--seed", "5"]
+
+        def run(out):
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("attack.csv", "attack_summary.json")]
+
+        first = run(tmp_path / "a")
+        for bad, code in ((["attack", "--help"], 0), (["attack", "--no-such-flag"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == code
+        assert main(["attack", "--trials", "0", "--out-dir", str(tmp_path / "c")]) == 1
+        assert run(tmp_path / "b") == first
 
     def test_every_config_key_is_a_flag(self, tmp_path, capsys):
         flags = {
@@ -538,6 +561,32 @@ def test_pinned_runs_independent_of_blas_threads(tmp_path):
         assert rc == "0", line
         kinds.add(f"probe:{argv[1]}" if argv[0] == "probe" else argv[0])
     assert kinds == {*KINDS, SAMPLE}
+
+
+def test_pinned_runs_compare(tmp_path):
+    """--compare prints, per run directory, the largest relative change over
+    the CSV cells and summary values, the run's argv, and names a changed
+    header or row count."""
+    table = "trial,seed,status,x\n0,0,ok,1.5\n1,1,not_flipped,\n"
+    runs = [(table, {"r": 2.0, "config": {"d": 4}}, table, {"r": 2.0, "config": {"d": 4}}),
+            (table, {"r": 2.0}, table.replace("1.5", "1.5000000003"), {"r": 2.000000002}),
+            (table, {"r": 2.0}, "trial,seed,status,x,y\n0,0,ok,1.5,3\n", {"r": 2.0})]
+    for i, run in enumerate(runs):
+        for side, (csv_text, summary) in zip("ab", (run[:2], run[2:])):
+            out = tmp_path / side / str(i)
+            out.mkdir(parents=True)
+            (out / "attack.csv").write_text(csv_text)
+            (out / "attack_summary.json").write_text(json.dumps(summary))
+    lines = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("pinned_runs.py")), "--compare",
+         str(tmp_path / "a"), str(tmp_path / "b")],
+        check=True, capture_output=True, text=True).stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "0 attack --config configs/attack.json"
+    worst, rest = lines[1].split(" ", 1)
+    assert float(worst) == pytest.approx(1e-9, rel=1e-3) and ";" not in rest
+    assert lines[2].startswith("0 ")
+    assert lines[2].endswith("; attack.csv header +y; attack.csv rows 2 -> 1")
 
 
 def test_probes_run_on_one_blas_thread(monkeypatch):
