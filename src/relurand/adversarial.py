@@ -186,6 +186,7 @@ class Theorem1Check:
     flipped: bool
     magnitude_ok: Optional[bool]    # None when the sign never flips
     ratio: Optional[float]          # ratio where both conditions first hold
+    flip_ratio: Optional[float]     # t*/||x|| of the sign flip; None when it never flips
 
 
 def verify_theorem1(net: Network, x: np.ndarray,
@@ -195,14 +196,15 @@ def verify_theorem1(net: Network, x: np.ndarray,
     After flip_search at its default t_max = _REACH ||x||, walks the same
     ray exactly to the first t at which the flipped output reaches level
     |f(x)|, that is s f(x + t u) < -|f(x)|, within that reach, and reports
-    the ratio there; magnitude_ok is whether that t exists.
+    the ratio there; magnitude_ok is whether that t exists.  flip_ratio is
+    flip_search's t*/||x||.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
     res = flip_search(net, x, rng=rng)
     if not res.flipped:
-        return Theorem1Check(False, None, None)
+        return Theorem1Check(False, None, None, None)
     t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), _REACH * x_norm)
     if t_ok is None:
-        return Theorem1Check(True, False, None)
-    return Theorem1Check(True, True, t_ok / x_norm)
+        return Theorem1Check(True, False, None, res.ratio)
+    return Theorem1Check(True, True, t_ok / x_norm, res.ratio)

@@ -2,17 +2,21 @@
 
 Subcommands: sample, and one per kind in harness.KINDS with that kind's
 help line, except that the kinds probe:<name> are probe <name>.  Every
-subcommand builds one ExperimentConfig and validates it before any
+subcommand builds one ExperimentConfig, which checks itself, before any
 work.  Every ExperimentConfig key is a flag (n_draws -> --n-draws), except
 that master_seed is --seed and theta_0 is --theta0.  A JSON config file
 (--config, such as configs/*.json) provides the same flat keys, and a
 kind only if it is the subcommand's; flags override config keys
-one-for-one.  Outputs go to --out-dir, which is created if missing;
+one-for-one.  A flag's text is read as its key's type, so a malformed
+value is the same config error from a flag as from a file.  Integers,
+the seed among them, lie in [-2**63, 2**63), where distinct seeds give
+distinct streams.  Outputs go to --out-dir, which is created if missing;
 sample reads d, widths and master_seed and writes network.rrnn there,
 or to --out.
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 a probe's violation
-frequency exceeded the configured alert level (one stderr line names the
-kind, the frequency and the level).
+Exit codes: 0 success, 1 config error, 2 I/O error or a command line
+argparse cannot parse (an unknown flag or subcommand), 3 a probe's
+violation frequency exceeded the configured alert level (one stderr line
+names the kind, the frequency and the level).
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ _FLAG_NAMES = {"master_seed": "seed", "theta_0": "theta0"}
 def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     data = {"kind": kind}
     if args.config is not None:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"'config' file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -62,15 +66,21 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
                               f"subcommand's '{kind}'")
         data.update(loaded)
     for key in _KEYS:
-        if getattr(args, key) is not None:
-            data[key] = getattr(args, key)
+        text = getattr(args, key)
+        if text is not None:
+            data[key] = ([_parse(t, int) for t in text] if isinstance(text, list)
+                         else _parse(text, _HINTS[key]))
     return ExperimentConfig.from_dict(data)
 
 
-def _emit(result: dict, out_dir: Path, stem: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(result["rows"], out_dir / f"{stem}.csv")
-    write_summary_json(result["summary"], out_dir / f"{stem}_summary.json")
+def _parse(text: str, hint):
+    """A flag's text as a number of its key's type (float for
+    Optional[float]), or the text itself where it spells none, for
+    ExperimentConfig to reject as it would the same value in a file."""
+    try:
+        return int(text) if hint is int else float(text)
+    except ValueError:
+        return text
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -96,12 +106,10 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
     common.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
     for key in _KEYS:
-        hint = _HINTS[key]
-        # tuple[int, ...] -> int with nargs="*"; Optional[float] -> float
-        args = typing.get_args(hint)
+        # no argparse type, which would exit 2 on a malformed value:
+        # _build_config parses the text, and a bad value exits 1 as in a file
         common.add_argument("--" + _FLAG_NAMES.get(key, key).replace("_", "-"), dest=key,
-                            type=args[0] if args else hint, default=None,
-                            nargs="*" if typing.get_origin(hint) is tuple else None)
+                            nargs="*" if typing.get_origin(_HINTS[key]) is tuple else None)
 
     parser = argparse.ArgumentParser(
         prog="relurand",
@@ -135,7 +143,9 @@ def main(argv=None) -> int:
         config = _build_config(kind, args)
         result = run_experiment(config)
         stem = kind.replace(":", "_")
-        _emit(result, args.out_dir, stem)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(result["rows"], args.out_dir / f"{stem}.csv")
+        write_summary_json(result["summary"], args.out_dir / f"{stem}_summary.json")
         freq = result["summary"].get("violation_frequency")
         alert = config.alert_level
         print(json.dumps(

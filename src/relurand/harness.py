@@ -1,16 +1,16 @@
 """Experiment orchestration: config validation, deterministic trial dispatch,
 CSV/JSON emission.
 
-A config is a flat record; run_experiment runs its trials one after
-another in the calling thread, trial i on stream_id i (for sweep, j *
-trials + k for trial k at the j-th dimension), so output is a pure
-function of the config bytes.  `workers` is validated and recorded in the
-summary, but no kind reads it.
+A config is a flat record that checks itself when it is made;
+run_experiment runs its trials one after another in the calling thread,
+with BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i
+(for sweep, j * trials + k for trial k at the j-th dimension), so output
+is a pure function of the config bytes.  `workers` is validated and
+recorded in the summary, but no kind reads it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -56,8 +56,12 @@ class ExperimentConfig:
     workers: int = 1
     alert_level: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Check every field, with a list taken as a tuple for widths and
+        dims; the first invalid key raises ConfigError."""
         for key, hint in _HINTS.items():
+            if hint == tuple[int, ...] and isinstance(getattr(self, key), list):
+                object.__setattr__(self, key, tuple(getattr(self, key)))
             if not _has_type(getattr(self, key), hint):
                 raise ConfigError(f"'{key}' must be {_TYPE_NAMES[hint]}")
         if self.kind not in KINDS and self.kind != SAMPLE:
@@ -84,36 +88,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_HINTS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        data = dict(data)
-        for key in ("widths", "dims"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
 
 
 _HINTS = typing.get_type_hints(ExperimentConfig)
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
-               Optional[float]: "a number or null", tuple[int, ...]: "a list of integers"}
+# An integer value of any key must fit in signed 64 bits: numpy takes no
+# larger size, and RngStream keys on the seed mod 2^64, so seeds 2^64 apart
+# would share every stream.
+_TYPE_NAMES = {str: "a string", int: "an integer in [-2**63, 2**63)",
+               float: "a number (if an integer, in [-2**63, 2**63))",
+               Optional[float]: "a number (if an integer, in [-2**63, 2**63)) or null",
+               tuple[int, ...]: "a list of integers in [-2**63, 2**63)"}
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a config value has its field's type; a bool is no number."""
+    """Whether a config value has its field's type; a bool is no number,
+    and an integer lies in [-2**63, 2**63)."""
     if hint == tuple[int, ...]:
         return isinstance(value, tuple) and all(_has_type(v, int) for v in value)
     if hint == Optional[float]:
         return value is None or _has_type(value, float)
     if isinstance(value, bool):
         return False
+    if isinstance(value, (int, np.integer)):
+        return hint in (int, float) and -2**63 <= int(value) < 2**63
     if hint is float:
-        return isinstance(value, (int, float, np.integer, np.floating))
-    if hint is int:
-        return isinstance(value, (int, np.integer))
+        return isinstance(value, (float, np.floating))
     return isinstance(value, hint)
 
 
@@ -362,13 +365,13 @@ PROBE_NAMES = tuple(k.removeprefix("probe:") for k in KINDS if k.startswith("pro
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    config.validate()
     if config.kind == SAMPLE:
         raise ConfigError(f"kind '{SAMPLE}' builds a network and is no experiment to run")
-    # A probe's products are a few hundred wide at most, where a second
-    # OpenBLAS thread saves no time, costs up to 1.9x the CPU, and stalls
-    # whenever the other core is busy; probes run their BLAS on one thread.
-    with one_blas_thread() if config.kind.startswith("probe:") else contextlib.nullcontext():
+    # A second OpenBLAS thread buys no kind any time: attack and sweep walk
+    # matrix-vector products, a probe's products are a few hundred wide at
+    # most (where two threads cost up to 1.9x the CPU and stall whenever the
+    # other core is busy), and collapse pins its layer algebra anyway.
+    with one_blas_thread():
         rows, summary = KINDS[config.kind].run(config)
     summary = {"config": dataclasses.asdict(config), "version": f"relurand-{__version__}",
                **summary}

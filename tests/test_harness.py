@@ -96,6 +96,18 @@ class TestConfig:
             kinds.add(kind)
         assert kinds == set(KINDS)
 
+    def test_config_checks_itself_when_made(self):
+        # no unchecked config exists: construction raises, and the seed is
+        # one of the 2^64 signed 64-bit integers, each its own stream key
+        with pytest.raises(ConfigError, match="'d' must be positive"):
+            ExperimentConfig(kind="attack", d=0)
+        for seed in (-2**63, 2**63 - 1):
+            assert ExperimentConfig(kind="attack", master_seed=seed).master_seed == seed
+        for seed in (-2**63 - 1, 2**63, 2**64):
+            with pytest.raises(ConfigError, match="'master_seed' must be an integer in"):
+                ExperimentConfig(kind="attack", master_seed=seed)
+        assert ExperimentConfig(kind="sweep", dims=[4, 8]).dims == (4, 8)
+
     def test_round_trip_dict(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "attack", "d": 32, "widths": [32, 32], "trials": 5})
@@ -376,10 +388,38 @@ class TestCli:
         assert err.startswith("config error:") and f"'{key}'" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, config, key", [
+        ("--d abc", '{"d": "abc"}', "d"),
+        ("--d 100000000000000000000000", '{"d": 100000000000000000000000}', "d"),
+        ("--widths 8 x", '{"widths": [8, "x"]}', "widths"),
+        ("--radius abc", '{"radius": "abc"}', "radius"),
+        ("--t-max none", '{"t_max": "none"}', "t_max"),
+        # RngStream keys on the seed mod 2^64: these would run seed 0's streams
+        ("--seed 18446744073709551616", '{"master_seed": 18446744073709551616}',
+         "master_seed"),
+        ("--seed -18446744073709551616", '{"master_seed": -18446744073709551616}',
+         "master_seed"),
+    ])
+    def test_malformed_flag_is_the_config_file_error(self, tmp_path, capsys, flag, config,
+                                                     key):
+        # the same malformed value as a flag and in a config file: exit 1,
+        # one identical stderr line naming the key, nothing written
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(config)
+        errs = []
+        for i, source in enumerate((flag.split(), ["--config", str(cfgfile)])):
+            out = tmp_path / str(i)
+            assert main(["attack", *source, "--out-dir", str(out)]) == 1
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"config error: '{key}' must be ")
+
     @pytest.mark.parametrize("config, key", [
         ('{"d": NaN}', "d"), ('{"trials": 2.5}', "trials"), ('{"workers": true}', "workers"),
         ('{"widths": 5}', "widths"), ('{"widths": [4, NaN]}', "widths"),
         ('{"radius": "1"}', "radius"), ('{"t_max": [1]}', "t_max"),
+        pytest.param('{"radius": 1%s}' % ("0" * 400), "radius", id="radius-10**400"),
         ('{"kind": "collapse", "d": 8, "widths": [8], "trials": 2}', "kind"),
     ])
     def test_wrongly_typed_config_file_rejected(self, tmp_path, capsys, config, key):
@@ -460,12 +500,14 @@ class TestCli:
         summary = json.loads((tmp_path / "probe_activation_margin_summary.json").read_text())
         assert summary["violation_frequency"] == pytest.approx(np.mean(ok))
 
-    def test_malformed_config_file_exit_one(self, tmp_path, capsys):
+    # not JSON, and not UTF-8 (the head of an ELF binary)
+    @pytest.mark.parametrize("content", [b"{bad", b"\x7fELF\x02\x01\x01\x00\xff\xfe{}"])
+    def test_malformed_config_file_exit_one(self, tmp_path, capsys, content):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text("{bad")
+        cfgfile.write_bytes(content)
         rc = main(["kernel", "--config", str(cfgfile), "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: 'config' file ")
 
     def test_sample_writes_loadable_network(self, tmp_path, capsys):
         from relurand.network import load_network
@@ -589,11 +631,13 @@ def test_pinned_runs_compare(tmp_path):
     assert lines[2].endswith("; attack.csv header +y; attack.csv rows 2 -> 1")
 
 
-def test_probes_run_on_one_blas_thread(monkeypatch):
+def test_every_kind_runs_on_one_blas_thread(monkeypatch):
+    # attack, kernel and a probe each run at one OpenBLAS thread, from a
+    # count of 2, and leave the count as they found it
     calls = _openblas_thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS found in /proc/self/maps")
-    count = calls[0]
+    count, put = calls
     seen = {}
 
     def spy(key, fn):
@@ -602,15 +646,21 @@ def test_probes_run_on_one_blas_thread(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(harness, "flip_search", spy("attack", harness.flip_search))
+    monkeypatch.setattr(harness, "kernel_iterate", spy("kernel", harness.kernel_iterate))
     monkeypatch.setattr(probes, "probe_gaussian_spectral",
                         spy("probe", probes.probe_gaussian_spectral))
-    monkeypatch.setattr(harness, "kernel_iterate", spy("kernel", harness.kernel_iterate))
-    before = count()
-    run_experiment(ExperimentConfig.from_dict(
-        {"kind": "probe:gaussian_spectral", "dims": [3, 4], "trials": 2}))
-    assert count() == before
-    run_experiment(ExperimentConfig.from_dict({"kind": "kernel", "steps": 3}))
-    assert seen == {"probe": 1, "kernel": before}
+    saved = count()
+    put(2)
+    try:
+        for config in ({"kind": "attack", "d": 8, "widths": [8], "trials": 2},
+                       {"kind": "kernel", "steps": 3},
+                       {"kind": "probe:gaussian_spectral", "dims": [3, 4], "trials": 2}):
+            run_experiment(ExperimentConfig.from_dict(config))
+            assert count() == 2, config["kind"]
+    finally:
+        put(saved)
+    assert seen == {"attack": 1, "kernel": 1, "probe": 1}
 
 
 def _sizes(lo, hi):
