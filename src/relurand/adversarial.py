@@ -177,8 +177,8 @@ def flip_search(
     t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
     if t_star is None:
         return AttackResult(f_x, g_norm, cos_grad_x, direction, None, None, False, pieces)
-    ratio = t_star / x_norm if x_norm > 0 else None
-    return AttackResult(f_x, g_norm, cos_grad_x, direction, t_star, ratio, True, pieces)
+    return AttackResult(f_x, g_norm, cos_grad_x, direction, t_star, t_star / x_norm, True,
+                        pieces)
 
 
 @dataclass(frozen=True)

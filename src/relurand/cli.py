@@ -13,7 +13,8 @@ the seed among them, lie in [-2**63, 2**63), where distinct seeds give
 distinct streams.  Outputs go to --out-dir, which is created if missing;
 sample reads d, widths and master_seed and writes network.rrnn there,
 or to --out.
-Exit codes: 0 success, 1 config error, 2 I/O error or a command line
+Exit codes: 0 success, 1 config error or a run that ran out of memory
+(one stderr line; neither writes output), 2 I/O error or a command line
 argparse cannot parse (an unknown flag or subcommand), 3 a probe's
 violation frequency exceeded the configured alert level (one stderr line
 names the kind, the frequency and the level).
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
         return 2
     except RelurandError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

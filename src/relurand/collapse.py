@@ -205,8 +205,9 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     2/width) is applied to the current images, giving the output
     constancy ratio a network of that depth would produce.
 
-    pairs overrides the uniform-sphere sampling with explicit (x, y)
-    pairs; used by tests to force degenerate geometry.
+    pairs overrides the uniform-sphere sampling with n_pairs explicit
+    (x, y) pairs in R^d, checked before any draw; used by tests to force
+    degenerate geometry.
     """
     if d < 2 or width < 8 or depth < 1 or n_pairs < 1:
         raise ValueError("require d >= 2, width >= 8, depth >= 1, n_pairs >= 1")
@@ -219,7 +220,8 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     else:
         pairs = [(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
                  for a, b in pairs]
-        n_pairs = len(pairs)
+        if len(pairs) != n_pairs or any(v.shape != (d,) for p in pairs for v in p):
+            raise ValueError(f"pairs must be {n_pairs} pairs of vectors in R^{d}")
 
     # columns: x_1, y_1, x_2, y_2, ...
     X = np.stack([v for p in pairs for v in p], axis=1)

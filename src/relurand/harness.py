@@ -5,8 +5,10 @@ A config is a flat record that checks itself when it is made;
 run_experiment runs its trials one after another in the calling thread,
 with BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i
 (for sweep, j * trials + k for trial k at the j-th dimension), so output
-is a pure function of the config bytes.  `workers` is validated and
-recorded in the summary, but no kind reads it.
+is a pure function of the config bytes.  `attack` and `sweep` run the
+same flip trials, each turned into its CSV row in one place (_flip_row);
+`sweep` aggregates the rows `attack` writes, per input dimension.
+`workers` is validated and recorded in the summary, but no kind reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__, probes
-from .adversarial import AttackResult, flip_search, paper_eta
+from .adversarial import flip_search, paper_eta
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError, DegenerateInput
 from .linalg import one_blas_thread
@@ -58,7 +60,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Check every field, with a list taken as a tuple for widths and
-        dims; the first invalid key raises ConfigError."""
+        dims; the first invalid key raises ConfigError.  Each key's type
+        sets its range: an integer other than master_seed, and each entry
+        of a list, is positive, and a number is finite."""
         for key, hint in _HINTS.items():
             if hint == tuple[int, ...] and isinstance(getattr(self, key), list):
                 object.__setattr__(self, key, tuple(getattr(self, key)))
@@ -66,16 +70,13 @@ class ExperimentConfig:
                 raise ConfigError(f"'{key}' must be {_TYPE_NAMES[hint]}")
         if self.kind not in KINDS and self.kind != SAMPLE:
             raise ConfigError(f"unknown experiment kind '{self.kind}'")
-        for key in ("d", "trials", "steps", "n_pairs", "width", "depth",
-                    "n_samples", "n_draws", "workers"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"'{key}' must be positive")
-        for key in ("widths", "dims"):
-            if any(v < 1 for v in getattr(self, key)):
-                raise ConfigError(f"every entry of '{key}' must be positive")
-        for key in ("radius", "alpha", "delta", "theta_0", "alert_level", "t_max"):
+        for key, hint in _HINTS.items():
             v = getattr(self, key)
-            if v is not None and not math.isfinite(v):
+            if hint is int and key != "master_seed" and v < 1:
+                raise ConfigError(f"'{key}' must be positive")
+            if hint == tuple[int, ...] and any(e < 1 for e in v):
+                raise ConfigError(f"every entry of '{key}' must be positive")
+            if hint in (float, Optional[float]) and v is not None and not math.isfinite(v):
                 raise ConfigError(f"'{key}' must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("'delta' must lie in (0, 1)")
@@ -159,30 +160,35 @@ def _trial_net(arch: Architecture, rng: RngStream):
     return lazy_network(arch, rng), x
 
 
-def _flip_trial(cfg: ExperimentConfig, arch: Architecture, i: int) -> AttackResult:
-    """flip_search on trial i's net and input (_trial_net on stream i).  It
-    raises DegenerateInput when f(x) = 0 or the gradient is zero and there
-    is no direction to search, which _map_trials turns into None."""
+def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
+    """Trial i's row from flip_search on its net and input (_trial_net on
+    stream i).  It raises DegenerateInput when f(x) = 0 or the gradient is
+    zero and there is no direction to search, which _map_trials turns into
+    None."""
     rng = RngStream(cfg.master_seed, i)
-    return flip_search(*_trial_net(arch, rng), cfg.t_max, rng=rng)
+    res = flip_search(*_trial_net(arch, rng), cfg.t_max, rng=rng)
+    # the reference eta needs d >= 2; 1-d nets get NaN
+    eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
+           if arch.input_dim >= 2 else float("nan"))
+    vals = {"f_x": res.f_x, "grad_norm": res.grad_norm, "cos_grad_x": res.cos_grad_x,
+            "paper_eta": eta, "evaluations": res.evaluations}
+    if res.flipped:
+        vals.update(t_star=res.t_star, ratio=res.ratio, linearity=res.linearity)
+    return TrialRecord(i, vals, status="ok" if res.flipped else "not_flipped")
+
+
+def _flip_rows(cfg: ExperimentConfig, archs: list[Architecture]) -> list[TrialRecord]:
+    """The rows of cfg.trials flip trials per architecture, trial i on
+    archs[i // cfg.trials] and stream i, with a `degenerate` row for each
+    trial _map_trials gives as None."""
+    rows = _map_trials(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
+                       len(archs) * cfg.trials)
+    return [TrialRecord(i, {}, status="degenerate") if r is None else r
+            for i, r in enumerate(rows)]
 
 
 def _run_attack(cfg: ExperimentConfig):
-    arch = _arch(cfg)
-    results = _map_trials(cfg, lambda i: _flip_trial(cfg, arch, i), cfg.trials)
-    rows = []
-    for i, res in enumerate(results):
-        if res is None:
-            rows.append(TrialRecord(i, {}, status="degenerate"))
-            continue
-        # the reference eta needs d >= 2; 1-d nets get NaN
-        eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
-               if arch.input_dim >= 2 else float("nan"))
-        vals = {"f_x": res.f_x, "grad_norm": res.grad_norm, "cos_grad_x": res.cos_grad_x,
-                "paper_eta": eta, "evaluations": res.evaluations}
-        if res.flipped:
-            vals.update(t_star=res.t_star, ratio=res.ratio, linearity=res.linearity)
-        rows.append(TrialRecord(i, vals, status="ok" if res.flipped else "not_flipped"))
+    rows = _flip_rows(cfg, [_arch(cfg)])
     ratios = [r.values["ratio"] for r in rows if r.status == "ok"]
     summary = {
         "flip_rate": len(ratios) / cfg.trials,
@@ -194,8 +200,8 @@ def _run_attack(cfg: ExperimentConfig):
 
 def _run_sweep(cfg: ExperimentConfig):
     """Flip-ratio and linearity statistics at each d in dims, with widths
-    (d,) * len(widths), and the least-squares slope of ln(median ratio)
-    against ln(d).
+    (d,) * len(widths), from the rows `attack` would write for its trials,
+    and the least-squares slope of ln(median ratio) against ln(d).
 
     Trial k at dimension index j runs on stream j * trials + k.  A degenerate
     trial is counted in its row's `degenerate` column and stays in the
@@ -205,25 +211,23 @@ def _run_sweep(cfg: ExperimentConfig):
     within reach depends on its cosine.
     """
     ell = len(cfg.widths) if cfg.widths else 2
-    archs = [Architecture(d, (d,) * ell) for d in cfg.dims]
-    results = _map_trials(cfg, lambda i: _flip_trial(cfg, archs[i // cfg.trials], i),
-                          len(cfg.dims) * cfg.trials)
+    trial_rows = _flip_rows(cfg, [Architecture(d, (d,) * ell) for d in cfg.dims])
     rows = []
     for j, d in enumerate(cfg.dims):
-        trials = results[j * cfg.trials:(j + 1) * cfg.trials]
-        searched = [r for r in trials if r is not None]
-        flipped = [r for r in searched if r.flipped]
-        ratios = [r.ratio for r in flipped]
+        trials = trial_rows[j * cfg.trials:(j + 1) * cfg.trials]
+        searched = [r.values for r in trials if r.status != "degenerate"]
+        flipped = [r.values for r in trials if r.status == "ok"]
+        ratios = [v["ratio"] for v in flipped]
         rows.append(TrialRecord(j, {
             "d": d, "trials": cfg.trials, "flips": len(ratios),
-            "degenerate": sum(r is None for r in trials), "flip_rate": len(ratios) / cfg.trials,
+            "degenerate": cfg.trials - len(searched), "flip_rate": len(ratios) / cfg.trials,
             "ratio_median": float(np.median(ratios)) if ratios else None,
             "ratio_q05": float(np.quantile(ratios, 0.05)) if ratios else None,
             "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
-            "linearity_median": (float(np.median([r.linearity for r in flipped]))
+            "linearity_median": (float(np.median([v["linearity"] for v in flipped]))
                                  if flipped else None),
             "abs_cos_sqrt_d_median": (
-                float(np.median(np.sqrt(d) * np.abs([r.cos_grad_x for r in searched])))
+                float(np.median(np.sqrt(d) * np.abs([v["cos_grad_x"] for v in searched])))
                 if searched else None),
         }))
     usable = [(r.values["d"], r.values["ratio_median"]) for r in rows

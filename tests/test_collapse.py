@@ -187,6 +187,20 @@ class TestCollapseSimulate:
         with pytest.raises(ValueError):
             collapse_simulate(1, 32, 8, 1, master_seed=1)
 
+    @pytest.mark.parametrize("width", [8, 5000])  # 5000: layer 1's normals drawn ahead
+    def test_pairs_must_match_d_and_n_pairs(self, width, monkeypatch):
+        x, y = RngStream(3).sphere_point(5), RngStream(4).sphere_point(5)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew normals before checking pairs")
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        with pytest.raises(ValueError, match="pairs must be 2 pairs of vectors in R\\^2"):
+            collapse_simulate(2, width, 4, 2, master_seed=1, pairs=[(x, y), (y, x)])
+        with pytest.raises(ValueError, match="pairs must be 3 pairs of vectors in R\\^5"):
+            collapse_simulate(5, width, 4, 3, master_seed=1, pairs=[(x, y), (y, x)])
+        with pytest.raises(ValueError, match="pairs must be 2 pairs"):
+            collapse_simulate(5, width, 4, 2, master_seed=1, pairs=[(x, y), (y, x[:4])])
+
 
 def _serial_gaussian_times(M, rows, std, rng):
     """gaussian_times as it was before the factor and apply steps split:

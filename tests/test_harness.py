@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def _quick_argv(kind, out_dir):
     return argv
 
 
+def _range_cases():
+    """(key, out-of-range value, error) for every config key but kind and
+    master_seed, from its type: an integer and each list entry must be
+    positive, a number finite.  A key of any other type gets a case that
+    fails, until its range rule is written here."""
+    for key, hint in harness._HINTS.items():
+        if key in ("kind", "master_seed"):
+            continue
+        if hint is int:
+            yield key, 0, f"'{key}' must be positive"
+        elif hint == tuple[int, ...]:
+            yield key, [4, 0], f"every entry of '{key}' must be positive"
+        elif hint in (float, Optional[float]):
+            yield key, float("nan"), f"'{key}' must be finite"
+        else:
+            yield key, None, f"no range rule for the type of '{key}'"
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -107,6 +126,12 @@ class TestConfig:
             with pytest.raises(ConfigError, match="'master_seed' must be an integer in"):
                 ExperimentConfig(kind="attack", master_seed=seed)
         assert ExperimentConfig(kind="sweep", dims=[4, 8]).dims == (4, 8)
+
+    @pytest.mark.parametrize("key, value, message", list(_range_cases()))
+    def test_every_key_has_its_range_rule(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(kind="attack", **{key: value})
+        assert str(info.value) == message
 
     def test_round_trip_dict(self):
         cfg = ExperimentConfig.from_dict(
@@ -163,6 +188,9 @@ class TestRunExperiment:
             {"kind": "sweep", "dims": [16, 24], "widths": [1, 1], "trials": 12,
              "master_seed": 3}))
         row = sweep["rows"][0].values
+        statuses = [r.status for r in attack["rows"]]
+        assert (row["flips"], row["degenerate"]) == (statuses.count("ok"),
+                                                     statuses.count("degenerate"))
         assert row["linearity_median"] == float(np.median(linearity))
         assert row["ratio_median"] == attack["summary"]["ratio_median"]
         # over every non-degenerate trial, flipped or not
@@ -271,6 +299,22 @@ class TestCli:
         rc = main(["kernel", "--steps", "3",
                    "--out-dir", "/proc/nonexistent/x"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, target", [
+        ("attack --d 16 --trials 2", "run_experiment"),
+        ("sample --d 8 --widths 4", "build_network"),
+    ])
+    def test_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch, argv, target):
+        # a size that passes the config check but cannot be allocated
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+        monkeypatch.setattr(cli, target, allocate)
+        out = tmp_path / "out"
+        rc = main(argv.split() + ["--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+        assert not out.exists()
 
     def test_alert_exit_three(self, tmp_path, capsys):
         # an alert level below any frequency trips the alert; the flag
