@@ -175,10 +175,9 @@ def flip_search(
     direction = -s * g / g_norm
 
     t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
-    if t_star is None:
-        return AttackResult(f_x, g_norm, cos_grad_x, direction, None, None, False, pieces)
-    return AttackResult(f_x, g_norm, cos_grad_x, direction, t_star, t_star / x_norm, True,
-                        pieces)
+    flipped = t_star is not None
+    return AttackResult(f_x, g_norm, cos_grad_x, direction, t_star,
+                        t_star / x_norm if flipped else None, flipped, pieces)
 
 
 @dataclass(frozen=True)
@@ -205,6 +204,5 @@ def verify_theorem1(net: Network, x: np.ndarray,
     if not res.flipped:
         return Theorem1Check(False, None, None, None)
     t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), _REACH * x_norm)
-    if t_ok is None:
-        return Theorem1Check(True, False, None, res.ratio)
-    return Theorem1Check(True, True, t_ok / x_norm, res.ratio)
+    ok = t_ok is not None
+    return Theorem1Check(True, ok, t_ok / x_norm if ok else None, res.ratio)

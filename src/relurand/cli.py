@@ -61,7 +61,7 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"'config' file {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"'config' file {args.config} must hold a JSON object")
         if loaded.get("kind", kind) != kind:
             raise ConfigError(f"'kind' {loaded['kind']!r} in {args.config} is not the "
                               f"subcommand's '{kind}'")

@@ -6,8 +6,10 @@ run_experiment runs its trials one after another in the calling thread,
 with BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i
 (for sweep, j * trials + k for trial k at the j-th dimension), so output
 is a pure function of the config bytes.  `attack` and `sweep` run the
-same flip trials, each turned into its CSV row in one place (_flip_row);
-`sweep` aggregates the rows `attack` writes, per input dimension.
+same flip trials, each turned into its CSV row in one place (_flip_row),
+and summarize them in one place (_flip_stats): `attack`'s summary holds
+the statistics of the `sweep` row at its one d.  _records writes every
+`degenerate` row, of flip trials and of probe trials alike.
 `workers` is validated and recorded in the summary, but no kind reads it.
 """
 
@@ -60,14 +62,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Check every field, with a list taken as a tuple for widths and
-        dims; the first invalid key raises ConfigError.  Each key's type
-        sets its range: an integer other than master_seed, and each entry
-        of a list, is positive, and a number is finite."""
+        dims and an integer stored as a float for a number key (as its flag
+        is parsed); the first invalid key raises ConfigError.  Each key's
+        type sets its range: an integer other than master_seed, and each
+        entry of a list, is positive, and a number is finite."""
         for key, hint in _HINTS.items():
-            if hint == tuple[int, ...] and isinstance(getattr(self, key), list):
-                object.__setattr__(self, key, tuple(getattr(self, key)))
-            if not _has_type(getattr(self, key), hint):
+            v = getattr(self, key)
+            if hint == tuple[int, ...] and isinstance(v, list):
+                v = tuple(v)
+            if not _has_type(v, hint):
                 raise ConfigError(f"'{key}' must be {_TYPE_NAMES[hint]}")
+            if hint in (float, Optional[float]) and v is not None:
+                v = float(v)
+            object.__setattr__(self, key, v)
         if self.kind not in KINDS and self.kind != SAMPLE:
             raise ConfigError(f"unknown experiment kind '{self.kind}'")
         for key, hint in _HINTS.items():
@@ -138,8 +145,8 @@ def _arch(cfg: ExperimentConfig) -> Architecture:
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
     """[fn(0), ..., fn(n - 1)], one after another in the calling thread,
     with None in place of each trial whose input is degenerate (fn raised
-    DegenerateInput: f(x) = 0, a zero gradient, a zero layer image); the
-    runners write that None as a `degenerate` row.
+    DegenerateInput: f(x) = 0, a zero gradient, a zero layer image);
+    _records writes that None as a `degenerate` row.
 
     `cfg.workers` is read by no kind: a thread pool ran lazy `attack` trials
     slower than one thread (many small numpy calls pass the GIL back and
@@ -179,57 +186,55 @@ def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
 
 def _flip_rows(cfg: ExperimentConfig, archs: list[Architecture]) -> list[TrialRecord]:
     """The rows of cfg.trials flip trials per architecture, trial i on
-    archs[i // cfg.trials] and stream i, with a `degenerate` row for each
-    trial _map_trials gives as None."""
-    rows = _map_trials(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
-                       len(archs) * cfg.trials)
-    return [TrialRecord(i, {}, status="degenerate") if r is None else r
-            for i, r in enumerate(rows)]
+    archs[i // cfg.trials] and stream i, with a `degenerate` row (_records)
+    for each trial _map_trials gives as None."""
+    return _records(_map_trials(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
+                                len(archs) * cfg.trials), lambda row: [row])
 
 
-def _run_attack(cfg: ExperimentConfig):
-    rows = _flip_rows(cfg, [_arch(cfg)])
-    ratios = [r.values["ratio"] for r in rows if r.status == "ok"]
-    summary = {
-        "flip_rate": len(ratios) / cfg.trials,
-        "ratio_median": float(np.median(ratios)) if ratios else None,
-        "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
-    }
-    return rows, summary
+def _flip_stats(d: int, rows: list[TrialRecord]) -> dict:
+    """Every statistic of one dimension's flip-trial rows: `attack`'s
+    summary, and a `sweep` row after its d and trials.
 
-
-def _run_sweep(cfg: ExperimentConfig):
-    """Flip-ratio and linearity statistics at each d in dims, with widths
-    (d,) * len(widths), from the rows `attack` would write for its trials,
-    and the least-squares slope of ln(median ratio) against ln(d).
-
-    Trial k at dimension index j runs on stream j * trials + k.  A degenerate
-    trial is counted in its row's `degenerate` column and stays in the
+    A degenerate trial is counted in `degenerate` and stays in the
     flip_rate denominator.  abs_cos_sqrt_d_median is the median of
     sqrt(d) |cos_grad_x| over every other trial, flipped or not; over
     flipped trials alone it would be biased, since whether a trial flips
     within reach depends on its cosine.
     """
+    searched = [r.values for r in rows if r.status != "degenerate"]
+    flipped = [r.values for r in rows if r.status == "ok"]
+    ratios = [v["ratio"] for v in flipped]
+    return {
+        "flips": len(ratios), "degenerate": len(rows) - len(searched),
+        "flip_rate": len(ratios) / len(rows),
+        "ratio_median": float(np.median(ratios)) if ratios else None,
+        "ratio_q05": float(np.quantile(ratios, 0.05)) if ratios else None,
+        "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
+        "linearity_median": (float(np.median([v["linearity"] for v in flipped]))
+                             if flipped else None),
+        "abs_cos_sqrt_d_median": (
+            float(np.median(np.sqrt(d) * np.abs([v["cos_grad_x"] for v in searched])))
+            if searched else None),
+    }
+
+
+def _run_attack(cfg: ExperimentConfig):
+    rows = _flip_rows(cfg, [_arch(cfg)])
+    return rows, _flip_stats(cfg.d, rows)
+
+
+def _run_sweep(cfg: ExperimentConfig):
+    """_flip_stats at each d in dims, with widths (d,) * len(widths), from
+    the rows `attack` would write for its trials, and the least-squares
+    slope of ln(median ratio) against ln(d).  Trial k at dimension index j
+    runs on stream j * trials + k.
+    """
     ell = len(cfg.widths) if cfg.widths else 2
     trial_rows = _flip_rows(cfg, [Architecture(d, (d,) * ell) for d in cfg.dims])
-    rows = []
-    for j, d in enumerate(cfg.dims):
-        trials = trial_rows[j * cfg.trials:(j + 1) * cfg.trials]
-        searched = [r.values for r in trials if r.status != "degenerate"]
-        flipped = [r.values for r in trials if r.status == "ok"]
-        ratios = [v["ratio"] for v in flipped]
-        rows.append(TrialRecord(j, {
-            "d": d, "trials": cfg.trials, "flips": len(ratios),
-            "degenerate": cfg.trials - len(searched), "flip_rate": len(ratios) / cfg.trials,
-            "ratio_median": float(np.median(ratios)) if ratios else None,
-            "ratio_q05": float(np.quantile(ratios, 0.05)) if ratios else None,
-            "ratio_q95": float(np.quantile(ratios, 0.95)) if ratios else None,
-            "linearity_median": (float(np.median([v["linearity"] for v in flipped]))
-                                 if flipped else None),
-            "abs_cos_sqrt_d_median": (
-                float(np.median(np.sqrt(d) * np.abs([v["cos_grad_x"] for v in searched])))
-                if searched else None),
-        }))
+    rows = [TrialRecord(j, {"d": d, "trials": cfg.trials,
+                            **_flip_stats(d, trial_rows[j * cfg.trials:(j + 1) * cfg.trials])})
+            for j, d in enumerate(cfg.dims)]
     usable = [(r.values["d"], r.values["ratio_median"]) for r in rows
               if r.values["ratio_median"]]
     if len(usable) < 2:
@@ -266,15 +271,14 @@ def _run_collapse(cfg: ExperimentConfig):
     return rows, summary
 
 
-def _records(reports) -> list[TrialRecord]:
-    """The CSV rows of each report in order; None in place of trial i's
-    report is one `degenerate` row."""
+def _records(results, rows=lambda rep: [TrialRecord(*row) for row in rep.rows]
+             ) -> list[TrialRecord]:
+    """The CSV rows of each trial's result in order: rows(result), by
+    default a probe report's (stream id, values) rows.  None in place of
+    trial i's result is one `degenerate` row, the only place one is made."""
     records: list[TrialRecord] = []
-    for i, rep in enumerate(reports):
-        if rep is None:
-            records.append(TrialRecord(i, {}, status="degenerate"))
-        else:
-            records += [TrialRecord(seed, values) for seed, values in rep.rows]
+    for i, result in enumerate(results):
+        records += [TrialRecord(i, {}, status="degenerate")] if result is None else rows(result)
     return records
 
 

@@ -96,6 +96,16 @@ class TestVerifyTheorem1:
         expected_ratio = 2 * f_x / (w_norm * np.linalg.norm(x))
         assert check.ratio == pytest.approx(expected_ratio, rel=1e-4)
 
+    @pytest.mark.parametrize("w2, magnitude_ok, ratio", [(-0.05, False, None), (-0.5, True, 3.0)])
+    def test_flip_with_and_without_restore(self, w2, magnitude_ok, ratio):
+        # f(1 - t) = 1 - t up to t = 1, then w2 (t - 1): the sign flips at
+        # t* = 1, and f reaches -|f(x)| = -1 at t = 1 - 1/w2, that is 21
+        # (beyond the reach 10 ||x||) or 3
+        net = network_from_weights([[[1.0], [-1.0]], [[1.0, w2]]])
+        check = verify_theorem1(net, np.array([1.0]))
+        assert check.flipped and check.flip_ratio == 1.0
+        assert check.magnitude_ok is magnitude_ok and check.ratio == ratio
+
     def test_not_flipped_propagates(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
         check = verify_theorem1(net, np.array([2.0]), rng=RngStream(0))

@@ -196,6 +196,9 @@ class TestRunExperiment:
         # over every non-degenerate trial, flipped or not
         assert len(abs_cos) > len(linearity)
         assert row["abs_cos_sqrt_d_median"] == float(np.median(np.sqrt(16) * np.array(abs_cos)))
+        # attack's summary is that sweep row's statistics, every one of them
+        stats = {k: v for k, v in attack["summary"].items() if k not in ("config", "version")}
+        assert stats == {k: v for k, v in row.items() if k not in ("d", "trials")}
 
     @pytest.mark.parametrize("d, widths", [(16, [16, 16]), (200, [300, 50]), (1, [3])])
     def test_ratio_is_linearity_times_cosine(self, d, widths):
@@ -422,6 +425,7 @@ class TestCli:
         ("attack --t-max 0", "t_max"),
         ("attack --t-max inf", "t_max"),
         ("probe sign_flip --radius nan", "radius"),
+        ("probe sign_flip --radius -1", "radius"),
         ("kernel --theta0 nan", "theta_0"),
         ("kernel --theta0 4", "theta_0"),
     ])
@@ -458,6 +462,20 @@ class TestCli:
             assert not out.exists()
         assert errs[0] == errs[1]
         assert errs[0].startswith(f"config error: '{key}' must be ")
+
+    def test_integer_number_key_is_its_flag_value(self, tmp_path, capsys):
+        # {"radius": 1} in a file is the 1.0 that --radius 1 parses to, so
+        # the run writes the same summary, config included, from either
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"radius": 1}')
+        argv = ["probe", "sign_flip", "--n-draws", "1000", "--trials", "2"]
+        outputs = []
+        for i, source in enumerate((["--radius", "1"], ["--config", str(cfgfile)])):
+            out = tmp_path / str(i)
+            assert main(argv + source + ["--out-dir", str(out)]) == 0
+            outputs.append([(out / f"probe_sign_flip{suffix}").read_bytes()
+                            for suffix in (".csv", "_summary.json")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("config, key", [
         ('{"d": NaN}', "d"), ('{"trials": 2.5}', "trials"), ('{"workers": true}', "workers"),
@@ -544,8 +562,9 @@ class TestCli:
         summary = json.loads((tmp_path / "probe_activation_margin_summary.json").read_text())
         assert summary["violation_frequency"] == pytest.approx(np.mean(ok))
 
-    # not JSON, and not UTF-8 (the head of an ELF binary)
-    @pytest.mark.parametrize("content", [b"{bad", b"\x7fELF\x02\x01\x01\x00\xff\xfe{}"])
+    # not JSON, not UTF-8 (the head of an ELF binary), and JSON but no object
+    @pytest.mark.parametrize("content", [b"{bad", b"\x7fELF\x02\x01\x01\x00\xff\xfe{}",
+                                         b"[1, 2]"])
     def test_malformed_config_file_exit_one(self, tmp_path, capsys, content):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_bytes(content)

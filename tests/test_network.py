@@ -66,6 +66,15 @@ class TestForward:
         assert forward(net, np.array([2.0])).output == 2.0
         assert forward(net, np.array([-2.0])).output == 0.0
 
+    @pytest.mark.parametrize("x, message", [
+        pytest.param([1.0, 2.0], "shape", id="wrong-shape"),
+        pytest.param([0.0], "needs an rng", id="tie-without-rng"),
+    ])
+    def test_rejected_input(self, x, message):
+        net = network_from_weights([[[1.0]], [[1.0]]])
+        with pytest.raises(ValueError, match=message):
+            forward(net, np.array(x))
+
     def test_positive_homogeneity(self):
         net, rng = random_net(1)
         x = rng.normal(20)
@@ -239,6 +248,25 @@ class TestSerialization:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="99"):
+            load_network(path)
+
+    def test_bad_mode_byte(self, tmp_path):
+        path = tmp_path / "net.rrnn"
+        save_network(network_from_weights([[[1.0]], [[1.0]]]), path)
+        data = bytearray(path.read_bytes())
+        data[8] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="7 is not a valid InitMode"):
+            load_network(path)
+
+    def test_output_dimension_must_be_one(self, tmp_path):
+        net, _ = random_net(35, d=3, widths=(2,))
+        path = tmp_path / "net.rrnn"
+        save_network(net, path)
+        data = bytearray(path.read_bytes())
+        data[22:26] = struct.pack("<I", 2)  # the last of the dims (3, 2, 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"bad dimension table \(3, 2, 2\)"):
             load_network(path)
 
 
