@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .network import Network, forward, gradient
-from .rng import RngStream
 
 __all__ = [
     "AttackResult",
@@ -143,28 +142,21 @@ def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
         roots[j:] = [_next_breakpoint(P[k], active[k], t0) for k in range(j, ell)]
 
 
-def flip_search(
-    net: Network,
-    x: np.ndarray,
-    t_max: Optional[float] = None,
-    rng: Optional[RngStream] = None,
-) -> AttackResult:
+def flip_search(net: Network, x: np.ndarray, t_max: Optional[float] = None) -> AttackResult:
     """Minimal step along the attack direction at which the output sign flips.
 
     Walks the linear pieces of f along the ray x + t * direction (Hanin &
     Rolnick 2019) and returns the exact first t at which the output takes
     the opposite sign; an exactly zero output does not count.  The walk
-    stops there: f is evaluated once, at x, and rng is used only for ties
-    in that evaluation.  evaluations counts the pieces walked.  The
-    default t_max is _REACH ||x||.
+    stops there: f is evaluated once, at x, where a zero preactivation is
+    inactive in forward as at the walk's start.  evaluations counts the
+    pieces walked.  The default t_max is _REACH ||x||.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
     if t_max is None:
         t_max = _REACH * x_norm
-    if rng is None:
-        rng = RngStream(0, 0)
-    trace = forward(net, x, rng)
+    trace = forward(net, x)
     f_x = trace.output
     g = gradient(net, trace)
     g_norm = float(np.linalg.norm(g))
@@ -188,8 +180,7 @@ class Theorem1Check:
     flip_ratio: Optional[float]     # t*/||x|| of the sign flip; None when it never flips
 
 
-def verify_theorem1(net: Network, x: np.ndarray,
-                    rng: Optional[RngStream] = None) -> Theorem1Check:
+def verify_theorem1(net: Network, x: np.ndarray) -> Theorem1Check:
     """Both flip conditions: the sign flips and |f| regains |f(x)|.
 
     After flip_search at its default t_max = _REACH ||x||, walks the same
@@ -200,7 +191,7 @@ def verify_theorem1(net: Network, x: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
-    res = flip_search(net, x, rng=rng)
+    res = flip_search(net, x)
     if not res.flipped:
         return Theorem1Check(False, None, None, None)
     t_ok, _ = _walk(net, x, res.direction, np.sign(res.f_x), abs(res.f_x), _REACH * x_norm)

@@ -13,11 +13,12 @@ the seed among them, lie in [-2**63, 2**63), where distinct seeds give
 distinct streams.  Outputs go to --out-dir, which is created if missing;
 sample reads d, widths and master_seed and writes network.rrnn there,
 or to --out.
-Exit codes: 0 success, 1 config error or a run that ran out of memory
-(one stderr line; neither writes output), 2 I/O error or a command line
-argparse cannot parse (an unknown flag or subcommand), 3 a probe's
-violation frequency exceeded the configured alert level (one stderr line
-names the kind, the frequency and the level).
+Exit codes: 0 success, 1 config error, a run that ran out of memory or
+a run that raised any other RelurandError (one stderr line; none writes
+output), 2 I/O error or a command line argparse cannot parse (an unknown
+flag or subcommand), 3 a probe's violation frequency exceeded the
+configured alert level (one stderr line names the kind, the frequency
+and the level).
 """
 
 from __future__ import annotations

@@ -172,8 +172,7 @@ def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
     stream i).  It raises DegenerateInput when f(x) = 0 or the gradient is
     zero and there is no direction to search, which _map_trials turns into
     None."""
-    rng = RngStream(cfg.master_seed, i)
-    res = flip_search(*_trial_net(arch, rng), cfg.t_max, rng=rng)
+    res = flip_search(*_trial_net(arch, RngStream(cfg.master_seed, i)), cfg.t_max)
     # the reference eta needs d >= 2; 1-d nets get NaN
     eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
            if arch.input_dim >= 2 else float("nan"))

@@ -3,9 +3,10 @@
 A network is f(x) = W_{l+1} relu(W_l relu(... relu(W_1 x))), no biases,
 scalar output.  Standard initialization draws layer i entries from
 N(0, 1/d_{i-1}); depth-collapse initialization uses variance 2/fan-in at
-every layer.  An exactly-zero preactivation, a probability-zero event
-under gaussian weights, is active with probability 1/2: forward breaks
-the tie with a fair coin from its rng.
+every layer.  A unit is active exactly when its preactivation is
+positive, so an exactly-zero preactivation is inactive, as relu(0) = 0
+implies.  Under gaussian weights such a tie needs a whole layer dead
+below it, an event of probability about 2^-w for a layer of w units.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -170,12 +170,11 @@ def network_from_weights(weights) -> Network:
     return Network(Architecture(input_dim, hidden), InitMode.STANDARD, weights)
 
 
-def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> ForwardTrace:
+def forward(net: Network, x: np.ndarray) -> ForwardTrace:
     """Evaluate the network, recording preactivations and activation masks.
 
-    An exactly-zero preactivation is active with probability 1/2, by a
-    fair coin from rng; rng is consumed only then, and a tie without an
-    rng is a ValueError.  Zero detection is exact equality: an epsilon
+    A unit is active exactly when its preactivation is positive, the rule
+    adversarial's ray walk starts from.  The test is exact: an epsilon
     band would break positive homogeneity and the Euler identity.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -186,11 +185,6 @@ def forward(net: Network, x: np.ndarray, rng: Optional[RngStream] = None) -> For
     for W in net.weights[:-1]:
         pre = W @ cur
         mask = (pre > 0.0).astype(np.float64)
-        zeros = pre == 0.0
-        if zeros.any():
-            if rng is None:
-                raise ValueError("a zero preactivation needs an rng to break the tie")
-            mask[zeros] = rng.bernoulli(0.5, int(zeros.sum())).astype(np.float64)
         cur = mask * pre
         pres.append(pre)
         masks.append(mask)

@@ -86,9 +86,8 @@ def probe_value_gradient(arch: Architecture, trials: int, delta: float,
     value_bound = _C_ABS * 2.0 ** ell * np.sqrt(np.log(1.0 / delta))
     f_vals, g_norms = [], []
     for k in range(trials):
-        rng = RngStream(master_seed, k + 1)
-        net = lazy_network(arch, rng)
-        trace = forward(net, x, rng)
+        net = lazy_network(arch, RngStream(master_seed, k + 1))
+        trace = forward(net, x)
         f_vals.append(abs(trace.output))
         g_norms.append(float(np.linalg.norm(gradient(net, trace))))
     f_vals = np.array(f_vals)
@@ -114,14 +113,14 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
     """Layer image norms vs the sqrt(d_i)/2^i lower bound, and how far the
     images of a ball around x spread, divided by the ball radius (by 1 at
     radius 0); the row holds the largest post-activation spread."""
-    trace = forward(net, x, rng)
+    trace = forward(net, x)
     dims = net.arch.dims
     ell = net.arch.ell
     norms = np.array([np.linalg.norm(f) for f in trace.postactivations])
     bounds = np.array([np.sqrt(dims[i + 1]) / 2.0 ** (i + 1) for i in range(ell)])
     max_spread = 0.0
     for _ in range(n_samples):
-        ty = forward(net, rng.ball_point(x, radius), rng)
+        ty = forward(net, rng.ball_point(x, radius))
         for fx, fy in zip(trace.postactivations, ty.postactivations):
             max_spread = max(max_spread, float(np.linalg.norm(fx - fy)))
     scale = radius if radius > 0 else 1.0
@@ -143,7 +142,7 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
     """
     if not (0.0 < alpha < np.sqrt(np.pi / 8.0)):
         raise ValueError("alpha must lie in (0, sqrt(pi/8)) for a positive bound")
-    trace = forward(net, x, rng)
+    trace = forward(net, x)
     dims = net.arch.dims
     layers = range(1, net.arch.ell)
     factor = 1.0 - 2.0 * np.sqrt(2.0 / np.pi) * alpha
@@ -165,13 +164,13 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     """Largest gradient drift ||grad(x) - grad(y)|| over sampled y in a
     ball, and its ratio to ||grad(x)||.  Raises DegenerateInput when
     grad(x) = 0, where the ratio has no scale."""
-    grad_x = gradient(net, forward(net, x, rng))
+    grad_x = gradient(net, forward(net, x))
     g_norm = float(np.linalg.norm(grad_x))
     if g_norm == 0.0:
         raise DegenerateInput("||grad f(x)|| = 0")
     max_drift = 0.0
     for _ in range(n_samples):
-        grad_y = gradient(net, forward(net, rng.ball_point(x, radius), rng))
+        grad_y = gradient(net, forward(net, rng.ball_point(x, radius)))
         max_drift = max(max_drift, float(np.linalg.norm(grad_x - grad_y)))
     row = {"max_drift": max_drift, "max_drift_ratio": max_drift / g_norm,
            "violation_frequency": 0.0}
@@ -209,7 +208,7 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
     norms = np.zeros((n_samples, len(pairs)))
     for s in range(n_samples):
         y = rng.ball_point(x, radius)
-        ty = forward(net, y, rng)
+        ty = forward(net, y)
         for p, (hi, lo) in enumerate(pairs):
             M = _masked_segment(net, ty, hi, lo)
             norms[s, p] = spectral_norm(M) if M.size else 0.0
@@ -312,9 +311,8 @@ def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
     p = 0.5 if control_p is None else control_p
     a, b = [], []
     for k in range(trials):
-        rng_a = RngStream(master_seed, 2 * k + 1)
-        net = lazy_network(arch, rng_a)
-        trace = forward(net, x, rng_a)
+        net = lazy_network(arch, RngStream(master_seed, 2 * k + 1))
+        trace = forward(net, x)
         a.append(float(np.linalg.norm(gradient(net, trace))))
         rng_b = RngStream(master_seed, 2 * k + 2)
         b.append(_bernoulli_product_norm(arch, p, rng_b))

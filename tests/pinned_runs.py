@@ -36,6 +36,8 @@ GUARDS = [
     "sample --d 8 --widths 4",
     "probe sign_flip --n-draws 8193 --trials 5",  # one row past a block of _SIGN_FLIP_BLOCK
     "probe segment_spectral --d 64 --widths 64 16 64 8 --n-samples 3 --trials 4",  # two segments
+    # width-1 layers die, so sampled points meet ties: their bytes follow the tie rule
+    "probe scale_preservation --d 2 --widths 1 1 --trials 20 --n-samples 2 --alert-level 1",
 ]
 
 

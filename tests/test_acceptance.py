@@ -46,8 +46,8 @@ def test_01_gradient_difference_decomposition_exact():
         net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
         x = rng.normal(d)
         y = x + 0.3 * rng.normal(d)
-        tx = forward(net, x, rng)
-        ty = forward(net, y, rng)
+        tx = forward(net, x)
+        ty = forward(net, y)
         dec = grad_difference_decomposition(net, tx, ty)
         err = np.linalg.norm(sum(dec.terms) - (dec.grad_x - dec.grad_y))
         scale = np.linalg.norm(dec.grad_x) + np.linalg.norm(dec.grad_y)
@@ -64,11 +64,11 @@ def test_02_euler_identity_and_homogeneity():
         widths = (d, d)
         net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
         x = rng.normal(d)
-        t = forward(net, x, rng)
+        t = forward(net, x)
         g = gradient(net, t)
         fa = abs(t.output) + 1e-300
         worst_euler = max(worst_euler, abs(t.output - float(g @ x)) / fa)
-        t2 = forward(net, 3.7 * x, rng)
+        t2 = forward(net, 3.7 * x)
         worst_homog = max(worst_homog, abs(t2.output - 3.7 * t.output) / (3.7 * fa))
     ok = worst_euler <= 1e-10 and worst_homog <= 1e-10
     _report(2, "euler identity and homogeneity", ok,
@@ -80,14 +80,14 @@ def test_03_gradient_vs_finite_differences():
     d = 100
     net = build_network(Architecture(d, (100, 100)), InitMode.STANDARD, rng)
     x = rng.sphere_point(d, norm=np.sqrt(d))
-    t = forward(net, x, rng)
+    t = forward(net, x)
     g = gradient(net, t)
     h = 1e-5 * np.linalg.norm(x)
     kept = agreed = 0
     for k in range(500):
         u = rng.sphere_point(d)
-        tp = forward(net, x + h * u, rng)
-        tm = forward(net, x - h * u, rng)
+        tp = forward(net, x + h * u)
+        tm = forward(net, x - h * u)
         same = all(np.array_equal(a, b) and np.array_equal(a, c)
                    for a, b, c in zip(t.masks, tp.masks, tm.masks))
         if not same:
@@ -110,7 +110,7 @@ def test_04_flip_rate_and_dimension_scaling():
         rng = RngStream(101, k)
         net = build_network(arch, InitMode.STANDARD, rng)
         x = rng.sphere_point(500, norm=np.sqrt(500))
-        res = flip_search(net, x, rng=rng)
+        res = flip_search(net, x)
         if res.flipped and res.ratio <= 0.5:
             good += 1
     # sweep reads only the count of widths: each d runs at widths (d, d)
@@ -286,7 +286,7 @@ def test_17_flipped_output_regains_its_magnitude():
     steps, lost = [], 0
     for i in range(100):
         rng = RngStream(9202, i)
-        check = verify_theorem1(*_trial_net(arch, rng), rng=rng)
+        check = verify_theorem1(*_trial_net(arch, rng))
         if check.flipped and not check.magnitude_ok:
             lost += 1
         elif check.flipped:

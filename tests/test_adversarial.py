@@ -30,14 +30,22 @@ class TestFlipSearch:
 
     def test_one_dimensional_relu_never_flips(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
-        res = flip_search(net, np.array([2.0]), rng=RngStream(0))
+        res = flip_search(net, np.array([2.0]))
         assert not res.flipped
         assert res.t_star is None and res.ratio is None and res.linearity is None
+
+    def test_tied_unit_is_inactive(self):
+        # at x = (1, 0) unit 2 ties: inactive, f = relu(x1) along the ray,
+        # which reaches 0 as unit 1 dies at t = 1 and never turns negative
+        net = network_from_weights([np.eye(2), [[1.0, -1.0]]])
+        res = flip_search(net, np.array([1.0, 0.0]))
+        assert not res.flipped
+        assert res.grad_norm == 1.0
 
     def test_degenerate_input(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
         with pytest.raises(DegenerateInput):
-            flip_search(net, np.array([-1.0]), rng=RngStream(0))  # f = 0, grad = 0
+            flip_search(net, np.array([-1.0]))  # f = 0, grad = 0
 
     def test_minimality_of_t_star(self):
         for seed in range(20):
@@ -45,12 +53,10 @@ class TestFlipSearch:
             net = build_network(Architecture(100, (100, 100)), InitMode.STANDARD, rng)
             x = rng.sphere_point(100, norm=10.0)
             tol = 1e-6 * 10.0
-            res = flip_search(net, x, rng=rng)
+            res = flip_search(net, x)
             if not res.flipped:
                 continue
-            from relurand.network import forward
-            before = forward(net, x + (res.t_star - 2 * tol) * res.direction,
-                             rng=RngStream(seed, 1)).output
+            before = forward(net, x + (res.t_star - 2 * tol) * res.direction).output
             assert np.sign(before) == np.sign(res.f_x)
 
     def test_desk_scale_flip_rate(self):
@@ -61,7 +67,7 @@ class TestFlipSearch:
             rng = RngStream(101, k)
             net = build_network(arch, InitMode.STANDARD, rng)
             x = rng.sphere_point(500, norm=np.sqrt(500))
-            res = flip_search(net, x, rng=rng)
+            res = flip_search(net, x)
             if res.flipped and res.ratio <= 0.5:
                 good += 1
         assert good >= 38
@@ -82,6 +88,11 @@ class TestPaperEta:
             paper_eta(1, 10, 1.5, 1.0)
         with pytest.raises(ValueError):
             paper_eta(1, 10, 0.0, 1.0)
+
+    @pytest.mark.parametrize("d, grad_norm", [(1, 1.0), (10, 0.0)], ids=["d1", "zero-grad"])
+    def test_dimension_and_gradient_domain(self, d, grad_norm):
+        with pytest.raises(ValueError, match="need d >= 2 and grad_norm > 0"):
+            paper_eta(1, d, 0.1, grad_norm)
 
 
 class TestVerifyTheorem1:
@@ -108,7 +119,7 @@ class TestVerifyTheorem1:
 
     def test_not_flipped_propagates(self):
         net = network_from_weights([[[1.0]], [[1.0]]])
-        check = verify_theorem1(net, np.array([2.0]), rng=RngStream(0))
+        check = verify_theorem1(net, np.array([2.0]))
         assert not check.flipped
         assert check.magnitude_ok is None and check.ratio is None
 
@@ -185,7 +196,7 @@ class TestRayWalk:
             rng = RngStream(seed)
             net = build_network(Architecture(d, (d, d)), InitMode.STANDARD, rng)
             x = rng.sphere_point(d, norm=np.sqrt(d))
-            res = flip_search(net, x, rng=rng)
+            res = flip_search(net, x)
             tol, t_max = 1e-6 * np.sqrt(d), 10 * np.sqrt(d)
             u, s = res.direction, np.sign(res.f_x)
             # reference: a 50,001-point grid over [0, t_max], then bisection
@@ -202,8 +213,8 @@ class TestRayWalk:
                 else:
                     lo = mid
             assert abs(res.t_star - hi) <= tol
-            before = forward(net, x + res.t_star * (1 - 1e-9) * u, rng=RngStream(seed, 1))
-            after = forward(net, x + res.t_star * (1 + 1e-9) * u, rng=RngStream(seed, 1))
+            before = forward(net, x + res.t_star * (1 - 1e-9) * u)
+            after = forward(net, x + res.t_star * (1 + 1e-9) * u)
             assert np.sign(before.output) == s and np.sign(after.output) == -s
 
     @pytest.mark.parametrize("d, widths", [(8, (4,)), (6, (3, 3))])
@@ -215,7 +226,7 @@ class TestRayWalk:
             net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
             x = rng.sphere_point(d, norm=np.sqrt(d))
             try:
-                res = flip_search(net, x, rng=rng)
+                res = flip_search(net, x)
             except DegenerateInput:
                 continue
             u, s = res.direction, np.sign(res.f_x)
@@ -237,7 +248,7 @@ class TestLazyNetwork:
         for k in range(trials):
             rng = RngStream(7001, k)
             x = sphere_input(d, rng)
-            res = flip_search(build_network(arch, InitMode.STANDARD, rng), x, rng=rng)
+            res = flip_search(build_network(arch, InitMode.STANDARD, rng), x)
             dense.append((abs(res.f_x), res.grad_norm, res.ratio))
         rows = run_experiment(ExperimentConfig.from_dict(
             {"kind": "attack", "d": d, "widths": [d, d], "trials": trials,
@@ -254,7 +265,7 @@ class TestLazyNetwork:
         rng = RngStream(3)
         x = sphere_input(d, rng)
         net = lazy_network(Architecture(d, (d, d)), rng)
-        res = flip_search(net, x, rng=rng)
+        res = flip_search(net, x)
         assert res.flipped
         # forward, backward and the walk's first pass reveal a few
         # directions per layer, and each walked piece at most one more;
@@ -270,7 +281,7 @@ class TestLazyNetwork:
         for k in range(50):
             rng = RngStream(8117, k)
             net, x = _trial_net(arch, rng)
-            flip_search(net, x, rng=rng)
+            flip_search(net, x)
             assert not any(W.completed for W in net.weights[:-1]), k
 
 
@@ -310,7 +321,7 @@ class TestExactLaws:
             else:
                 x = sphere_input(d, rng)
                 net = build_network(arch, InitMode.STANDARD, rng)
-            g = gradient(net, forward(net, x, rng))
+            g = gradient(net, forward(net, x))
             if g.any():
                 cosines.append(g @ x / (np.linalg.norm(g) * np.linalg.norm(x)))
         return cosines

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import relurand
 from relurand import cli, harness, probes
 from relurand.cli import main
-from relurand.errors import ConfigError
+from relurand.errors import ConfigError, DegenerateInput
 from relurand.harness import (
     KINDS,
     PROBE_NAMES,
@@ -317,6 +317,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+        assert not out.exists()
+
+    def test_package_error_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a RelurandError that reaches main, such as a DegenerateInput no trial caught
+        def degenerate(*args, **kwargs):
+            raise DegenerateInput("f(x)=0.0, ||grad||=0.0")
+        monkeypatch.setattr(cli, "run_experiment", degenerate)
+        out = tmp_path / "out"
+        rc = main(["attack", "--d", "16", "--trials", "2", "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: f(x)=0.0, ||grad||=0.0\n"
         assert not out.exists()
 
     def test_alert_exit_three(self, tmp_path, capsys):

@@ -456,6 +456,11 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 6))) == 0.0
 
+    @pytest.mark.parametrize("M", [np.zeros((0, 3)), np.ones(3)], ids=["0x3", "1-d"])
+    def test_rejects_empty_or_1d(self, M):
+        with pytest.raises(ValueError, match="requires a nonempty 2-d matrix"):
+            spectral_norm(M)
+
     @pytest.mark.parametrize("M", [
         np.outer(RngStream(12).normal(30), RngStream(13).normal(20)),   # rank 1
         RngStream(14).normal((1, 25)),                                  # 1 x n
@@ -541,6 +546,11 @@ class TestKsTwoSample:
         s = ks_two_sample(a, b)
         assert 0.0 <= s <= 1.0
         assert s == pytest.approx(ks_two_sample(b, a), abs=1e-15)
+
+    @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], [])], ids=["first", "second"])
+    def test_rejects_empty_sample(self, a, b):
+        with pytest.raises(ValueError, match="requires nonempty samples"):
+            ks_two_sample(a, b)
 
     def test_critical_value_constant(self):
         assert ks_critical_value(1000, 1000) == pytest.approx(

@@ -59,6 +59,19 @@ class TestBuild:
         with pytest.raises(ValueError, match="expected 3"):
             Network(arch, InitMode.STANDARD, weights)
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: Architecture(3, (2, 0)), "all dimensions must be >= 1",
+                     id="zero-width"),
+        pytest.param(lambda: Network(Architecture(2, (3,)), InitMode.STANDARD,
+                                     (np.ones((3, 2)), np.ones((1, 4)))),
+                     r"weight 2 has shape \(1, 4\), expected \(1, 3\)", id="output-shape"),
+        pytest.param(lambda: network_from_weights([np.ones((3, 2)), np.ones((2, 3))]),
+                     "output layer must have a single row", id="two-row-output"),
+    ])
+    def test_rejected_shapes(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestForward:
     def test_hand_relu(self):
@@ -68,7 +81,6 @@ class TestForward:
 
     @pytest.mark.parametrize("x, message", [
         pytest.param([1.0, 2.0], "shape", id="wrong-shape"),
-        pytest.param([0.0], "needs an rng", id="tie-without-rng"),
     ])
     def test_rejected_input(self, x, message):
         net = network_from_weights([[[1.0]], [[1.0]]])
@@ -78,32 +90,30 @@ class TestForward:
     def test_positive_homogeneity(self):
         net, rng = random_net(1)
         x = rng.normal(20)
-        t1 = forward(net, x, rng)
-        t2 = forward(net, 3.7 * x, rng)
+        t1 = forward(net, x)
+        t2 = forward(net, 3.7 * x)
         assert t2.output == pytest.approx(3.7 * t1.output, rel=1e-12)
         for m1, m2 in zip(t1.masks, t2.masks):
             assert np.array_equal(m1, m2)
 
-    def test_randomized_tie_is_fair(self):
-        net = network_from_weights([[[1.0]], [[1.0]]])
-        x = np.array([0.0])
-        ones = sum(
-            forward(net, x, RngStream(99, k)).masks[0][0]
-            for k in range(10_000)
-        )
-        assert 4700 <= ones <= 5300  # Bernoulli(1/2), 10^4 draws
+    def test_zero_preactivation_is_inactive(self):
+        # both units tie at x = 0: inactive, as relu(0) = 0 and the ray walk say
+        net = network_from_weights([[[1.0], [-1.0]], [[1.0, 1.0]]])
+        t = forward(net, np.array([0.0]))
+        assert np.array_equal(t.masks[0], [0.0, 0.0])
+        assert t.output == 0.0
 
     def test_determinism(self):
         net, _ = random_net(2)
         x = RngStream(5).normal(20)
-        a = forward(net, x, RngStream(6))
-        b = forward(net, x, RngStream(6))
+        a = forward(net, x)
+        b = forward(net, x)
         assert a.output == b.output
         assert all(np.array_equal(m, n) for m, n in zip(a.masks, b.masks))
 
     def test_mask_invariants(self):
         net, rng = random_net(3)
-        t = forward(net, rng.normal(20), rng)
+        t = forward(net, rng.normal(20))
         for pre, mask, post in zip(t.preactivations, t.masks, t.postactivations):
             assert np.array_equal(mask == 1.0, pre > 0.0)  # no exact ties hit
             assert np.array_equal(post, mask * pre)
@@ -124,21 +134,21 @@ class TestGradient:
         net, rng = random_net(seed)
         x = rng.normal(20)
         for net in (net, lazy_network(net.arch, rng)):
-            t = forward(net, x, rng)
+            t = forward(net, x)
             g = gradient(net, t)
             assert abs(t.output - g @ x) <= 1e-10 * (abs(t.output) + 1e-30)
 
     def test_finite_differences_with_mask_guard(self):
         net, rng = random_net(7, d=50, widths=(40, 40))
         x = rng.sphere_point(50, norm=np.sqrt(50))
-        t = forward(net, x, rng)
+        t = forward(net, x)
         g = gradient(net, t)
         h = 1e-5 * np.linalg.norm(x)
         checked = 0
         for k in range(100):
             u = rng.sphere_point(50)
-            tp = forward(net, x + h * u, rng)
-            tm = forward(net, x - h * u, rng)
+            tp = forward(net, x + h * u)
+            tm = forward(net, x - h * u)
             same = all(np.array_equal(a, b) and np.array_equal(a, c)
                        for a, b, c in zip(t.masks, tp.masks, tm.masks))
             if not same:
@@ -156,8 +166,8 @@ class TestGradDecomposition:
         net, rng = random_net(seed, d=24, widths=(20, 16, 12))
         x = rng.normal(24)
         y = x + 0.5 * rng.normal(24)
-        tx = forward(net, x, rng)
-        ty = forward(net, y, rng)
+        tx = forward(net, x)
+        ty = forward(net, y)
         dec = grad_difference_decomposition(net, tx, ty)
         lhs = sum(dec.terms)
         rhs = dec.grad_x - dec.grad_y
@@ -166,15 +176,15 @@ class TestGradDecomposition:
 
     def test_identical_traces_give_zero(self):
         net, rng = random_net(11)
-        t = forward(net, rng.normal(20), rng)
+        t = forward(net, rng.normal(20))
         dec = grad_difference_decomposition(net, t, t)
         assert all(np.all(term == 0.0) for term in dec.terms)
 
     def test_agreeing_layer_mask_gives_exact_zero(self):
         net, rng = random_net(12)
         x = rng.normal(20)
-        tx = forward(net, x, rng)
-        ty = forward(net, x * 2.0, rng)  # same masks by homogeneity
+        tx = forward(net, x)
+        ty = forward(net, x * 2.0)  # same masks by homogeneity
         dec = grad_difference_decomposition(net, tx, ty)
         for j, term in enumerate(dec.terms):
             if np.array_equal(tx.masks[j], ty.masks[j]):

@@ -181,7 +181,7 @@ class TestSegmentSpectral:
         # all masks forced on: the segment norm is exactly ||W|| of that layer
         from relurand.probes import _masked_segment
         net, x, rng = net_and_input(12, d=16, widths=(8, 16))
-        trace = forward(net, x, rng)
+        trace = forward(net, x)
         ones = tuple(np.ones_like(m) for m in trace.masks)
         forced = dataclasses.replace(trace, masks=ones)
         M = _masked_segment(net, forced, 1, 0)
@@ -190,11 +190,17 @@ class TestSegmentSpectral:
     def test_zero_masks_kill_segment(self):
         from relurand.probes import _masked_segment
         net, x, rng = net_and_input(13, d=16, widths=(8, 16))
-        trace = forward(net, x, rng)
+        trace = forward(net, x)
         zeros = tuple(np.zeros_like(m) for m in trace.masks)
         killed = dataclasses.replace(trace, masks=zeros)
         M = _masked_segment(net, killed, 2, 0)
         assert np.all(M == 0.0)
+
+    def test_one_bottleneck_rejected(self):
+        # at d = 4 below widths (8, 8) the input is the only bottleneck
+        net, x, rng = net_and_input(15, d=4, widths=(8, 8))
+        with pytest.raises(ValueError, match="need at least two bottleneck indices"):
+            probe_segment_spectral(net, x, 1.0, 2, rng)
 
     def test_bounds_hold_with_calibrated_constant(self):
         net, x, rng = net_and_input(14, d=512, widths=(512, 64, 512))
@@ -217,7 +223,7 @@ class TestSegmentSpectral:
         net, x, rng = net_and_input(seed, d, widths)
         indices = bottleneck_decomposition(net.arch).indices
         for _ in range(5):
-            trace = forward(net, rng.ball_point(x, 1.6), rng)
+            trace = forward(net, rng.ball_point(x, 1.6))
             for hi, lo in zip(indices[:-1], indices[1:]):
                 full = spectral_norm(self._full_masked_segment(net, trace, hi, lo))
                 block = _masked_segment(net, trace, hi, lo)
@@ -228,8 +234,8 @@ class TestSegmentSpectral:
     def test_inactive_layer_gives_zero_norm(self, layer, monkeypatch):
         # one segment, D_2 W_2 D_1 W_1; with no unit of D_{layer+1} active
         # every sampled norm, and so the fitted constant, is exactly 0
-        def inactive(net, y, rng):
-            trace = forward(net, y, rng)
+        def inactive(net, y):
+            trace = forward(net, y)
             masks = list(trace.masks)
             masks[layer] = np.zeros_like(masks[layer])
             return dataclasses.replace(trace, masks=tuple(masks))
@@ -392,7 +398,7 @@ def _dense_value_gradient(arch, trials, master_seed):
     for k in range(trials):
         rng = RngStream(master_seed, k + 1)
         net = build_network(arch, InitMode.STANDARD, rng)
-        trace = forward(net, x, rng)
+        trace = forward(net, x)
         out.append((abs(trace.output), float(np.linalg.norm(gradient(net, trace)))))
     return np.array(out).T
 
