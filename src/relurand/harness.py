@@ -5,10 +5,12 @@ A config is a flat record that checks itself when it is made;
 run_experiment runs its trials one after another in the calling thread,
 with BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i
 (for sweep, j * trials + k for trial k at the j-th dimension), so output
-is a pure function of the config bytes.  `attack` and `sweep` run the
-same flip trials, each turned into its CSV row in one place (_flip_row),
-and summarize them in one place (_flip_stats): `attack`'s summary holds
-the statistics of the `sweep` row at its one d.  _records writes every
+is a pure function of the config bytes.  Every kind that builds a net,
+and `sample`, takes its architecture from one rule (_arch: hidden widths
+`widths`, or (d, d) when empty).  `attack` and `sweep` run the same flip
+trials, each turned into its CSV row in one place (_flip_row), and
+summarize them in one place (_flip_stats): `attack`'s summary holds the
+statistics of the `sweep` row at its one d.  _records writes every
 `degenerate` row, of flip trials and of probe trials alike.
 `workers` is validated and recorded in the summary, but no kind reads it.
 """
@@ -137,9 +139,11 @@ class TrialRecord:
     status: str = "ok"
 
 
-def _arch(cfg: ExperimentConfig) -> Architecture:
-    widths = cfg.widths if cfg.widths else (cfg.d,)
-    return Architecture(cfg.d, widths)
+def _arch(cfg: ExperimentConfig, d: Optional[int] = None) -> Architecture:
+    """The net of a trial at input dimension d (cfg.d by default): hidden
+    widths cfg.widths, or (d, d) when they are empty, in every kind."""
+    d = cfg.d if d is None else d
+    return Architecture(d, cfg.widths or (d, d))
 
 
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
@@ -224,13 +228,12 @@ def _run_attack(cfg: ExperimentConfig):
 
 
 def _run_sweep(cfg: ExperimentConfig):
-    """_flip_stats at each d in dims, with widths (d,) * len(widths), from
-    the rows `attack` would write for its trials, and the least-squares
-    slope of ln(median ratio) against ln(d).  Trial k at dimension index j
-    runs on stream j * trials + k.
+    """_flip_stats at each d in dims, on the net _arch(cfg, d) that `attack`
+    at that d runs, from the rows it would write for its trials, and the
+    least-squares slope of ln(median ratio) against ln(d).  Trial k at
+    dimension index j runs on stream j * trials + k.
     """
-    ell = len(cfg.widths) if cfg.widths else 2
-    trial_rows = _flip_rows(cfg, [Architecture(d, (d,) * ell) for d in cfg.dims])
+    trial_rows = _flip_rows(cfg, [_arch(cfg, d) for d in cfg.dims])
     rows = [TrialRecord(j, {"d": d, "trials": cfg.trials,
                             **_flip_stats(d, trial_rows[j * cfg.trials:(j + 1) * cfg.trials])})
             for j, d in enumerate(cfg.dims)]
@@ -295,13 +298,13 @@ def _per_trial(probe, summarize=lambda reports: {}):
     """Runner for a probe called once per trial on stream i.  A trial whose
     input is degenerate is None from _map_trials and a `degenerate` row;
     the violation frequency is the mean over the other trials whose bound
-    applies."""
+    applies, and None when it applies to none of them."""
     def run(cfg: ExperimentConfig):
         results = _map_trials(cfg, lambda i: probe(cfg, RngStream(cfg.master_seed, i)),
                               cfg.trials)
         reports = [r for r in results if r is not None]
         freqs = [r.violation_frequency for r in reports if r.violation_frequency is not None]
-        freq = float(np.mean(freqs)) if freqs else 0.0
+        freq = float(np.mean(freqs)) if freqs else None
         return _records(results), {**summarize(reports), "violation_frequency": freq}
     return run
 
@@ -340,7 +343,7 @@ KINDS = {
             *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng))),
     "probe:activation_margin": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_activation_margin(
-            *_trial_net(_arch(cfg), rng), cfg.alpha, rng)),
+            *_trial_net(_arch(cfg), rng), cfg.alpha)),
         lambda cfg: not (0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)),
         "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin"),
     "probe:gradient_smoothness": _Kind(_per_trial(

@@ -132,10 +132,10 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
     return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
 
 
-def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
-                            rng: RngStream) -> ProbeReport:
+def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> ProbeReport:
     """Count of next-layer neurons with margin >= alpha ||f_i|| / sqrt(d_i),
-    against the (1 - 2 sqrt(2/pi) alpha) d_{i+1} lower bound.
+    against the (1 - 2 sqrt(2/pi) alpha) d_{i+1} lower bound, in one row
+    named by the net's stream id.
 
     The single-row output layer is excluded: with one neuron the bound
     degenerates to a per-neuron event of constant probability.
@@ -156,7 +156,7 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float,
         violations += count < factor * dims[i + 1]
     freq = violations / max(len(layers), 1)
     row = {"violations": violations, "layers": len(layers), "violation_frequency": freq}
-    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
+    return ProbeReport([(net.stream_id, row)], summary=row, violation_frequency=freq)
 
 
 def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,

@@ -38,6 +38,8 @@ GUARDS = [
     "probe segment_spectral --d 64 --widths 64 16 64 8 --n-samples 3 --trials 4",  # two segments
     # width-1 layers die, so sampled points meet ties: their bytes follow the tie rule
     "probe scale_preservation --d 2 --widths 1 1 --trials 20 --n-samples 2 --alert-level 1",
+    # widths honoured by sweep: each d's net has hidden widths (12, 6), as attack's would
+    "sweep --dims 8 16 --widths 12 6 --trials 5",
 ]
 
 

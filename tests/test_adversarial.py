@@ -124,26 +124,25 @@ class TestVerifyTheorem1:
         assert check.magnitude_ok is None and check.ratio is None
 
 
-def _sweep(dims, ell, trials, master_seed):
-    # sweep reads only the count of widths: dimension d runs at widths (d,) * ell
+def _sweep(dims, trials, master_seed):
+    # empty widths: dimension d runs at widths (d, d)
     return run_experiment(ExperimentConfig.from_dict(
-        {"kind": "sweep", "dims": dims, "widths": [1] * ell, "trials": trials,
-         "master_seed": master_seed}))
+        {"kind": "sweep", "dims": dims, "trials": trials, "master_seed": master_seed}))
 
 
 class TestDimensionSweep:
     def test_single_dimension_no_slope(self):
-        res = _sweep([64], 2, 30, master_seed=5)
+        res = _sweep([64], 30, master_seed=5)
         assert len(res["rows"]) == 1
         assert res["summary"]["slope"] is None
 
     def test_determinism(self):
-        a = _sweep([32, 64], 1, 30, master_seed=9)
-        b = _sweep([32, 64], 1, 30, master_seed=9)
+        a = _sweep([32, 64], 30, master_seed=9)
+        b = _sweep([32, 64], 30, master_seed=9)
         assert a == b
 
     def test_slope_roughly_minus_half(self):
-        res = _sweep([125, 250, 500], 2, 100, master_seed=77)
+        res = _sweep([125, 250, 500], 100, master_seed=77)
         assert res["summary"]["slope"] is not None
         assert -0.9 < res["summary"]["slope"] < -0.1
 

@@ -185,8 +185,7 @@ class TestRunExperiment:
         assert linearity and min(linearity) > 0.0
         # the sweep's first dimension runs the same trials on the same streams
         sweep = run_experiment(ExperimentConfig.from_dict(
-            {"kind": "sweep", "dims": [16, 24], "widths": [1, 1], "trials": 12,
-             "master_seed": 3}))
+            {"kind": "sweep", "dims": [16, 24], "trials": 12, "master_seed": 3}))
         row = sweep["rows"][0].values
         statuses = [r.status for r in attack["rows"]]
         assert (row["flips"], row["degenerate"]) == (statuses.count("ok"),
@@ -198,6 +197,16 @@ class TestRunExperiment:
         assert row["abs_cos_sqrt_d_median"] == float(np.median(np.sqrt(16) * np.array(abs_cos)))
         # attack's summary is that sweep row's statistics, every one of them
         stats = {k: v for k, v in attack["summary"].items() if k not in ("config", "version")}
+        assert stats == {k: v for k, v in row.items() if k not in ("d", "trials")}
+
+    def test_sweep_honours_widths(self):
+        # at its first d, sweep runs attack's trials on the same widths and streams
+        base = {"widths": [3, 5], "trials": 20, "master_seed": 4}
+        sweep = run_experiment(ExperimentConfig.from_dict(
+            {"kind": "sweep", "dims": [8, 16], **base}))
+        attack = run_experiment(ExperimentConfig.from_dict({"kind": "attack", "d": 8, **base}))
+        stats = {k: v for k, v in attack["summary"].items() if k not in ("config", "version")}
+        row = sweep["rows"][0].values
         assert stats == {k: v for k, v in row.items() if k not in ("d", "trials")}
 
     @pytest.mark.parametrize("d, widths", [(16, [16, 16]), (200, [300, 50]), (1, [3])])
@@ -539,6 +548,34 @@ class TestCli:
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert [int(r["flips"]) for r in rows] == [0, 0]
 
+    def test_empty_widths_mean_d_d(self, tmp_path, capsys):
+        # one default in every kind: attack without widths runs the (d, d)
+        # net, and sample without widths saves it
+        from relurand.network import load_network
+        csvs = set()
+        for name, widths in (("empty", []), ("dd", ["--widths", "12", "12"])):
+            rc = main(["attack", "--d", "12", "--trials", "6", "--seed", "4", *widths,
+                       "--out-dir", str(tmp_path / name)])
+            assert rc == 0
+            csvs.add((tmp_path / name / "attack.csv").read_bytes())
+        assert len(csvs) == 1
+        out = tmp_path / "net.rrnn"
+        assert main(["sample", "--d", "12", "--seed", "4", "--out", str(out)]) == 0
+        assert load_network(out).arch.hidden_widths == (12, 12)
+
+    def test_no_bound_applies_frequency_is_null(self, tmp_path, capsys):
+        # r = 100 > R = 2 at every trial, so no row has a bound: the run has
+        # no violation frequency, and no alert level can be exceeded
+        rc = main(["probe", "sign_flip", "--d", "4", "--radius", "100", "--trials", "3",
+                   "--alert-level", "-1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        header, *lines = (tmp_path / "probe_sign_flip.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 3 and all(r["bound"] == "" for r in rows)
+        summary = json.loads((tmp_path / "probe_sign_flip_summary.json").read_text())
+        assert summary["violation_frequency"] is None
+
     def test_zero_gradient_smoothness_trial_is_a_row(self, tmp_path, capsys):
         # width 1: most trials have a dead unit, so grad f(x) = 0 and the
         # drift ratio has no scale
@@ -660,11 +697,14 @@ def test_pinned_runs_independent_of_blas_threads(tmp_path):
     """tests/pinned_runs.py at one and at two OpenBLAS threads: every run
     exits 0, both passes print the same digests, and the runs cover every
     kind and sample.  BLAS reads its thread count once, at import, so each
-    pass is a fresh process; the two run side by side."""
+    pass is a fresh process; the two run side by side.  pyproject.toml's
+    RuntimeWarning filter reaches only this process, so the children get
+    their own, and a RuntimeWarning fails the pass."""
     src = str(Path(relurand.__file__).parents[1])
     passes = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONWARNINGS": "error::RuntimeWarning",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         passes.append(subprocess.Popen(
             [sys.executable, str(Path(__file__).with_name("pinned_runs.py")),

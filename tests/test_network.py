@@ -104,12 +104,24 @@ class TestForward:
         assert t.output == 0.0
 
     def test_determinism(self):
-        net, _ = random_net(2)
+        # a second pass on a lazy net queries only revealed directions, so
+        # it reveals nothing new, draws nothing and repeats the first trace
+        rng = RngStream(5, 2)
+        net = lazy_network(Architecture(20, (16, 12)), rng)
         x = RngStream(5).normal(20)
+
+        def state():
+            philox = rng._gen.bit_generator.state
+            return ([W.revealed for W in net.weights[:-1]],
+                    philox["state"]["counter"].tolist(), philox["buffer_pos"])
+
         a = forward(net, x)
+        after_first = state()
         b = forward(net, x)
+        assert state() == after_first
         assert a.output == b.output
-        assert all(np.array_equal(m, n) for m, n in zip(a.masks, b.masks))
+        for name in ("preactivations", "masks", "postactivations"):
+            assert all(np.array_equal(m, n) for m, n in zip(getattr(a, name), getattr(b, name)))
 
     def test_mask_invariants(self):
         net, rng = random_net(3)

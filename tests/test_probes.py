@@ -17,6 +17,7 @@ from relurand.network import (
     forward,
     grad_difference_decomposition,
     gradient,
+    lazy_network,
     sphere_input,
 )
 from relurand.probes import (
@@ -117,16 +118,23 @@ class TestScalePreservation:
 
 class TestActivationMargin:
     def test_zero_alpha_rejected(self):
-        net, x, rng = net_and_input(8)
+        net, x, _ = net_and_input(8)
         with pytest.raises(ValueError):
-            probe_activation_margin(net, x, 0.0, rng)
+            probe_activation_margin(net, x, 0.0)
 
     def test_tiny_alpha_count_is_full(self):
         # every nonzero preactivation clears a 1e-12 margin, so the count is
         # the full width and the one hidden-to-hidden layer never violates
-        net, x, rng = net_and_input(9, d=128, widths=(128, 128))
-        rep = probe_activation_margin(net, x, 1e-12, rng)
+        net, x, _ = net_and_input(9, d=128, widths=(128, 128))
+        rep = probe_activation_margin(net, x, 1e-12)
         assert (rep.summary["violations"], rep.summary["layers"]) == (0, 1)
+
+    def test_row_named_by_net_stream(self):
+        # the one row carries the id of the stream the net was drawn from
+        rng = RngStream(9, 7)
+        net = lazy_network(Architecture(16, (16, 16)), rng)
+        rep = probe_activation_margin(net, sphere_input(16, rng), 0.1)
+        assert [sid for sid, _ in rep.rows] == [7]
 
     def test_single_neuron_density_oracle(self):
         # per-neuron miss probability P(|Z| <= 0.1) vs the 0.1 sqrt(2/pi) density bound
@@ -137,8 +145,8 @@ class TestActivationMargin:
     def test_low_violation_rate(self):
         viol = pairs = 0
         for k in range(30):
-            net, x, rng = net_and_input(900 + k, d=512, widths=(512, 512, 512))
-            rep = probe_activation_margin(net, x, 0.1, rng)
+            net, x, _ = net_and_input(900 + k, d=512, widths=(512, 512, 512))
+            rep = probe_activation_margin(net, x, 0.1)
             viol += rep.summary["violations"]
             pairs += rep.summary["layers"]
         assert viol / pairs <= 0.01
