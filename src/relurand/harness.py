@@ -2,17 +2,19 @@
 CSV/JSON emission.
 
 A config is a flat record that checks itself when it is made;
-run_experiment runs its trials one after another in the calling thread,
-with BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i
-(for sweep, j * trials + k for trial k at the j-th dimension), so output
-is a pure function of the config bytes.  Every kind that builds a net,
+run_experiment runs each kind with BLAS on one thread
+(linalg.one_blas_thread), trial i on stream_id i (for sweep, j * trials + k
+for trial k at the j-th dimension), so output is a pure function of the
+config bytes.  _map_trials, which runs the trials of `attack`, `sweep` and
+each per-trial probe, shares them among up to `workers` forked processes
+where that is safe, and otherwise runs them one after another; either
+way each trial's result is the same.  Every kind that builds a net,
 and `sample`, takes its architecture from one rule (_arch: hidden widths
 `widths`, or (d, d) when empty).  `attack` and `sweep` run the same flip
 trials, each turned into its CSV row in one place (_flip_row), and
 summarize them in one place (_flip_stats): `attack`'s summary holds the
 statistics of the `sweep` row at its one d.  _records writes every
 `degenerate` row, of flip trials and of probe trials alike.
-`workers` is validated and recorded in the summary, but no kind reads it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import pickle
+import sys
+import threading
 import typing
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -29,7 +35,7 @@ import numpy as np
 from . import __version__, probes
 from .adversarial import flip_search, paper_eta
 from .collapse import collapse_simulate, kernel_iterate
-from .errors import ConfigError, DegenerateInput
+from .errors import ConfigError, DegenerateInput, RelurandError
 from .linalg import one_blas_thread
 from .network import (Architecture, InitMode, bottleneck_decomposition, build_network,
                       lazy_network, sphere_input)
@@ -147,21 +153,118 @@ def _arch(cfg: ExperimentConfig, d: Optional[int] = None) -> Architecture:
 
 
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], one after another in the calling thread,
-    with None in place of each trial whose input is degenerate (fn raised
-    DegenerateInput: f(x) = 0, a zero gradient, a zero layer image);
-    _records writes that None as a `degenerate` row.
+    """[fn(0), ..., fn(n - 1)], with None in place of each trial whose input
+    is degenerate (fn raised DegenerateInput: f(x) = 0, a zero gradient, a
+    zero layer image); _records writes that None as a `degenerate` row.
 
-    `cfg.workers` is read by no kind: a thread pool ran lazy `attack` trials
-    slower than one thread (many small numpy calls pass the GIL back and
-    forth) and won on only some per-trial probes (ROADMAP item 1)."""
-    results = []
-    for i in range(n):
-        try:
-            results.append(fn(i))
-        except DegenerateInput:
-            results.append(None)
+    W = min(cfg.workers, n, usable CPUs) processes share the trials where a
+    fork is safe (_fanout_width): the caller runs trials 0, W, 2W, ..., and
+    a forked child runs w, w + W, ... for each w in 1..W-1.  Strided shares
+    spread a `sweep`'s large-d trials over every process.  Trial i runs on
+    stream i wherever it runs, so the results do not depend on W.  A
+    trial's exception, raised in any process, is raised here; a child that
+    dies without a result is a RelurandError naming the signal.  No child
+    outlives the call: on a raise, the children still running are killed,
+    and every child is reaped."""
+    width = _fanout_width(cfg.workers, n)
+    shares = {}   # w -> (pid, read end of its pipe)
+    payloads = None
+    try:
+        for w in range(1, width):
+            try:
+                shares[w] = _fork_share(fn, range(w, n, width))
+            except OSError:   # no process or pipe to spare: the caller runs the rest
+                break
+        results = [None if i % width in shares else _trial(fn, i) for i in range(n)]
+        payloads = {w: pipe.read() for w, (_, pipe) in shares.items()}
+    finally:
+        statuses = _reap(shares, kill=payloads is None)
+    for w, data in payloads.items():
+        results[w::width] = _unpack(data, statuses[w])
     return results
+
+
+def _fanout_width(workers: int, n: int) -> int:
+    """How many processes share n trials: min(workers, n, CPUs this process
+    may run on) on Linux when no second Python thread is alive, else 1.
+    Forking beside a live thread can leave the child waiting on a lock the
+    thread held (linalg._pin_lock, say)."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(workers, n, len(os.sched_getaffinity(0)))
+
+
+def _trial(fn, i: int):
+    """fn(i), or None when trial i's input is degenerate."""
+    try:
+        return fn(i)
+    except DegenerateInput:
+        return None
+
+
+def _fork_share(fn, indices):
+    """Fork a child that runs _trial(fn, i) for each i in indices and sends
+    the list of results, or the exception a trial raised, pickled through
+    a pipe; return (pid, the pipe's read end).  The child always leaves by
+    os._exit, so it neither flushes the caller's stdio nor returns into its
+    frames.  An exception that cannot be pickled is sent as a RelurandError
+    holding its repr."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = [_trial(fn, i) for i in indices]
+            except BaseException as exc:
+                payload = exc
+            try:
+                data = pickle.dumps(payload)
+                pickle.loads(data)
+            except Exception as err:
+                culprit = payload if isinstance(payload, BaseException) else err
+                data = pickle.dumps(RelurandError(repr(culprit)))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _reap(shares: dict, kill: bool) -> dict:
+    """Close each share's pipe and wait for its child, killing it first when
+    kill is set; return each child's wait status by share."""
+    statuses = {}
+    for w, (pid, pipe) in shares.items():
+        pipe.close()
+        if kill:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        statuses[w] = os.waitpid(pid, 0)[1]
+    return statuses
+
+
+def _unpack(data: bytes, status: int) -> list:
+    """A child's list of results from what it sent, raising the exception
+    it sent instead; a RelurandError when it sent nothing whole (it died)."""
+    try:
+        payload = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exited with status {code}"
+        if code < 0:
+            import signal
+            how = f"was killed by signal {-code} ({signal.strsignal(-code)})"
+        raise RelurandError(f"a trial process {how} before sending its results") from None
+    if isinstance(payload, BaseException):
+        raise payload
+    return payload
 
 
 def _trial_net(arch: Architecture, rng: RngStream):

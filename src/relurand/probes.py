@@ -162,8 +162,9 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> ProbeR
 def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
                               n_samples: int, rng: RngStream) -> ProbeReport:
     """Largest gradient drift ||grad(x) - grad(y)|| over sampled y in a
-    ball, and its ratio to ||grad(x)||.  Raises DegenerateInput when
-    grad(x) = 0, where the ratio has no scale."""
+    ball, and its ratio to ||grad(x)||.  No bound is checked, so the
+    violation frequency is None.  Raises DegenerateInput when grad(x) = 0,
+    where the ratio has no scale."""
     grad_x = gradient(net, forward(net, x))
     g_norm = float(np.linalg.norm(grad_x))
     if g_norm == 0.0:
@@ -173,8 +174,8 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
         grad_y = gradient(net, forward(net, rng.ball_point(x, radius)))
         max_drift = max(max_drift, float(np.linalg.norm(grad_x - grad_y)))
     row = {"max_drift": max_drift, "max_drift_ratio": max_drift / g_norm,
-           "violation_frequency": 0.0}
-    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=0.0)
+           "violation_frequency": None}
+    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=None)
 
 
 def _masked_segment(net: Network, trace: ForwardTrace, top: int, bottom: int) -> np.ndarray:

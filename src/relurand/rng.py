@@ -9,13 +9,34 @@ give statistically independent sequences.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["RngStream"]
 
 
+@functools.cache
+def _key_type() -> type:
+    """The seed sequence that hands Philox its two key words as they are,
+    so that no SeedSequence is built: Philox(key=...) builds one from
+    fresh OS entropy and then discards it.  Made on first use, since
+    subclassing ISeedSequence imports numpy.random, which importing the
+    package leaves to the first stream."""
+
+    class Key(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Key
+
+
 class RngStream:
-    """A single-owner random stream keyed by (master_seed, stream_id)."""
+    """A single-owner random stream keyed by (master_seed, stream_id): the
+    generator of Philox(key=[master_seed, stream_id] mod 2^64)."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = int(master_seed)
@@ -24,7 +45,7 @@ class RngStream:
             [self.master_seed % (1 << 64), self.stream_id % (1 << 64)],
             dtype=np.uint64,
         )
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(_key_type()(key)))
 
     def normal(self, size=None, out=None) -> np.ndarray:
         """Standard normals, written into out when given (out.shape ==

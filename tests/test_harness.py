@@ -576,6 +576,18 @@ class TestCli:
         summary = json.loads((tmp_path / "probe_sign_flip_summary.json").read_text())
         assert summary["violation_frequency"] is None
 
+    def test_gradient_smoothness_has_no_violation_frequency(self, tmp_path, capsys):
+        # the probe checks no bound, so no alert level can be exceeded
+        rc = main(["probe", "gradient_smoothness", "--d", "8", "--trials", "3",
+                   "--n-samples", "2", "--alert-level", "-1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        header, *lines = (tmp_path / "probe_gradient_smoothness.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 3 and all(r["violation_frequency"] == "" for r in rows)
+        summary = json.loads((tmp_path / "probe_gradient_smoothness_summary.json").read_text())
+        assert summary["violation_frequency"] is None
+
     def test_zero_gradient_smoothness_trial_is_a_row(self, tmp_path, capsys):
         # width 1: most trials have a dead unit, so grad f(x) = 0 and the
         # drift ratio has no scale
@@ -676,21 +688,134 @@ class TestCli:
         lines = (tmp_path / "attack.csv").read_text().splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == ["ok", "ok"]
 
-    def test_parallel_cli_outputs_identical(self, tmp_path, capsys):
+    def test_parallel_cli_outputs_identical(self, tmp_path, capsys, forks):
+        # at workers w the trials also run in w - 1 forked children; those of
+        # segment_spectral call spectral_norm under the BLAS pin
         for argv in (["attack", "--d", "64", "--widths", "64", "--trials", "6"],
-                     ["sweep", "--dims", "8", "16", "32", "--trials", "4"]):
-            kind = argv[0]
+                     ["sweep", "--dims", "8", "16", "32", "--trials", "4"],
+                     ["probe", "segment_spectral", "--d", "32", "--widths", "32", "16", "32",
+                      "--trials", "5", "--radius", "0.5", "--n-samples", "2"]):
+            kind = "_".join(argv[:2]) if argv[0] == "probe" else argv[0]
             csvs, summaries = set(), []
             for w in ("1", "2", "3"):
                 d = tmp_path / f"{kind}{w}"
+                forks.clear()
                 rc = main(argv + ["--seed", "8", "--workers", w, "--out-dir", str(d)])
                 assert rc == 0
+                assert len(forks) == int(w) - 1, kind
                 csvs.add((d / f"{kind}.csv").read_bytes())
                 summary = json.loads((d / f"{kind}_summary.json").read_text())
                 del summary["config"]["workers"]
                 summaries.append(summary)
             assert len(csvs) == 1, kind
             assert summaries[0] == summaries[1] == summaries[2], kind
+
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Fan-out as on an 8-CPU host, so that `workers` alone sets how many
+    processes share the trials; yields the list of pids os.fork returned
+    in the caller.  After the test no child of this process is left."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _map(workers, fn, n):
+    return harness._map_trials(ExperimentConfig(kind="attack", workers=workers), fn, n)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_degenerate_trial_in_a_child_is_a_row(self, forks, workers):
+        def fn(i):
+            if i == 4:
+                raise DegenerateInput("zero gradient")
+            return TrialRecord(i, {"i": i})
+
+        results = _map(workers, fn, 6)
+        assert results[4] is None and [r.values["i"] for r in results if r] == [0, 1, 2, 3, 5]
+        records = harness._records(results, lambda row: [row])
+        assert [r.status for r in records] == ["ok"] * 4 + ["degenerate", "ok"]
+        assert len(forks) == workers - 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_raise_in_a_child_reaches_the_caller(self, forks, workers):
+        def fn(i):
+            if i == 5:
+                raise ValueError(f"trial {i} failed")
+            return i
+
+        with pytest.raises(ValueError, match="^trial 5 failed$"):
+            _map(workers, fn, 6)
+
+    def test_unpicklable_exception_becomes_relurand_error(self, forks):
+        class Local(Exception):
+            pass
+
+        def fn(i):
+            if i == 1:
+                raise Local("cannot cross a pipe")
+            return i
+
+        with pytest.raises(harness.RelurandError, match="cannot cross a pipe"):
+            _map(2, fn, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_raise_in_the_callers_share_reaps_the_children(self, forks, workers):
+        def fn(i):
+            if i == 3:
+                raise KeyError("caller")
+            return i
+
+        with pytest.raises(KeyError):
+            _map(workers, fn, 4)
+
+    def test_child_killed_by_a_signal(self, forks):
+        import signal
+
+        def fn(i):
+            if i == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(harness.RelurandError, match=r"killed by signal 9 \("):
+            _map(2, fn, 2)
+
+    def test_forks_at_most_one_child_per_trial(self, forks):
+        assert _map(64, lambda i: i * i, 3) == [0, 1, 4]
+        assert len(forks) == 2
+
+    def test_a_failed_fork_runs_the_share_in_the_caller(self, monkeypatch, forks):
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _map(3, lambda i: -i, 5) == [0, -1, -2, -3, -4]
+
+    def test_no_fork_beside_a_live_thread(self, forks):
+        import threading
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _map(3, lambda i: i + 1, 6) == [1, 2, 3, 4, 5, 6]
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
 
 
 def test_pinned_runs_independent_of_blas_threads(tmp_path):
