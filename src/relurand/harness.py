@@ -5,16 +5,17 @@ A config is a flat record that checks itself when it is made;
 run_experiment runs each kind with BLAS on one thread
 (linalg.one_blas_thread), trial i on stream_id i (for sweep, j * trials + k
 for trial k at the j-th dimension), so output is a pure function of the
-config bytes.  _map_trials, which runs the trials of `attack`, `sweep` and
-each per-trial probe, shares them among up to `workers` forked processes
-where that is safe, and otherwise runs them one after another; either
-way each trial's result is the same.  Every kind that builds a net,
-and `sample`, takes its architecture from one rule (_arch: hidden widths
-`widths`, or (d, d) when empty).  `attack` and `sweep` run the same flip
-trials, each turned into its CSV row in one place (_flip_row), and
-summarize them in one place (_flip_stats): `attack`'s summary holds the
-statistics of the `sweep` row at its one d.  _records writes every
-`degenerate` row, of flip trials and of probe trials alike.
+config bytes.  Every trial kind (`attack`, `sweep` and each probe) runs
+its trials through one runner, _rows: _map_trials shares them among up
+to `workers` forked processes where that is safe, and otherwise runs
+them one after another, so each trial's row is the same either way; and
+_rows writes every `degenerate` row.  Each kind's summary is a function
+of its trials' rows.  Every kind that builds a net, and `sample`, takes
+its architecture from one rule (_arch: hidden widths `widths`, or (d, d)
+when empty).  `attack` and `sweep` run the same flip trials, each turned
+into its CSV row in one place (_flip_row), and summarize them in one
+place (_flip_stats): `attack`'s summary holds the statistics of the
+`sweep` row at its one d.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _arch(cfg: ExperimentConfig, d: Optional[int] = None) -> Architecture:
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
     """[fn(0), ..., fn(n - 1)], with None in place of each trial whose input
     is degenerate (fn raised DegenerateInput: f(x) = 0, a zero gradient, a
-    zero layer image); _records writes that None as a `degenerate` row.
+    zero layer image); _rows writes that None as a `degenerate` row.
 
     W = min(cfg.workers, n, usable CPUs) processes share the trials where a
     fork is safe (_fanout_width): the caller runs trials 0, W, 2W, ..., and
@@ -274,11 +275,19 @@ def _trial_net(arch: Architecture, rng: RngStream):
     return lazy_network(arch, rng), x
 
 
+def _rows(cfg: ExperimentConfig, fn, n: int) -> list[TrialRecord]:
+    """The rows fn(0), ..., fn(n - 1) of n trials, run by _map_trials, with
+    a `degenerate` row on stream i for each trial i whose input is
+    degenerate: the only place one is made."""
+    return [TrialRecord(i, {}, status="degenerate") if row is None else row
+            for i, row in enumerate(_map_trials(cfg, fn, n))]
+
+
 def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
     """Trial i's row from flip_search on its net and input (_trial_net on
     stream i).  It raises DegenerateInput when f(x) = 0 or the gradient is
-    zero and there is no direction to search, which _map_trials turns into
-    None."""
+    zero and there is no direction to search, which _rows writes as a
+    `degenerate` row."""
     res = flip_search(*_trial_net(arch, RngStream(cfg.master_seed, i)), cfg.t_max)
     # the reference eta needs d >= 2; 1-d nets get NaN
     eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
@@ -288,14 +297,6 @@ def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
     if res.flipped:
         vals.update(t_star=res.t_star, ratio=res.ratio, linearity=res.linearity)
     return TrialRecord(i, vals, status="ok" if res.flipped else "not_flipped")
-
-
-def _flip_rows(cfg: ExperimentConfig, archs: list[Architecture]) -> list[TrialRecord]:
-    """The rows of cfg.trials flip trials per architecture, trial i on
-    archs[i // cfg.trials] and stream i, with a `degenerate` row (_records)
-    for each trial _map_trials gives as None."""
-    return _records(_map_trials(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
-                                len(archs) * cfg.trials), lambda row: [row])
 
 
 def _flip_stats(d: int, rows: list[TrialRecord]) -> dict:
@@ -326,7 +327,8 @@ def _flip_stats(d: int, rows: list[TrialRecord]) -> dict:
 
 
 def _run_attack(cfg: ExperimentConfig):
-    rows = _flip_rows(cfg, [_arch(cfg)])
+    arch = _arch(cfg)
+    rows = _rows(cfg, lambda i: _flip_row(cfg, arch, i), cfg.trials)
     return rows, _flip_stats(cfg.d, rows)
 
 
@@ -336,7 +338,9 @@ def _run_sweep(cfg: ExperimentConfig):
     least-squares slope of ln(median ratio) against ln(d).  Trial k at
     dimension index j runs on stream j * trials + k.
     """
-    trial_rows = _flip_rows(cfg, [_arch(cfg, d) for d in cfg.dims])
+    archs = [_arch(cfg, d) for d in cfg.dims]
+    trial_rows = _rows(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
+                       len(archs) * cfg.trials)
     rows = [TrialRecord(j, {"d": d, "trials": cfg.trials,
                             **_flip_stats(d, trial_rows[j * cfg.trials:(j + 1) * cfg.trials])})
             for j, d in enumerate(cfg.dims)]
@@ -376,46 +380,60 @@ def _run_collapse(cfg: ExperimentConfig):
     return rows, summary
 
 
-def _records(results, rows=lambda rep: [TrialRecord(*row) for row in rep.rows]
-             ) -> list[TrialRecord]:
-    """The CSV rows of each trial's result in order: rows(result), by
-    default a probe report's (stream id, values) rows.  None in place of
-    trial i's result is one `degenerate` row, the only place one is made."""
-    records: list[TrialRecord] = []
-    for i, result in enumerate(results):
-        records += [TrialRecord(i, {}, status="degenerate")] if result is None else rows(result)
-    return records
-
-
-def _ensemble(probe):
-    """Runner for a probe that samples its own ensemble of `trials` nets or
-    matrices: one call, one report."""
+def _per_trial(probe, freq=lambda row: row["violation_frequency"],
+               summarize=lambda rows: {}):
+    """Runner for a probe whose trial i is one call on stream i, its row
+    that call's dict.  The violation frequency is the mean of freq(row)
+    over the rows that are not degenerate and whose bound applies (freq
+    not None), and None when there is no such row."""
     def run(cfg: ExperimentConfig):
-        rep = probe(cfg)
-        return _records([rep]), {**rep.summary,
-                                 "violation_frequency": rep.violation_frequency}
+        rows = _rows(cfg, lambda i: TrialRecord(i, probe(cfg, RngStream(cfg.master_seed, i))),
+                     cfg.trials)
+        values = [r.values for r in rows if r.status == "ok"]
+        freqs = [f for f in map(freq, values) if f is not None]
+        return rows, {**summarize(values),
+                      "violation_frequency": float(np.mean(freqs)) if freqs else None}
     return run
 
 
-def _per_trial(probe, summarize=lambda reports: {}):
-    """Runner for a probe called once per trial on stream i.  A trial whose
-    input is degenerate is None from _map_trials and a `degenerate` row;
-    the violation frequency is the mean over the other trials whose bound
-    applies, and None when it applies to none of them."""
-    def run(cfg: ExperimentConfig):
-        results = _map_trials(cfg, lambda i: probe(cfg, RngStream(cfg.master_seed, i)),
-                              cfg.trials)
-        reports = [r for r in results if r is not None]
-        freqs = [r.violation_frequency for r in reports if r.violation_frequency is not None]
-        freq = float(np.mean(freqs)) if freqs else None
-        return _records(results), {**summarize(reports), "violation_frequency": freq}
-    return run
-
-
-def _sign_flip(cfg: ExperimentConfig, rng: RngStream):
+def _sign_flip(cfg: ExperimentConfig, rng: RngStream) -> dict:
     x = sphere_input(cfg.d, rng)
     y = x + rng.sphere_point(cfg.d, norm=cfg.radius)
     return probes.probe_sign_flip(x, y, cfg.n_draws, rng)
+
+
+def _run_value_gradient(cfg: ExperimentConfig):
+    """Trial k on a lazy net from stream k + 1, every net at the one input
+    drawn from stream 0."""
+    arch, x = _arch(cfg), sphere_input(cfg.d, RngStream(cfg.master_seed, 0))
+    rows = _rows(cfg, lambda k: TrialRecord(k + 1, probes.probe_value_gradient(
+        lazy_network(arch, RngStream(cfg.master_seed, k + 1)), x)), cfg.trials)
+    return rows, probes.value_gradient_stats([r.values for r in rows], arch.ell, cfg.delta)
+
+
+def _summary_row(summary: dict) -> tuple:
+    """The rows and summary of a kind whose CSV holds its summary in place
+    of its trials: one row, stream 0's, without the violation frequency."""
+    row = {k: v for k, v in summary.items() if k != "violation_frequency"}
+    return [TrialRecord(0, row)], summary
+
+
+def _run_dist_equiv(cfg: ExperimentConfig):
+    """Trial k's samples from streams 2k + 1 and 2k + 2, at the one input
+    drawn from stream 0."""
+    arch, x = _arch(cfg), sphere_input(cfg.d, RngStream(cfg.master_seed, 0))
+    rows = _rows(cfg, lambda k: TrialRecord(k, probes.probe_dist_equiv(
+        arch, x, RngStream(cfg.master_seed, 2 * k + 1), RngStream(cfg.master_seed, 2 * k + 2))),
+        cfg.trials)
+    return _summary_row(probes.dist_equiv_stats([r.values for r in rows]))
+
+
+def _run_gaussian_spectral(cfg: ExperimentConfig):
+    m, n = cfg.dims
+    rows = _rows(cfg, lambda k: TrialRecord(k, probes.probe_gaussian_spectral(
+        m, n, RngStream(cfg.master_seed, k))), cfg.trials)
+    return _summary_row(probes.gaussian_spectral_stats([r.values for r in rows], m, n,
+                                                       cfg.delta))
 
 
 class _Kind(NamedTuple):
@@ -425,8 +443,9 @@ class _Kind(NamedTuple):
     help: str = ""                 # the CLI subcommand's help line; probes share `probe`'s
 
 
-# Probe functions are looked up on the module at call time, never stored,
-# so that a tracer rebinding probes.probe_* sees every call.
+# Every trial kind runs its trials through _rows, one probe_* call per
+# probe trial.  Probe functions are looked up on the module at call time,
+# never stored, so that a tracer rebinding probes.probe_* sees every call.
 KINDS = {
     "attack": _Kind(_run_attack, help="single-configuration flip searches"),
     "sweep": _Kind(_run_sweep, lambda cfg: not cfg.dims or len(set(cfg.dims)) < len(cfg.dims),
@@ -438,9 +457,7 @@ KINDS = {
     "kernel": _Kind(_run_kernel, lambda cfg: not (0.0 <= cfg.theta_0 <= np.pi),
                     "'theta_0' must lie in [0, pi] for kernel",
                     help="closed-form kernel iteration"),
-    "probe:value_gradient": _Kind(_ensemble(
-        lambda cfg: probes.probe_value_gradient(_arch(cfg), cfg.trials, cfg.delta,
-                                                cfg.master_seed))),
+    "probe:value_gradient": _Kind(_run_value_gradient),
     "probe:scale_preservation": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_scale_preservation(
             *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng))),
@@ -452,8 +469,8 @@ KINDS = {
     "probe:gradient_smoothness": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_gradient_smoothness(
             *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
-        lambda reports: {"median_max_drift_ratio": float(
-            np.median([r.summary["max_drift_ratio"] for r in reports])) if reports else None})),
+        summarize=lambda rows: {"median_max_drift_ratio": float(
+            np.median([r["max_drift_ratio"] for r in rows])) if rows else None})),
     "probe:segment_spectral": _Kind(_per_trial(
         # whole masked segment products need dense weights: the net, then x
         lambda cfg, rng: probes.probe_segment_spectral(
@@ -461,12 +478,11 @@ KINDS = {
             cfg.radius, cfg.n_samples, rng)),
         lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
         "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
-    "probe:sign_flip": _Kind(_per_trial(_sign_flip)),
-    "probe:dist_equiv": _Kind(_ensemble(
-        lambda cfg: probes.probe_dist_equiv(_arch(cfg), cfg.trials, cfg.master_seed))),
-    "probe:gaussian_spectral": _Kind(_ensemble(
-        lambda cfg: probes.probe_gaussian_spectral(*cfg.dims, cfg.delta, cfg.trials,
-                                                   cfg.master_seed)),
+    "probe:sign_flip": _Kind(_per_trial(_sign_flip, lambda row: None if row["bound"] is None
+                                        else float(row["empirical"] > row["bound"]))),
+    "probe:dist_equiv": _Kind(_run_dist_equiv),
+    "probe:gaussian_spectral": _Kind(
+        _run_gaussian_spectral,
         lambda cfg: len(cfg.dims) != 2, "'dims' must be [m, n] for probe:gaussian_spectral"),
 }
 

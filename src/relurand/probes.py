@@ -1,19 +1,19 @@
 """Monte Carlo probes of the concentration bounds behind the sign-flip
 phenomenon.
 
-Each probe measures an ensemble quantity and reports how often the
-corresponding bound is violated, never a hard failure: the bounds are
-probabilistic and the checks are statistical at stated levels.  Bounds
-with explicit numerals (2^-(l+1), 3(sqrt m + sqrt n + ...),
-3r/R sqrt(log R/r), 1 - 2 sqrt(2/pi) alpha) are tested at face value;
-bounds with unnamed absolute constants are tested at _C_ABS, with a
-fitted constant reported alongside.
+Each probe_* function computes one trial and returns its CSV row as a
+dict; harness runs the trials.  How often a bound is violated is a
+statistic of the rows, never a hard failure: the bounds are probabilistic
+and the checks are statistical at stated levels.  The *_stats functions
+summarize the rows of value_gradient, dist_equiv and gaussian_spectral,
+whose bounds concern the whole ensemble.  Bounds with explicit numerals
+(2^-(l+1), 3(sqrt m + sqrt n + ...), 3r/R sqrt(log R/r),
+1 - 2 sqrt(2/pi) alpha) are tested at face value; bounds with unnamed
+absolute constants are tested at _C_ABS, with a fitted constant reported
+alongside.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,33 +36,22 @@ from .network import (
     gradient,
     init_std,
     lazy_network,
-    sphere_input,
 )
 from .rng import RngStream
 
 __all__ = [
-    "ProbeReport",
     "probe_value_gradient",
+    "value_gradient_stats",
     "probe_scale_preservation",
     "probe_activation_margin",
     "probe_gradient_smoothness",
     "probe_segment_spectral",
     "probe_sign_flip",
     "probe_dist_equiv",
+    "dist_equiv_stats",
     "probe_gaussian_spectral",
+    "gaussian_spectral_stats",
 ]
-
-
-@dataclass
-class ProbeReport:
-    """The CSV rows one probe call contributes as (stream id, {column:
-    value}) pairs, its summary and its violation frequency, and nothing
-    else.  A probe called once per trial contributes one row, and its
-    summary is that row.  violation_frequency is None when the bound does
-    not apply to the sampled input."""
-    rows: list
-    summary: dict
-    violation_frequency: Optional[float]
 
 
 # The theory's unnamed absolute constant c, in |f| <= c 2^l sqrt(log 1/delta)
@@ -70,46 +59,36 @@ class ProbeReport:
 _C_ABS = 8.0
 
 
-def probe_value_gradient(arch: Architecture, trials: int, delta: float,
-                         master_seed: int) -> ProbeReport:
-    """|f(x)| and ||grad f(x)|| over independent nets at a fixed sphere input.
+def probe_value_gradient(net: Network, x: np.ndarray) -> dict:
+    """|f(x)| and ||grad f(x)|| of one net at x.
 
-    Each net is lazy (network.lazy_network): one forward and one gradient
-    reveal one direction per side of each hidden layer, d_{i-1} + d_i
-    normals instead of d_{i-1} d_i.  Checks the lower bound ||grad|| >=
-    2^-(l+1) at its stated constant and |f| <= c 2^l sqrt(log 1/delta) at
-    c = _C_ABS.
+    harness samples each net lazy (network.lazy_network): one forward and
+    one gradient reveal one direction per side of each hidden layer,
+    d_{i-1} + d_i normals instead of d_{i-1} d_i.
     """
-    ell = arch.ell
-    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
-    grad_bound = 2.0 ** (-(ell + 1))
-    value_bound = _C_ABS * 2.0 ** ell * np.sqrt(np.log(1.0 / delta))
-    f_vals, g_norms = [], []
-    for k in range(trials):
-        net = lazy_network(arch, RngStream(master_seed, k + 1))
-        trace = forward(net, x)
-        f_vals.append(abs(trace.output))
-        g_norms.append(float(np.linalg.norm(gradient(net, trace))))
-    f_vals = np.array(f_vals)
-    g_norms = np.array(g_norms)
-    grad_ok = float(np.mean(g_norms >= grad_bound))
-    value_ok = float(np.mean(f_vals <= value_bound))
+    trace = forward(net, x)
+    return {"abs_f": float(abs(trace.output)),
+            "grad_norm": float(np.linalg.norm(gradient(net, trace)))}
+
+
+def value_gradient_stats(rows: list[dict], ell: int, delta: float) -> dict:
+    """How often the nets of probe_value_gradient's rows meet the lower
+    bound ||grad|| >= 2^-(l+1), at its stated constant, and |f| <= c 2^l
+    sqrt(log 1/delta), at c = _C_ABS; quantiles of ||grad||; and the
+    gradient bound's violation frequency."""
+    f_vals = np.array([row["abs_f"] for row in rows])
+    g_norms = np.array([row["grad_norm"] for row in rows])
+    grad_ok = float(np.mean(g_norms >= 2.0 ** (-(ell + 1))))
+    value_ok = float(np.mean(f_vals <= _C_ABS * 2.0 ** ell * np.sqrt(np.log(1.0 / delta))))
     quantiles = np.quantile(g_norms, [0.0, 0.01, 0.5, 0.99, 1.0])
-    return ProbeReport(
-        [(k + 1, {"abs_f": float(f_vals[k]), "grad_norm": float(g_norms[k])})
-         for k in range(trials)],
-        summary={
-            "grad_bound_freq": grad_ok,
-            "value_bound_freq": value_ok,
+    return {"grad_bound_freq": grad_ok, "value_bound_freq": value_ok,
             **{f"grad_norm_{k}": q
                for k, q in zip(("min", "p01", "median", "p99", "max"), quantiles)},
-        },
-        violation_frequency=1.0 - grad_ok,
-    )
+            "violation_frequency": 1.0 - grad_ok}
 
 
 def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
-                             n_samples: int, rng: RngStream) -> ProbeReport:
+                             n_samples: int, rng: RngStream) -> dict:
     """Layer image norms vs the sqrt(d_i)/2^i lower bound, and how far the
     images of a ball around x spread, divided by the ball radius (by 1 at
     radius 0); the row holds the largest post-activation spread."""
@@ -125,17 +104,14 @@ def probe_scale_preservation(net: Network, x: np.ndarray, radius: float,
             max_spread = max(max_spread, float(np.linalg.norm(fx - fy)))
     scale = radius if radius > 0 else 1.0
     violations = int(np.sum(norms < bounds))
-    freq = violations / ell
-    row = {"norm_violations": violations, "layers": ell,
-           "max_post_spread_over_radius": max_spread / scale,
-           "violation_frequency": freq}
-    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
+    return {"norm_violations": violations, "layers": ell,
+            "max_post_spread_over_radius": max_spread / scale,
+            "violation_frequency": violations / ell}
 
 
-def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> ProbeReport:
+def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> dict:
     """Count of next-layer neurons with margin >= alpha ||f_i|| / sqrt(d_i),
-    against the (1 - 2 sqrt(2/pi) alpha) d_{i+1} lower bound, in one row
-    named by the net's stream id.
+    against the (1 - 2 sqrt(2/pi) alpha) d_{i+1} lower bound.
 
     The single-row output layer is excluded: with one neuron the bound
     degenerates to a per-neuron event of constant probability.
@@ -154,13 +130,12 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> ProbeR
         thresh = alpha * norm_i / np.sqrt(dims[i])
         count = int(np.sum(np.abs(trace.preactivations[i]) >= thresh))
         violations += count < factor * dims[i + 1]
-    freq = violations / max(len(layers), 1)
-    row = {"violations": violations, "layers": len(layers), "violation_frequency": freq}
-    return ProbeReport([(net.stream_id, row)], summary=row, violation_frequency=freq)
+    return {"violations": violations, "layers": len(layers),
+            "violation_frequency": violations / max(len(layers), 1)}
 
 
 def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
-                              n_samples: int, rng: RngStream) -> ProbeReport:
+                              n_samples: int, rng: RngStream) -> dict:
     """Largest gradient drift ||grad(x) - grad(y)|| over sampled y in a
     ball, and its ratio to ||grad(x)||.  No bound is checked, so the
     violation frequency is None.  Raises DegenerateInput when grad(x) = 0,
@@ -173,9 +148,8 @@ def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,
     for _ in range(n_samples):
         grad_y = gradient(net, forward(net, rng.ball_point(x, radius)))
         max_drift = max(max_drift, float(np.linalg.norm(grad_x - grad_y)))
-    row = {"max_drift": max_drift, "max_drift_ratio": max_drift / g_norm,
-           "violation_frequency": None}
-    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=None)
+    return {"max_drift": max_drift, "max_drift_ratio": max_drift / g_norm,
+            "violation_frequency": None}
 
 
 def _masked_segment(net: Network, trace: ForwardTrace, top: int, bottom: int) -> np.ndarray:
@@ -195,7 +169,7 @@ def _masked_segment(net: Network, trace: ForwardTrace, top: int, bottom: int) ->
 
 
 def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
-                           n_samples: int, rng: RngStream) -> ProbeReport:
+                           n_samples: int, rng: RngStream) -> dict:
     """Spectral norms of masked products between consecutive bottlenecks for
     sampled y in the ball, against (c l log d_max)^{(i_j - i_{j+1})/2} at
     c = _C_ABS."""
@@ -217,9 +191,8 @@ def probe_segment_spectral(net: Network, x: np.ndarray, radius: float,
     # fitted constant: smallest c making every observed norm satisfy the bound
     exps = np.array([(hi - lo) / 2.0 for hi, lo in pairs])
     c_fit = float(np.max(norms ** (1.0 / exps) / (ell * np.log(net.arch.d_max))))
-    freq = violations / norms.size
-    row = {"violations": violations, "fitted_c": c_fit, "violation_frequency": freq}
-    return ProbeReport([(rng.stream_id, row)], summary=row, violation_frequency=freq)
+    return {"violations": violations, "fitted_c": c_fit,
+            "violation_frequency": violations / norms.size}
 
 
 # probe_sign_flip draws and applies this many rows at a time.  At d = 200
@@ -231,7 +204,7 @@ _SIGN_FLIP_BLOCK = 8192
 
 
 def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
-                    rng: RngStream) -> ProbeReport:
+                    rng: RngStream) -> dict:
     """Probability that a random gaussian hyperplane separates x and y.
 
     empirical over n_draws gaussian normals w, through the 2-column
@@ -269,11 +242,7 @@ def probe_sign_flip(x: np.ndarray, y: np.ndarray, n_draws: int,
         cos_theta = np.clip(float(x @ y) / (R * ny), -1.0, 1.0)
         oracle = float(np.arccos(cos_theta) / np.pi)
     std_err = float(np.sqrt(max(oracle * (1.0 - oracle), 1.0 / n_draws) / n_draws))
-    row = {"empirical": empirical, "bound": bound, "oracle": oracle, "std_error": std_err}
-    return ProbeReport(
-        [(rng.stream_id, row)], summary=row,
-        violation_frequency=None if bound is None else float(empirical > bound),
-    )
+    return {"empirical": empirical, "bound": bound, "oracle": oracle, "std_error": std_err}
 
 
 def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> float:
@@ -296,47 +265,50 @@ def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> flo
     return float(scale * np.prod(rng.chi(active + [dims[0]])))
 
 
-def probe_dist_equiv(arch: Architecture, trials: int, master_seed: int,
-                     control_p: Optional[float] = None) -> ProbeReport:
-    """KS two-sample test of the mask-randomization distributional identity.
+def probe_dist_equiv(arch: Architecture, x: np.ndarray, rng_a: RngStream,
+                     rng_b: RngStream, p: float = 0.5) -> dict:
+    """One trial of the mask-randomization distributional identity: a
+    gradient norm of each sample that dist_equiv_stats compares.
 
-    Sample A: gradient norms of standard lazy nets (network.lazy_network)
-    with data-dependent masks at a fixed sphere input.  Sample B: norms of
-    the same weight products with iid Bernoulli(1/2) masks; its weights
-    are independent of its masks, so each norm is a product of chi draws
-    (_bernoulli_product_norm), never a weight.  The identity predicts
-    equality in distribution, tested at level 0.01; control_p substitutes
-    a different mask probability to demonstrate the test's power.
+    Sample A: ||grad f(x)|| of a standard lazy net (network.lazy_network)
+    from rng_a, with data-dependent masks at x.  Sample B: the norm of the
+    same weight product with iid Bernoulli(p) masks from rng_b; its weights
+    are independent of its masks, so the norm is a product of chi draws
+    (_bernoulli_product_norm), never a weight.  The identity holds at
+    p = 1/2; another p demonstrates the test's power.
     """
-    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
-    p = 0.5 if control_p is None else control_p
-    a, b = [], []
-    for k in range(trials):
-        net = lazy_network(arch, RngStream(master_seed, 2 * k + 1))
-        trace = forward(net, x)
-        a.append(float(np.linalg.norm(gradient(net, trace))))
-        rng_b = RngStream(master_seed, 2 * k + 2)
-        b.append(_bernoulli_product_norm(arch, p, rng_b))
-    stat = ks_two_sample(a, b)
-    threshold = ks_critical_value(trials, trials)
-    summary = {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
-               "mask_p": p, "trials": trials}
-    return ProbeReport([(0, summary)], summary=summary,
-                       violation_frequency=0.0 if summary["pass"] else 1.0)
+    net = lazy_network(arch, rng_a)
+    return {"grad_norm": float(np.linalg.norm(gradient(net, forward(net, x)))),
+            "masked_norm": _bernoulli_product_norm(arch, p, rng_b)}
 
 
-def probe_gaussian_spectral(m: int, n: int, delta: float, samples: int,
-                            master_seed: int) -> ProbeReport:
-    """Violation count of ||A|| <= 3(sqrt m + sqrt n + sqrt(log 1/delta))
-    for iid standard gaussian matrices.  Each ||A|| is a draw of its law,
+def dist_equiv_stats(rows: list[dict], p: float = 0.5) -> dict:
+    """KS two-sample test of probe_dist_equiv's two samples, at level 0.01;
+    the identity predicts equality in distribution.  The violation
+    frequency is 1 when the test rejects, else 0."""
+    stat = ks_two_sample([row["grad_norm"] for row in rows],
+                         [row["masked_norm"] for row in rows])
+    threshold = ks_critical_value(len(rows), len(rows))
+    return {"ks_statistic": stat, "threshold": threshold, "pass": stat <= threshold,
+            "mask_p": p, "trials": len(rows),
+            "violation_frequency": 0.0 if stat <= threshold else 1.0}
+
+
+def probe_gaussian_spectral(m: int, n: int, rng: RngStream) -> dict:
+    """||A|| of one iid standard gaussian m x n matrix: a draw of its law,
     to within 1e-8 relative, from the chi entries of A's Golub-Kahan
     bidiagonal (linalg.gaussian_spectral_norm), never A."""
+    return {"norm": gaussian_spectral_norm(m, n, rng)}
+
+
+def gaussian_spectral_stats(rows: list[dict], m: int, n: int, delta: float) -> dict:
+    """Violation count of ||A|| <= 3(sqrt m + sqrt n + sqrt(log 1/delta))
+    over probe_gaussian_spectral's rows, and their mean norm, also over
+    the edge sqrt m + sqrt n."""
     bound = 3.0 * (np.sqrt(m) + np.sqrt(n) + np.sqrt(np.log(1.0 / delta)))
-    norms = np.array([gaussian_spectral_norm(m, n, RngStream(master_seed, k))
-                      for k in range(samples)])
+    norms = np.array([row["norm"] for row in rows])
     violations = int(np.sum(norms > bound))
-    summary = {"violations": violations, "bound": float(bound), "samples": samples,
-               "mean_norm": float(norms.mean()),
-               "mean_norm_over_edge": float(norms.mean() / (np.sqrt(m) + np.sqrt(n)))}
-    return ProbeReport([(0, summary)], summary=summary,
-                       violation_frequency=violations / samples)
+    return {"violations": violations, "bound": float(bound), "samples": len(rows),
+            "mean_norm": float(norms.mean()),
+            "mean_norm_over_edge": float(norms.mean() / (np.sqrt(m) + np.sqrt(n))),
+            "violation_frequency": violations / len(rows)}

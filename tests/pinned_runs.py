@@ -40,6 +40,9 @@ GUARDS = [
     "probe scale_preservation --d 2 --widths 1 1 --trials 20 --n-samples 2 --alert-level 1",
     # widths honoured by sweep: each d's net has hidden widths (12, 6), as attack's would
     "sweep --dims 8 16 --widths 12 6 --trials 5",
+    # trials shared with a forked child: the bytes of workers 1
+    "attack --d 16 --trials 6 --workers 2",
+    "probe dist_equiv --d 16 --widths 16 16 --trials 40 --workers 2",
 ]
 
 

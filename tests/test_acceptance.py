@@ -18,14 +18,14 @@ from relurand.network import (
     forward,
     grad_difference_decomposition,
     gradient,
+    sphere_input,
 )
 from relurand.probes import (
+    dist_equiv_stats,
     probe_activation_margin,
     probe_dist_equiv,
-    probe_gaussian_spectral,
     probe_scale_preservation,
     probe_sign_flip,
-    probe_value_gradient,
 )
 from relurand.rng import RngStream
 
@@ -125,9 +125,10 @@ def test_04_flip_rate_and_dimension_scaling():
 
 
 def test_05_gradient_norm_lower_bound():
-    rep = probe_value_gradient(Architecture(256, (256, 256)), 1000, 0.1,
-                               master_seed=1005)
-    freq = rep.summary["grad_bound_freq"]
+    summary = run_experiment(ExperimentConfig(
+        kind="probe:value_gradient", d=256, widths=(256, 256), trials=1000, delta=0.1,
+        master_seed=1005))["summary"]
+    freq = summary["grad_bound_freq"]
     _report(5, "gradient norm lower bound", freq >= 0.99,
             f"freq(||grad|| >= 2^-3) = {freq:.4f} over 1000 nets")
 
@@ -139,7 +140,7 @@ def test_06_scale_preservation_no_violations():
         net = build_network(Architecture(512, (512, 512)), InitMode.STANDARD, rng)
         x = rng.sphere_point(512, norm=np.sqrt(512))
         rep = probe_scale_preservation(net, x, 0.0, 1, rng)
-        violations += rep.summary["norm_violations"]
+        violations += rep["norm_violations"]
     _report(6, "layer norm lower bounds", violations == 0,
             f"{violations} violations of sqrt(d_i)/2^i over 100 nets")
 
@@ -151,8 +152,8 @@ def test_07_activation_margin_bound():
         net = build_network(Architecture(512, (512, 512, 512)), InitMode.STANDARD, rng)
         x = rng.sphere_point(512, norm=np.sqrt(512))
         rep = probe_activation_margin(net, x, 0.1)
-        viol += rep.summary["violations"]
-        pairs += rep.summary["layers"]
+        viol += rep["violations"]
+        pairs += rep["layers"]
     frac = viol / pairs
     _report(7, "activation margin bound at alpha=0.1", frac <= 0.01,
             f"{viol}/{pairs} (net, layer) violations = {frac:.4f}")
@@ -168,9 +169,9 @@ def test_08_hyperplane_flip_probability():
             x = rng.sphere_point(d, norm=np.sqrt(d))
             y = x + rng.sphere_point(d, norm=rr * np.sqrt(d))
             out = probe_sign_flip(x, y, 100_000, rng)
-            bound_ok &= out.summary["empirical"] <= out.summary["bound"]
-            worst_z = max(worst_z, abs(out.summary["empirical"] - out.summary["oracle"])
-                          / out.summary["std_error"])
+            bound_ok &= out["empirical"] <= out["bound"]
+            worst_z = max(worst_z, abs(out["empirical"] - out["oracle"])
+                          / out["std_error"])
     ok = bound_ok and worst_z <= 3.0
     _report(8, "hyperplane flip probability", ok,
             f"all 60 pairs under the bound: {bound_ok}; worst |z| vs oracle "
@@ -179,18 +180,24 @@ def test_08_hyperplane_flip_probability():
 
 def test_09_mask_distribution_equivalence():
     arch = Architecture(128, (128, 128))
-    fair = probe_dist_equiv(arch, 2000, master_seed=5)
-    biased = probe_dist_equiv(arch, 2000, master_seed=5, control_p=0.9)
-    ok = fair.summary["pass"] and not biased.summary["pass"]
+    fair = run_experiment(ExperimentConfig(kind="probe:dist_equiv", d=128, widths=(128, 128),
+                                           trials=2000, master_seed=5))["summary"]
+    # the same streams as fair's trials, at mask probability 0.9
+    x = sphere_input(128, RngStream(5, 0))
+    biased = dist_equiv_stats([probe_dist_equiv(arch, x, RngStream(5, 2 * k + 1),
+                                                RngStream(5, 2 * k + 2), p=0.9)
+                               for k in range(2000)], p=0.9)
+    ok = fair["pass"] and not biased["pass"]
     _report(9, "mask distribution equivalence", ok,
-            f"KS {fair.summary['ks_statistic']:.4f} <= {fair.summary['threshold']:.4f}; "
-            f"Bernoulli(0.9) control KS {biased.summary['ks_statistic']:.4f} rejected")
+            f"KS {fair['ks_statistic']:.4f} <= {fair['threshold']:.4f}; "
+            f"Bernoulli(0.9) control KS {biased['ks_statistic']:.4f} rejected")
 
 
 def test_10_gaussian_spectral_bound():
-    out = probe_gaussian_spectral(200, 300, 0.01, 100, master_seed=10)
-    _report(10, "gaussian spectral norm bound", out.summary["violations"] <= 1,
-            f"{out.summary['violations']}/100 violations of bound {out.summary['bound']:.1f}")
+    out = run_experiment(ExperimentConfig(kind="probe:gaussian_spectral", dims=(200, 300),
+                                          delta=0.01, trials=100, master_seed=10))["summary"]
+    _report(10, "gaussian spectral norm bound", out["violations"] <= 1,
+            f"{out['violations']}/100 violations of bound {out['bound']:.1f}")
 
 
 def test_11_kernel_monte_carlo():

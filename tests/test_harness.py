@@ -694,7 +694,19 @@ class TestCli:
         for argv in (["attack", "--d", "64", "--widths", "64", "--trials", "6"],
                      ["sweep", "--dims", "8", "16", "32", "--trials", "4"],
                      ["probe", "segment_spectral", "--d", "32", "--widths", "32", "16", "32",
-                      "--trials", "5", "--radius", "0.5", "--n-samples", "2"]):
+                      "--trials", "5", "--radius", "0.5", "--n-samples", "2"],
+                     ["probe", "value_gradient", "--d", "16", "--widths", "16", "--trials", "7"],
+                     ["probe", "dist_equiv", "--d", "16", "--widths", "16", "--trials", "40",
+                      "--alert-level", "1"],
+                     ["probe", "gaussian_spectral", "--dims", "6", "9", "--trials", "5"],
+                     ["probe", "scale_preservation", "--d", "16", "--trials", "4",
+                      "--n-samples", "2", "--alert-level", "1"],
+                     ["probe", "activation_margin", "--d", "16", "--trials", "4",
+                      "--alert-level", "1"],
+                     ["probe", "gradient_smoothness", "--d", "16", "--trials", "4",
+                      "--n-samples", "2"],
+                     ["probe", "sign_flip", "--d", "8", "--trials", "4", "--n-draws", "500",
+                      "--alert-level", "1"]):
             kind = "_".join(argv[:2]) if argv[0] == "probe" else argv[0]
             csvs, summaries = set(), []
             for w in ("1", "2", "3"):
@@ -710,6 +722,58 @@ class TestCli:
             assert len(csvs) == 1, kind
             assert summaries[0] == summaries[1] == summaries[2], kind
 
+
+
+def _csv_records(path):
+    """A CSV's rows as TrialRecords, each nonempty cell a float: written at
+    17 digits, every float reads back exactly."""
+    header, *lines = path.read_text().splitlines()
+    columns = header.split(",")[3:]
+    records = []
+    for line in lines:
+        _, seed, status, *cells = line.split(",")
+        records.append(TrialRecord(int(seed), {k: float(v) for k, v in zip(columns, cells) if v},
+                                   status))
+    return records
+
+
+class TestSummaryFromCsv:
+    """A summary recomputed from its CSV alone equals the summary JSON
+    exactly.  dist_equiv and gaussian_spectral are not covered: their CSV
+    holds their summary as its one row, not their trials' samples, so
+    there is nothing to recompute it from."""
+
+    @staticmethod
+    def _run(tmp_path, argv):
+        kind = "_".join(argv[:2]) if argv[0] == "probe" else argv[0]
+        assert main(argv + ["--seed", "5", "--out-dir", str(tmp_path)]) == 0
+        return (_csv_records(tmp_path / f"{kind}.csv"),
+                json.loads((tmp_path / f"{kind}_summary.json").read_text()))
+
+    def test_attack(self, tmp_path, capsys):
+        # narrow layers and a short reach: trials of every status
+        rows, summary = self._run(tmp_path, ["attack", "--d", "4", "--widths", "3", "3",
+                                             "--trials", "30", "--t-max", "2"])
+        assert {r.status for r in rows} == {"ok", "not_flipped", "degenerate"}
+        stats = harness._flip_stats(4, rows)
+        assert {k: summary[k] for k in stats} == stats
+
+    def test_sign_flip_violation_frequency(self, tmp_path, capsys):
+        # r close to R, where the bound is small: some trials violate it
+        rows, summary = self._run(tmp_path, ["probe", "sign_flip", "--d", "8", "--radius", "2.8",
+                                             "--trials", "20", "--n-draws", "200",
+                                             "--alert-level", "1"])
+        violated = [float(r.values["empirical"] > r.values["bound"]) for r in rows]
+        assert 0.0 < summary["violation_frequency"] == float(np.mean(violated)) < 1.0
+
+    def test_value_gradient(self, tmp_path, capsys):
+        # width 3 and delta near 1: both bounds fail at some nets
+        rows, summary = self._run(tmp_path, ["probe", "value_gradient", "--d", "16",
+                                             "--widths", "3", "3", "--trials", "40",
+                                             "--delta", "0.999", "--alert-level", "1"])
+        stats = probes.value_gradient_stats([r.values for r in rows], 2, 0.999)
+        assert {k: summary[k] for k in stats} == stats
+        assert 0.0 < stats["grad_bound_freq"] < 1.0 and 0.0 < stats["value_bound_freq"] < 1.0
 
 
 @pytest.fixture
@@ -747,9 +811,10 @@ class TestFanOut:
 
         results = _map(workers, fn, 6)
         assert results[4] is None and [r.values["i"] for r in results if r] == [0, 1, 2, 3, 5]
-        records = harness._records(results, lambda row: [row])
-        assert [r.status for r in records] == ["ok"] * 4 + ["degenerate", "ok"]
         assert len(forks) == workers - 1
+        records = harness._rows(ExperimentConfig(kind="attack", workers=workers), fn, 6)
+        assert [r.status for r in records] == ["ok"] * 4 + ["degenerate", "ok"]
+        assert [r.seed for r in records] == list(range(6))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_raise_in_a_child_reaches_the_caller(self, forks, workers):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from relurand import probes
+from relurand import harness, probes
 from relurand.errors import DegenerateInput
+from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.linalg import (gaussian_matrix, gaussian_times, ks_critical_value, ks_two_sample,
                              spectral_norm)
 from relurand.network import (
@@ -24,14 +25,15 @@ from relurand.probes import (
     _SIGN_FLIP_BLOCK,
     _bernoulli_product_norm,
     _masked_segment,
+    dist_equiv_stats,
     probe_activation_margin,
     probe_dist_equiv,
-    probe_gaussian_spectral,
     probe_gradient_smoothness,
     probe_scale_preservation,
     probe_segment_spectral,
     probe_sign_flip,
     probe_value_gradient,
+    value_gradient_stats,
 )
 from relurand.rng import RngStream
 from test_linalg import _CountingStream
@@ -41,6 +43,29 @@ def net_and_input(seed, d=64, widths=(64, 64)):
     rng = RngStream(seed)
     net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
     return net, rng.sphere_point(d, norm=np.sqrt(d)), rng
+
+
+def value_gradient_rows(arch, trials, master_seed):
+    """probe_value_gradient's rows as the value_gradient kind runs them:
+    trial k on a lazy net from stream k + 1, at the input from stream 0."""
+    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
+    return [probe_value_gradient(lazy_network(arch, RngStream(master_seed, k + 1)), x)
+            for k in range(trials)]
+
+
+def dist_equiv_summary(arch, trials, master_seed, p=0.5):
+    """dist_equiv_stats over trials of probe_dist_equiv at mask probability
+    p, on the streams the dist_equiv kind gives them."""
+    x = sphere_input(arch.input_dim, RngStream(master_seed, 0))
+    return dist_equiv_stats([probe_dist_equiv(arch, x, RngStream(master_seed, 2 * k + 1),
+                                              RngStream(master_seed, 2 * k + 2), p)
+                             for k in range(trials)], p)
+
+
+def gaussian_spectral_summary(m, n, delta, trials, master_seed):
+    return run_experiment(ExperimentConfig(kind="probe:gaussian_spectral", dims=(m, n),
+                                           delta=delta, trials=trials,
+                                           master_seed=master_seed))["summary"]
 
 
 @pytest.fixture
@@ -63,19 +88,19 @@ def record(monkeypatch):
 class TestValueGradient:
     def test_linear_chi_concentration(self):
         # l = 0: ||grad|| = ||w||, w ~ N(0, I/d), concentrates at 1 for d >= 64
-        rep = probe_value_gradient(Architecture(64, ()), 200, 0.1, master_seed=1)
-        assert rep.summary["grad_bound_freq"] >= 0.99  # bound is 1/2 at l = 0
+        rows = value_gradient_rows(Architecture(64, ()), 200, master_seed=1)
+        assert value_gradient_stats(rows, 0, 0.1)["grad_bound_freq"] >= 0.99  # bound is 1/2 at l = 0
 
     def test_two_layer_stated_constant(self):
-        rep = probe_value_gradient(Architecture(256, (256, 256)), 200, 0.1, master_seed=2)
-        assert rep.summary["grad_bound_freq"] >= 0.99  # 2^-3 bound
+        rows = value_gradient_rows(Architecture(256, (256, 256)), 200, master_seed=2)
+        assert value_gradient_stats(rows, 2, 0.1)["grad_bound_freq"] >= 0.99  # 2^-3 bound
 
     def test_euler_identity_across_ensemble(self, record):
         # f(x) = grad f(x) . x on every net the probe sampled, at its input
         traces, grads = record("forward"), record("gradient")
-        rep = probe_value_gradient(Architecture(64, (64,)), 100, 0.1, master_seed=3)
+        rows = value_gradient_rows(Architecture(64, (64,)), 100, master_seed=3)
         x = sphere_input(64, RngStream(3, 0))
-        abs_f = [row["abs_f"] for _, row in rep.rows]
+        abs_f = [row["abs_f"] for row in rows]
         assert abs_f == [abs(t.output) for t in traces]
         euler_error = [abs(t.output - g @ x) for t, g in zip(traces, grads)]
         assert max(euler_error) <= 1e-10 * (1.0 + max(abs_f))
@@ -85,7 +110,7 @@ class TestScalePreservation:
     def test_zero_radius(self):
         net, x, rng = net_and_input(5)
         rep = probe_scale_preservation(net, x, 0.0, 10, rng)
-        assert rep.summary["max_post_spread_over_radius"] == 0.0
+        assert rep["max_post_spread_over_radius"] == 0.0
 
     def test_layer1_operator_norm_bound(self):
         # one hidden layer, and relu is 1-Lipschitz: ||f_1(x) - f_1(y)|| <=
@@ -94,7 +119,7 @@ class TestScalePreservation:
         radius = 1.0
         W1_norm = np.linalg.norm(net.weights[0], 2)
         rep = probe_scale_preservation(net, x, radius, 20, rng)
-        assert 0.0 < rep.summary["max_post_spread_over_radius"] <= W1_norm + 1e-12
+        assert 0.0 < rep["max_post_spread_over_radius"] <= W1_norm + 1e-12
 
     def test_row_holds_largest_post_spread(self, record):
         traces = record("forward")
@@ -104,15 +129,16 @@ class TestScalePreservation:
         assert len(samples) == 6
         spread = max(np.linalg.norm(fx - fy) / 0.5 for ty in samples
                      for fx, fy in zip(tx.postactivations, ty.postactivations))
-        assert rep.rows[0][1]["max_post_spread_over_radius"] == spread > 0.0
-        assert rep.summary is rep.rows[0][1]
+        assert rep["max_post_spread_over_radius"] == spread > 0.0
+        assert list(rep) == ["norm_violations", "layers", "max_post_spread_over_radius",
+                             "violation_frequency"]
 
     def test_no_norm_violations_at_width_512(self):
         violations = 0
         for k in range(20):
             net, x, rng = net_and_input(700 + k, d=512, widths=(512, 512))
             rep = probe_scale_preservation(net, x, np.sqrt(512) / 10, 5, rng)
-            violations += rep.summary["norm_violations"]
+            violations += rep["norm_violations"]
         assert violations == 0
 
 
@@ -127,14 +153,16 @@ class TestActivationMargin:
         # the full width and the one hidden-to-hidden layer never violates
         net, x, _ = net_and_input(9, d=128, widths=(128, 128))
         rep = probe_activation_margin(net, x, 1e-12)
-        assert (rep.summary["violations"], rep.summary["layers"]) == (0, 1)
+        assert (rep["violations"], rep["layers"]) == (0, 1)
 
     def test_row_named_by_net_stream(self):
-        # the one row carries the id of the stream the net was drawn from
-        rng = RngStream(9, 7)
-        net = lazy_network(Architecture(16, (16, 16)), rng)
-        rep = probe_activation_margin(net, sphere_input(16, rng), 0.1)
-        assert [sid for sid, _ in rep.rows] == [7]
+        # trial 7's row carries the id of the stream its net was drawn from
+        rows = run_experiment(ExperimentConfig(kind="probe:activation_margin", d=16,
+                                               widths=(16, 16), trials=8,
+                                               master_seed=9))["rows"]
+        row = probe_activation_margin(*_trial_net(Architecture(16, (16, 16)), RngStream(9, 7)),
+                                      0.1)
+        assert (rows[7].seed, rows[7].values) == (7, row)
 
     def test_single_neuron_density_oracle(self):
         # per-neuron miss probability P(|Z| <= 0.1) vs the 0.1 sqrt(2/pi) density bound
@@ -147,8 +175,8 @@ class TestActivationMargin:
         for k in range(30):
             net, x, _ = net_and_input(900 + k, d=512, widths=(512, 512, 512))
             rep = probe_activation_margin(net, x, 0.1)
-            viol += rep.summary["violations"]
-            pairs += rep.summary["layers"]
+            viol += rep["violations"]
+            pairs += rep["layers"]
         assert viol / pairs <= 0.01
 
 
@@ -156,7 +184,7 @@ class TestGradientSmoothness:
     def test_zero_radius(self):
         net, x, rng = net_and_input(10)
         rep = probe_gradient_smoothness(net, x, 0.0, 5, rng)
-        assert rep.summary["max_drift"] == 0.0
+        assert rep["max_drift"] == 0.0
 
     def test_triangle_inequality(self, record):
         # the reported drift, decomposed layerwise at each sampled y: it is
@@ -166,7 +194,7 @@ class TestGradientSmoothness:
         rep = probe_gradient_smoothness(net, x, 2.0, 30, rng)
         decs = [grad_difference_decomposition(net, traces[0], ty) for ty in traces[1:]]
         drifts = [np.linalg.norm(dec.grad_x - dec.grad_y) for dec in decs]
-        assert rep.summary["max_drift"] == max(drifts) > 0.0
+        assert rep["max_drift"] == max(drifts) > 0.0
         for dec, drift in zip(decs, drifts):
             assert sum(np.linalg.norm(t) for t in dec.terms) + 1e-12 >= drift
 
@@ -178,8 +206,8 @@ class TestGradientSmoothness:
         for k in range(10):
             net, x, rng = net_and_input(1100 + k, d=1024, widths=(1024, 1024))
             r = 0.05 * np.sqrt(1024)
-            big.append(probe_gradient_smoothness(net, x, r, 10, rng).summary["max_drift_ratio"])
-            small.append(probe_gradient_smoothness(net, x, r / 10, 10, rng).summary["max_drift_ratio"])
+            big.append(probe_gradient_smoothness(net, x, r, 10, rng)["max_drift_ratio"])
+            small.append(probe_gradient_smoothness(net, x, r / 10, 10, rng)["max_drift_ratio"])
         assert np.median(big) <= 0.5
         assert np.median(small) <= 0.5 * np.median(big)
 
@@ -213,7 +241,7 @@ class TestSegmentSpectral:
     def test_bounds_hold_with_calibrated_constant(self):
         net, x, rng = net_and_input(14, d=512, widths=(512, 64, 512))
         rep = probe_segment_spectral(net, x, np.sqrt(512) / 10, 20, rng)
-        assert rep.summary["violations"] == 0
+        assert rep["violations"] == 0
 
     @staticmethod
     def _full_masked_segment(net, trace, top, bottom):
@@ -251,27 +279,27 @@ class TestSegmentSpectral:
         monkeypatch.setattr(probes, "forward", inactive)
         net, x, rng = net_and_input(2213, d=16, widths=(16, 4, 16))
         rep = probe_segment_spectral(net, x, 0.5, 3, rng)
-        assert rep.summary["fitted_c"] == 0.0 and rep.summary["violations"] == 0
+        assert rep["fitted_c"] == 0.0 and rep["violations"] == 0
 
 
 class TestSignFlip:
     def test_identical_inputs(self):
         x = np.array([1.0, 2.0])
         out = probe_sign_flip(x, x, 1000, RngStream(0))
-        assert out.summary["empirical"] == 0.0 and out.summary["oracle"] == 0.0
+        assert out["empirical"] == 0.0 and out["oracle"] == 0.0
 
     def test_antipodal(self):
         x = np.array([1.0, 0.0, 0.0])
         out = probe_sign_flip(x, -x, 1000, RngStream(1))
-        assert out.summary["oracle"] == pytest.approx(1.0)
-        assert out.summary["bound"] is None  # r > R: formula precondition violated
+        assert out["oracle"] == pytest.approx(1.0)
+        assert out["bound"] is None  # r > R: formula precondition violated
 
     def test_orthogonal_half(self):
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 1.0])
         out = probe_sign_flip(x, y, 100_000, RngStream(2))
-        assert out.summary["oracle"] == pytest.approx(0.5)
-        assert abs(out.summary["empirical"] - 0.5) <= 3 * out.summary["std_error"]
+        assert out["oracle"] == pytest.approx(0.5)
+        assert abs(out["empirical"] - 0.5) <= 3 * out["std_error"]
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -282,7 +310,7 @@ class TestSignFlip:
         x = rng.sphere_point(50, norm=10.0)
         y = x + rng.sphere_point(50, norm=0.5)
         out = probe_sign_flip(x, y, 100_000, rng)
-        assert out.summary["empirical"] <= out.summary["bound"]
+        assert out["empirical"] <= out["bound"]
 
     @staticmethod
     def _one_shot_row(x, y, n_draws, rng):
@@ -304,7 +332,7 @@ class TestSignFlip:
         x = rng.sphere_point(20, norm=np.sqrt(20))
         y = x + rng.sphere_point(20, norm=radius)
         rep = probe_sign_flip(x, y, n_draws, RngStream(2215, 3))
-        assert rep.rows == [(3, self._one_shot_row(x, y, n_draws, RngStream(2215, 3)))]
+        assert rep == self._one_shot_row(x, y, n_draws, RngStream(2215, 3))
 
     def test_memory_is_one_block(self):
         # one 10^6 x 2 image is 16 MB, and its sign temporaries as much again
@@ -322,17 +350,14 @@ class TestSignFlip:
 
 class TestDistEquiv:
     def test_linear_case_passes(self):
-        out = probe_dist_equiv(Architecture(64, ()), 1000, master_seed=6)
-        assert out.summary["pass"]
+        assert dist_equiv_summary(Architecture(64, ()), 1000, master_seed=6)["pass"]
 
     def test_two_layer_passes(self):
-        out = probe_dist_equiv(Architecture(128, (128, 128)), 1000, master_seed=7)
-        assert out.summary["pass"]
+        assert dist_equiv_summary(Architecture(128, (128, 128)), 1000, master_seed=7)["pass"]
 
     def test_mismatched_control_fails(self):
-        out = probe_dist_equiv(Architecture(128, (128, 128)), 1000, master_seed=8,
-                               control_p=0.9)
-        assert not out.summary["pass"]
+        out = dist_equiv_summary(Architecture(128, (128, 128)), 1000, master_seed=8, p=0.9)
+        assert not out["pass"]
 
 
 class TestBernoulliSample:
@@ -387,16 +412,16 @@ def _vector_product_norm(arch, p, rng):
 
 class TestGaussianSpectral:
     def test_scalar_case(self):
-        out = probe_gaussian_spectral(1, 1, 0.1, 100, master_seed=9)
-        assert out.summary["violations"] == 0  # bound >= 6, |N(0,1)| essentially never
+        out = gaussian_spectral_summary(1, 1, 0.1, 100, master_seed=9)
+        assert out["violations"] == 0  # bound >= 6, |N(0,1)| essentially never
 
     def test_stated_bound(self):
-        out = probe_gaussian_spectral(200, 300, 0.01, 100, master_seed=10)
-        assert out.summary["violations"] <= 1
+        out = gaussian_spectral_summary(200, 300, 0.01, 100, master_seed=10)
+        assert out["violations"] <= 1
 
     def test_marchenko_pastur_edge(self):
-        out = probe_gaussian_spectral(500, 500, 0.01, 30, master_seed=11)
-        assert 0.9 <= out.summary["mean_norm_over_edge"] <= 1.1
+        out = gaussian_spectral_summary(500, 500, 0.01, 30, master_seed=11)
+        assert 0.9 <= out["mean_norm_over_edge"] <= 1.1
 
 
 def _dense_value_gradient(arch, trials, master_seed):
@@ -417,15 +442,15 @@ class TestLazyNets:
     arch = Architecture(64, (64, 64))
 
     def test_value_gradient_matches_dense_in_distribution(self):
-        rep = probe_value_gradient(self.arch, 1000, 0.1, master_seed=8101)
+        rows = value_gradient_rows(self.arch, 1000, master_seed=8101)
         dense = _dense_value_gradient(self.arch, 1000, 8102)
         for column, name in enumerate(("abs_f", "grad_norm")):
-            stat = ks_two_sample([row[name] for _, row in rep.rows], dense[column])
+            stat = ks_two_sample([row[name] for row in rows], dense[column])
             assert stat <= ks_critical_value(1000, 1000), name
 
     def test_dist_equiv_sample_a_matches_dense_in_distribution(self, record):
         grads = record("gradient")   # sample A's gradients; sample B takes none
-        probe_dist_equiv(self.arch, 1000, master_seed=8103)
+        dist_equiv_summary(self.arch, 1000, master_seed=8103)
         dense = _dense_value_gradient(self.arch, 1000, 8104)[1]
         stat = ks_two_sample([np.linalg.norm(g) for g in grads], dense)
         assert stat <= ks_critical_value(1000, 1000)
@@ -440,6 +465,7 @@ class TestLazyNets:
                 super().__init__(*args)
                 streams.append(self)
 
-        monkeypatch.setattr(probes, "RngStream", Recorded)
-        probe_value_gradient(Architecture(256, (256, 256)), 1, 0.1, master_seed=8105)
+        monkeypatch.setattr(harness, "RngStream", Recorded)
+        run_experiment(ExperimentConfig(kind="probe:value_gradient", d=256, widths=(256, 256),
+                                        trials=1, master_seed=8105))
         assert [s.draws for s in streams] == [0, 256 + 2 * (256 + 256)]
