@@ -3,16 +3,18 @@
 Subcommands: sample, and one per kind in harness.KINDS with that kind's
 help line, except that the kinds probe:<name> are probe <name>.  Every
 subcommand builds one ExperimentConfig, which checks itself, before any
-work.  Every ExperimentConfig key is a flag (n_draws -> --n-draws), except
-that master_seed is --seed and theta_0 is --theta0.  A JSON config file
-(--config, such as configs/*.json) provides the same flat keys, and a
-kind only if it is the subcommand's; flags override config keys
-one-for-one.  A flag's text is read as its key's type, so a malformed
-value is the same config error from a flag as from a file.  Integers,
-the seed among them, lie in [-2**63, 2**63), where distinct seeds give
-distinct streams.  Outputs go to --out-dir, which is created if missing;
-sample reads d, widths and master_seed and writes network.rrnn there,
-or to --out.
+work.  Each subcommand takes the keys its kind accepts
+(harness._accepted), each as a flag (n_draws -> --n-draws), except that
+master_seed is --seed and theta_0 is --theta0.  A JSON config file
+(--config, such as configs/*.json) provides the same keys, and a kind
+only if it is the subcommand's; flags override config keys one-for-one.
+Every subcommand parses every flag, so a key its kind does not take,
+like a malformed value (a flag's text is read as its key's type), is the
+same config error from a flag as from a file.  Integers, the seed among
+them, lie in [-2**63, 2**63), where distinct seeds give distinct
+streams.  Outputs go to --out-dir, which is created if missing; sample
+reads d, widths and master_seed and writes network.rrnn there, or to
+--out.
 Exit codes: 0 success, 1 config error, a run that ran out of memory or
 a run that raised any other RelurandError (one stderr line; none writes
 output), 2 I/O error or a command line argparse cannot parse (an unknown

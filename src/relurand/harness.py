@@ -1,26 +1,28 @@
 """Experiment orchestration: config validation, deterministic trial dispatch,
 CSV/JSON emission.
 
-A config is a flat record that checks itself when it is made;
-run_experiment runs each kind with BLAS on one thread
-(linalg.one_blas_thread), trial i on stream_id i (for sweep, j * trials + k
-for trial k at the j-th dimension), so output is a pure function of the
-config bytes.  Every trial kind (`attack`, `sweep` and each probe) runs
-its trials through one runner, _rows: _map_trials shares them among up
-to `workers` forked processes where that is safe, and otherwise runs
-them one after another, so each trial's row is the same either way; and
-_rows writes every `degenerate` row.  Each kind's summary is a function
-of its trials' rows.  Every kind that builds a net, and `sample`, takes
-its architecture from one rule (_arch: hidden widths `widths`, or (d, d)
-when empty).  `attack` and `sweep` run the same flip trials, each turned
-into its CSV row in one place (_flip_row), and summarize them in one
-place (_flip_stats): `attack`'s summary holds the statistics of the
-`sweep` row at its one d.
+A config checks itself when it is made.  Each kind declares the keys it
+reads (_Kind.keys, SAMPLE_KEYS), and that table is the one rule for what
+a config of the kind may set (_accepted): from_dict, which the CLI and
+config files go through, rejects any other key, and a summary's `config`
+records exactly the accepted keys.  run_experiment runs each kind with
+BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i (for
+sweep, j * trials + k for trial k at the j-th dimension), so output is a
+pure function of the config bytes.  Every trial kind (`attack`, `sweep`
+and each probe) runs its trials through one runner, _rows: _map_trials
+shares them among up to `workers` forked processes where that is safe,
+and otherwise runs them one after another, so each trial's row is the
+same either way; and _rows writes every `degenerate` row.  Each kind's
+summary is a function of its trials' rows.  Every kind that builds a
+net, and `sample`, takes its architecture from one rule (_arch: hidden
+widths `widths`, or (d, d) when empty).  `attack` and `sweep` run the
+same flip trials, each turned into its CSV row in one place (_flip_row),
+and summarize them in one place (_flip_stats): `attack`'s summary holds
+the statistics of the `sweep` row at its one d.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -105,9 +107,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(_HINTS)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+        """The config of a config file's or the flags' keys.  A key the
+        kind does not take (_accepted) is a ConfigError naming it and the
+        kind, raised before any value is checked."""
+        kind = data.get("kind")
+        if not (isinstance(kind, str) and (kind in KINDS or kind == SAMPLE)):
+            raise ConfigError(f"unknown experiment kind {kind!r}")
+        foreign = set(data) - set(_accepted(kind))
+        if foreign:
+            raise ConfigError(f"kind '{kind}' takes no key(s) {sorted(foreign)}")
         return cls(**data)
 
 
@@ -438,6 +446,7 @@ def _run_gaussian_spectral(cfg: ExperimentConfig):
 
 class _Kind(NamedTuple):
     run: Callable                  # config -> (rows, summary)
+    keys: tuple                    # the config keys run reads, besides master_seed and workers
     invalid: Callable = lambda cfg: False   # config -> True if this kind cannot run it
     error: str = ""                # the ConfigError message when invalid
     help: str = ""                 # the CLI subcommand's help line; probes share `probe`'s
@@ -446,51 +455,71 @@ class _Kind(NamedTuple):
 # Every trial kind runs its trials through _rows, one probe_* call per
 # probe trial.  Probe functions are looked up on the module at call time,
 # never stored, so that a tracer rebinding probes.probe_* sees every call.
+# Every probe but sign_flip and gaussian_spectral reads _PROBE_KEYS.
+_PROBE_KEYS = ("d", "widths", "trials", "alert_level")
 KINDS = {
-    "attack": _Kind(_run_attack, help="single-configuration flip searches"),
-    "sweep": _Kind(_run_sweep, lambda cfg: not cfg.dims or len(set(cfg.dims)) < len(cfg.dims),
+    "attack": _Kind(_run_attack, ("d", "widths", "trials", "t_max", "delta"),
+                    help="single-configuration flip searches"),
+    "sweep": _Kind(_run_sweep, ("dims", "widths", "trials", "t_max"),
+                   lambda cfg: not cfg.dims or len(set(cfg.dims)) < len(cfg.dims),
                    "'dims' must be a nonempty list of distinct dimensions for sweep",
                    help="flip-ratio scaling across input dimensions"),
-    "collapse": _Kind(_run_collapse, lambda cfg: cfg.d < 2 or cfg.width < 8,
+    "collapse": _Kind(_run_collapse, ("d", "width", "depth", "n_pairs"),
+                      lambda cfg: cfg.d < 2 or cfg.width < 8,
                       "collapse needs 'd' >= 2 and 'width' >= 8",
                       help="deep-network collapse simulation"),
-    "kernel": _Kind(_run_kernel, lambda cfg: not (0.0 <= cfg.theta_0 <= np.pi),
+    "kernel": _Kind(_run_kernel, ("theta_0", "steps"),
+                    lambda cfg: not (0.0 <= cfg.theta_0 <= np.pi),
                     "'theta_0' must lie in [0, pi] for kernel",
                     help="closed-form kernel iteration"),
-    "probe:value_gradient": _Kind(_run_value_gradient),
+    "probe:value_gradient": _Kind(_run_value_gradient, _PROBE_KEYS + ("delta",)),
     "probe:scale_preservation": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_scale_preservation(
-            *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng))),
+            *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng)),
+        _PROBE_KEYS + ("radius", "n_samples")),
     "probe:activation_margin": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_activation_margin(
             *_trial_net(_arch(cfg), rng), cfg.alpha)),
+        _PROBE_KEYS + ("alpha",),
         lambda cfg: not (0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)),
         "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin"),
     "probe:gradient_smoothness": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_gradient_smoothness(
             *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
         summarize=lambda rows: {"median_max_drift_ratio": float(
-            np.median([r["max_drift_ratio"] for r in rows])) if rows else None})),
+            np.median([r["max_drift_ratio"] for r in rows])) if rows else None}),
+        _PROBE_KEYS + ("radius", "n_samples")),
     "probe:segment_spectral": _Kind(_per_trial(
         # whole masked segment products need dense weights: the net, then x
         lambda cfg, rng: probes.probe_segment_spectral(
             build_network(_arch(cfg), InitMode.STANDARD, rng), sphere_input(cfg.d, rng),
             cfg.radius, cfg.n_samples, rng)),
+        _PROBE_KEYS + ("radius", "n_samples"),
         lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
         "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
     "probe:sign_flip": _Kind(_per_trial(_sign_flip, lambda row: None if row["bound"] is None
-                                        else float(row["empirical"] > row["bound"]))),
-    "probe:dist_equiv": _Kind(_run_dist_equiv),
+                                        else float(row["empirical"] > row["bound"])),
+                             ("d", "trials", "alert_level", "radius", "n_draws")),
+    "probe:dist_equiv": _Kind(_run_dist_equiv, _PROBE_KEYS),
     "probe:gaussian_spectral": _Kind(
-        _run_gaussian_spectral,
+        _run_gaussian_spectral, ("dims", "trials", "delta", "alert_level"),
         lambda cfg: len(cfg.dims) != 2, "'dims' must be [m, n] for probe:gaussian_spectral"),
 }
 
 # The kind of `relurand sample`'s config: validated like an experiment's,
-# but it saves a network instead of running trials.
+# but it saves a network instead of running trials.  It reads SAMPLE_KEYS.
 SAMPLE = "sample"
+SAMPLE_KEYS = ("d", "widths")
 
 PROBE_NAMES = tuple(k.removeprefix("probe:") for k in KINDS if k.startswith("probe:"))
+
+
+def _accepted(kind: str) -> tuple:
+    """Every key a config of a kind may set: kind, master_seed, workers and
+    the keys the kind reads.  from_dict rejects any other key, and a
+    summary's `config` records exactly these."""
+    return ("kind", "master_seed", "workers",
+            *(SAMPLE_KEYS if kind == SAMPLE else KINDS[kind].keys))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -502,8 +531,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     # other core is busy), and collapse pins its layer algebra anyway.
     with one_blas_thread():
         rows, summary = KINDS[config.kind].run(config)
-    summary = {"config": dataclasses.asdict(config), "version": f"relurand-{__version__}",
-               **summary}
+    summary = {"config": {key: getattr(config, key) for key in _accepted(config.kind)},
+               "version": f"relurand-{__version__}", **summary}
     return {"rows": rows, "summary": summary}
 
 

@@ -114,7 +114,9 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> dict:
     against the (1 - 2 sqrt(2/pi) alpha) d_{i+1} lower bound.
 
     The single-row output layer is excluded: with one neuron the bound
-    degenerates to a per-neuron event of constant probability.
+    degenerates to a per-neuron event of constant probability.  So a net
+    with one hidden layer checks no layer, and its violation frequency is
+    None.
     """
     if not (0.0 < alpha < np.sqrt(np.pi / 8.0)):
         raise ValueError("alpha must lie in (0, sqrt(pi/8)) for a positive bound")
@@ -131,7 +133,7 @@ def probe_activation_margin(net: Network, x: np.ndarray, alpha: float) -> dict:
         count = int(np.sum(np.abs(trace.preactivations[i]) >= thresh))
         violations += count < factor * dims[i + 1]
     return {"violations": violations, "layers": len(layers),
-            "violation_frequency": violations / max(len(layers), 1)}
+            "violation_frequency": violations / len(layers) if layers else None}
 
 
 def probe_gradient_smoothness(net: Network, x: np.ndarray, radius: float,

@@ -22,7 +22,6 @@ from relurand.cli import main
 from relurand.errors import ConfigError, DegenerateInput
 from relurand.harness import (
     KINDS,
-    PROBE_NAMES,
     SAMPLE,
     ExperimentConfig,
     TrialRecord,
@@ -60,6 +59,26 @@ def _quick_argv(kind, out_dir):
         argv += ["--" + key.replace("_", "-")]
         argv += [str(x) for x in v] if isinstance(v, list) else [str(v)]
     return argv
+
+
+def _command_taking(key):
+    """The argv words of the first subcommand whose kind takes key."""
+    return next(kind for kind in KINDS if key in harness._accepted(kind)).split(":")
+
+
+# flag -> (key, words on the command line, value in a summary) for every
+# key but kind, each value valid and other than the key's default
+_FLAGS = {
+    "--seed": ("master_seed", ["7"], 7), "--d": ("d", ["5"], 5),
+    "--widths": ("widths", ["3", "4"], [3, 4]), "--trials": ("trials", ["2"], 2),
+    "--radius": ("radius", ["0.25"], 0.25), "--alpha": ("alpha", ["0.2"], 0.2),
+    "--delta": ("delta", ["0.3"], 0.3), "--t-max": ("t_max", ["2.5"], 2.5),
+    "--dims": ("dims", ["6", "7"], [6, 7]), "--theta0": ("theta_0", ["1.0"], 1.0),
+    "--steps": ("steps", ["3"], 3), "--n-pairs": ("n_pairs", ["4"], 4),
+    "--width": ("width", ["9"], 9), "--depth": ("depth", ["2"], 2),
+    "--n-samples": ("n_samples", ["3"], 3), "--n-draws": ("n_draws", ["11"], 11),
+    "--workers": ("workers", ["2"], 2), "--alert-level": ("alert_level", ["0.5"], 0.5),
+}
 
 
 def _range_cases():
@@ -133,10 +152,30 @@ class TestConfig:
             ExperimentConfig(kind="attack", **{key: value})
         assert str(info.value) == message
 
-    def test_round_trip_dict(self):
-        cfg = ExperimentConfig.from_dict(
-            {"kind": "attack", "d": 32, "widths": [32, 32], "trials": 5})
-        assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+    def test_round_trip_dict(self, tmp_path, capsys):
+        # a summary's config holds exactly the keys its kind takes and
+        # rebuilds the run's config, and a rerun from it writes the same CSV
+        for kind, extra in _QUICK.items():
+            stem = kind.replace(":", "_")
+            assert main(_quick_argv(kind, tmp_path / "a")) == 0, kind
+            config = json.loads((tmp_path / "a" / f"{stem}_summary.json").read_text())["config"]
+            assert set(config) == set(harness._accepted(kind)), kind
+            assert ExperimentConfig.from_dict(config) == \
+                ExperimentConfig.from_dict({"kind": kind, "master_seed": 3, **extra}), kind
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(config))
+            assert main([*kind.split(":"), "--config", str(cfgfile),
+                         "--out-dir", str(tmp_path / "b")]) == 0, kind
+            assert (tmp_path / "b" / f"{stem}.csv").read_bytes() == \
+                (tmp_path / "a" / f"{stem}.csv").read_bytes(), kind
+
+    def test_readme_key_table(self):
+        # README's table of the keys each subcommand takes is the code's
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+(?: \w+)?)` \| (.*) \|$", readme, re.MULTILINE)
+        table = {command: re.findall(r"`(\w+)`", keys) for command, keys in rows}
+        assert table == {SAMPLE: list(harness.SAMPLE_KEYS),
+                         **{kind.replace(":", " "): list(KINDS[kind].keys) for kind in KINDS}}
 
 
 class TestRunExperiment:
@@ -227,6 +266,23 @@ class TestRunExperiment:
                                                    rel=1e-12)
                 flipped += 1
         assert flipped >= 10
+
+    def test_keys_a_kind_does_not_take_change_nothing(self, tmp_path):
+        # every key a kind does not take, set to another valid value, moves
+        # no row and no summary value: rejecting those keys loses no function
+        for kind, extra in _QUICK.items():
+            foreign = {key: value for _, (key, _, value) in _FLAGS.items()
+                       if key not in harness._accepted(kind)}
+            outputs = []
+            for i, cfg in enumerate((ExperimentConfig(kind=kind, master_seed=3, **extra),
+                                     ExperimentConfig(kind=kind, master_seed=3, **extra,
+                                                      **foreign))):
+                out = run_experiment(cfg)
+                write_csv(out["rows"], tmp_path / f"{i}.csv")
+                del out["summary"]["config"]
+                outputs.append(((tmp_path / f"{i}.csv").read_bytes(),
+                                json.dumps(out["summary"], sort_keys=True)))
+            assert foreign and outputs[0] == outputs[1], kind
 
     def test_probe_dispatch_all_names(self, tmp_path, capsys):
         assert list(_QUICK) == list(KINDS)
@@ -399,39 +455,49 @@ class TestCli:
         assert run(tmp_path / "b") == first
 
     def test_every_config_key_is_a_flag(self, tmp_path, capsys):
-        flags = {
-            "--seed": ("master_seed", ["7"], 7), "--d": ("d", ["5"], 5),
-            "--widths": ("widths", ["3", "4"], [3, 4]), "--trials": ("trials", ["2"], 2),
-            "--radius": ("radius", ["0.25"], 0.25), "--alpha": ("alpha", ["0.2"], 0.2),
-            "--delta": ("delta", ["0.3"], 0.3), "--t-max": ("t_max", ["2.5"], 2.5),
-            "--dims": ("dims", ["6", "7"], [6, 7]), "--theta0": ("theta_0", ["1.0"], 1.0),
-            "--steps": ("steps", ["3"], 3), "--n-pairs": ("n_pairs", ["4"], 4),
-            "--width": ("width", ["9"], 9), "--depth": ("depth", ["2"], 2),
-            "--n-samples": ("n_samples", ["3"], 3), "--n-draws": ("n_draws", ["11"], 11),
-            "--workers": ("workers", ["2"], 2), "--alert-level": ("alert_level", ["0.5"], 0.5),
-        }
+        # each subcommand takes each key its kind takes as a flag, and its
+        # summary records every one; sample reads d, widths and the seed
         keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
-        assert {key for key, _, _ in flags.values()} == keys
-        # every subcommand takes every flag; sample reads d, widths and the seed
-        commands = ["sample", "attack", "sweep", "collapse", "kernel",
-                    *(f"probe {name}" for name in PROBE_NAMES)]
-        assert len(commands) == 13
-        for command in commands:
-            out_dir = tmp_path / command.replace(" ", "_")
-            argv = [*command.split(), "--out-dir", str(out_dir)]
-            for flag, (_, values, _) in flags.items():
+        assert {key for key, _, _ in _FLAGS.values()} == keys
+        for kind in (SAMPLE, *KINDS):
+            taken = {flag: v for flag, v in _FLAGS.items() if v[0] in harness._accepted(kind)}
+            out_dir = tmp_path / kind.replace(":", "_")
+            argv = [*kind.split(":"), "--out-dir", str(out_dir)]
+            for flag, (_, values, _) in taken.items():
                 argv += [flag, *values]
-            assert main(argv) == 0, command
-            if command == "sample":
+            assert main(argv) == 0, kind
+            if kind == SAMPLE:
                 from relurand.network import load_network
                 net = load_network(out_dir / "network.rrnn")
                 assert (net.arch.input_dim, net.arch.hidden_widths, net.master_seed) == \
                     (5, (3, 4), 7)
                 continue
-            kind = command.replace(" ", ":")
             stem = kind.replace(":", "_")
             config = json.loads((out_dir / f"{stem}_summary.json").read_text())["config"]
-            assert config == {"kind": kind, **{k: v for k, _, v in flags.values()}}, command
+            assert config == {"kind": kind, **{k: v for k, _, v in taken.values()}}, kind
+
+    def test_every_other_flag_is_the_config_file_error(self, tmp_path, capsys):
+        # a flag whose key the subcommand's kind does not take exits 1 before
+        # any work, with the one stderr line of that key in a config file;
+        # of the 13 subcommands' 18 keys each, 84 pairs are taken
+        cfgfile = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        rejected = 0
+        for kind in (SAMPLE, *KINDS):
+            for flag, (key, values, value) in _FLAGS.items():
+                if key in harness._accepted(kind):
+                    continue
+                cfgfile.write_text(json.dumps({key: value}))
+                errs = []
+                for source in ([flag, *values], ["--config", str(cfgfile)]):
+                    assert main([*kind.split(":"), *source, "--out-dir", str(out)]) == 1, \
+                        (kind, flag)
+                    errs.append(capsys.readouterr().err)
+                    assert not out.exists()
+                assert errs[0] == errs[1] == \
+                    f"config error: kind '{kind}' takes no key(s) ['{key}']\n"
+                rejected += 1
+        assert 13 * 18 - rejected == 84
 
     @pytest.mark.parametrize("argv, key", [
         ("attack --widths 0", "widths"),
@@ -449,6 +515,9 @@ class TestCli:
         ("probe sign_flip --radius -1", "radius"),
         ("kernel --theta0 nan", "theta_0"),
         ("kernel --theta0 4", "theta_0"),
+        # keys the kind does not take
+        ("attack --d 8 --trials 3 --depth 7 --n-pairs 3 --theta0 1", "depth"),
+        ("kernel --trials 3 --widths 4 4", "trials"),
     ])
     def test_invalid_config_rejected_before_work(self, tmp_path, capsys, argv, key):
         rc = main(argv.split() + ["--out-dir", str(tmp_path)])
@@ -471,14 +540,15 @@ class TestCli:
     ])
     def test_malformed_flag_is_the_config_file_error(self, tmp_path, capsys, flag, config,
                                                      key):
-        # the same malformed value as a flag and in a config file: exit 1,
-        # one identical stderr line naming the key, nothing written
+        # the same malformed value as a flag and in a config file, on a
+        # subcommand that takes the key: exit 1, one identical stderr line
+        # naming the key, nothing written
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(config)
         errs = []
         for i, source in enumerate((flag.split(), ["--config", str(cfgfile)])):
             out = tmp_path / str(i)
-            assert main(["attack", *source, "--out-dir", str(out)]) == 1
+            assert main([*_command_taking(key), *source, "--out-dir", str(out)]) == 1
             errs.append(capsys.readouterr().err)
             assert not out.exists()
         assert errs[0] == errs[1]
@@ -506,10 +576,11 @@ class TestCli:
         ('{"kind": "collapse", "d": 8, "widths": [8], "trials": 2}', "kind"),
     ])
     def test_wrongly_typed_config_file_rejected(self, tmp_path, capsys, config, key):
+        # on a subcommand that takes the key, so that its type is checked
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(config)
         out = tmp_path / "out"
-        rc = main(["attack", "--config", str(cfgfile), "--out-dir", str(out)])
+        rc = main([*_command_taking(key), "--config", str(cfgfile), "--out-dir", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("config error:") and f"'{key}'" in err
@@ -974,25 +1045,47 @@ def _sizes(lo, hi):
 
 _REALS = st.one_of(st.floats(-2.0, 4.0), st.sampled_from([0.0, -1.0, float("nan")]))
 
-# The size keys are always set, so that no default (d = 64, n_draws = 10^5)
-# makes an example slow; the other keys are set or left at their defaults.
-_FLAT_CONFIGS = st.fixed_dictionaries(
-    {"d": _sizes(1, 8), "widths": st.lists(_sizes(1, 8), max_size=3),
-     "dims": st.lists(_sizes(1, 8), max_size=3), "trials": _sizes(1, 3),
-     "n_draws": _sizes(1, 200), "depth": _sizes(1, 4), "width": _sizes(8, 16),
-     "steps": _sizes(1, 20), "n_pairs": _sizes(1, 3), "n_samples": _sizes(1, 3)},
-    optional={"master_seed": st.integers(-3, 3), "workers": _sizes(1, 2),
-              "radius": _REALS, "alpha": _REALS, "delta": _REALS, "theta_0": _REALS,
-              "alert_level": _REALS, "t_max": st.one_of(st.none(), _REALS)})
+# The size keys a kind takes are always set, so that no default (d = 64,
+# n_draws = 10^5) makes an example slow; its other keys are set or left at
+# their defaults.
+_SIZE_KEYS = {"d": _sizes(1, 8), "widths": st.lists(_sizes(1, 8), max_size=3),
+              "dims": st.lists(_sizes(1, 8), max_size=3), "trials": _sizes(1, 3),
+              "n_draws": _sizes(1, 200), "depth": _sizes(1, 4), "width": _sizes(8, 16),
+              "steps": _sizes(1, 20), "n_pairs": _sizes(1, 3), "n_samples": _sizes(1, 3)}
+_OTHER_KEYS = {"master_seed": st.integers(-3, 3), "workers": _sizes(1, 2),
+               "radius": _REALS, "alpha": _REALS, "delta": _REALS, "theta_0": _REALS,
+               "alert_level": _REALS, "t_max": st.one_of(st.none(), _REALS)}
 
 
-@given(kind=st.sampled_from(sorted(KINDS) + [SAMPLE]), config=_FLAT_CONFIGS)
+@st.composite
+def _flat_configs(draw):
+    """(kind, a config file's keys, the one key in it that the kind does not
+    take, or None when there is none)."""
+    kind = draw(st.sampled_from(sorted(KINDS) + [SAMPLE]))
+    taken = harness._accepted(kind)
+    config = draw(st.fixed_dictionaries(
+        {k: v for k, v in _SIZE_KEYS.items() if k in taken},
+        optional={k: v for k, v in _OTHER_KEYS.items() if k in taken}))
+    keys = {**_SIZE_KEYS, **_OTHER_KEYS}
+    foreign = draw(st.none() | st.sampled_from(sorted(set(keys) - set(taken))))
+    if foreign is not None:
+        config[foreign] = draw(keys[foreign])
+    return kind, config, foreign
+
+
+@given(case=_flat_configs())
 @settings(max_examples=300, deadline=None)
-def test_cli_fuzz_flat_configs(kind, config):
+def test_cli_fuzz_flat_configs(case):
+    kind, config, foreign = case
     argv = ["probe", kind.split(":")[1]] if kind.startswith("probe:") else [kind]
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(argv + ["--config", str(path), "--out-dir", tmp])
+        written = [p.name for p in Path(tmp).iterdir()]
     assert rc in (0, 1, 2, 3)
+    if foreign is not None:
+        assert rc == 1 and written == ["config.json"]
+        assert err.getvalue() == f"config error: kind '{kind}' takes no key(s) ['{foreign}']\n"

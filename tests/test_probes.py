@@ -155,6 +155,17 @@ class TestActivationMargin:
         rep = probe_activation_margin(net, x, 1e-12)
         assert (rep["violations"], rep["layers"]) == (0, 1)
 
+    def test_one_hidden_layer_has_no_frequency(self):
+        # the output layer is excluded, so one hidden layer leaves no layer
+        # to check: each row's frequency, and the run's, is null, not 0.0
+        net, x, _ = net_and_input(9, d=16, widths=(16,))
+        assert probe_activation_margin(net, x, 0.1) == {
+            "violations": 0, "layers": 0, "violation_frequency": None}
+        out = run_experiment(ExperimentConfig(kind="probe:activation_margin", d=16,
+                                              widths=(16,), trials=3))
+        assert [r.values["violation_frequency"] for r in out["rows"]] == [None] * 3
+        assert out["summary"]["violation_frequency"] is None
+
     def test_row_named_by_net_stream(self):
         # trial 7's row carries the id of the stream its net was drawn from
         rows = run_experiment(ExperimentConfig(kind="probe:activation_margin", d=16,
