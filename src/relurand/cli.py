@@ -1,20 +1,20 @@
 """Command line interface.
 
-Subcommands: sample, and one per kind in harness.KINDS with that kind's
-help line, except that the kinds probe:<name> are probe <name>.  Every
-subcommand builds one ExperimentConfig, which checks itself, before any
-work.  Each subcommand takes the keys its kind accepts
-(harness._accepted), each as a flag (n_draws -> --n-draws), except that
-master_seed is --seed and theta_0 is --theta0.  A JSON config file
-(--config, such as configs/*.json) provides the same keys, and a kind
-only if it is the subcommand's; flags override config keys one-for-one.
+Subcommands: one per kind in harness.KINDS with that kind's help line,
+except that the kinds probe:<name> are probe <name>.  Every subcommand
+builds one ExperimentConfig, which checks itself, before any work.  Each
+subcommand takes the keys its kind reads (harness._accepted), each as a
+flag (n_draws -> --n-draws), except that master_seed is --seed and
+theta_0 is --theta0.  A JSON config file (--config, such as
+configs/*.json) provides the same keys, and a kind only if it is the
+subcommand's; flags override config keys one-for-one.
 Every subcommand parses every flag, so a key its kind does not take,
 like a malformed value (a flag's text is read as its key's type), is the
 same config error from a flag as from a file.  Integers, the seed among
 them, lie in [-2**63, 2**63), where distinct seeds give distinct
-streams.  Outputs go to --out-dir, which is created if missing; sample
-reads d, widths and master_seed and writes network.rrnn there, or to
---out.
+streams.  Outputs go to --out-dir, which is created if missing.  The
+kind without a runner, sample, saves the net of its d, widths and
+master_seed as network.rrnn there, or to --out, and runs nothing.
 Exit codes: 0 success, 1 config error, a run that ran out of memory or
 a run that raised any other RelurandError (one stderr line; none writes
 output), 2 I/O error or a command line argparse cannot parse (an unknown
@@ -37,7 +37,6 @@ from .harness import (
     _HINTS,
     KINDS,
     PROBE_NAMES,
-    SAMPLE,
     ExperimentConfig,
     _arch,
     run_experiment,
@@ -87,8 +86,7 @@ def _parse(text: str, hint):
         return text
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    config = _build_config(SAMPLE, args)
+def _sample(config: ExperimentConfig, args: argparse.Namespace) -> int:
     arch = _arch(config)
     mode = InitMode.DEPTH_COLLAPSE if args.mode == "depth-collapse" else InitMode.STANDARD
     net = build_network(arch, mode, RngStream(config.master_seed, 0))
@@ -121,15 +119,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sample = sub.add_parser("sample", parents=[common],
-                              help="build and save a random network")
-    p_sample.add_argument("--mode", choices=["standard", "depth-collapse"],
-                          default="standard")
-    p_sample.add_argument("--out", type=Path, default=None)
-
-    for kind, spec in KINDS.items():
-        if not kind.startswith("probe:"):
-            sub.add_parser(kind, parents=[common], help=spec.help)
+    commands = {kind: sub.add_parser(kind, parents=[common], help=spec.help)
+                for kind, spec in KINDS.items() if not kind.startswith("probe:")}
+    commands["sample"].add_argument("--mode", choices=["standard", "depth-collapse"],
+                                    default="standard")
+    commands["sample"].add_argument("--out", type=Path, default=None)
 
     p_probe = sub.add_parser("probe", parents=[common], help="Monte Carlo bound probes")
     p_probe.add_argument("name", choices=list(PROBE_NAMES))
@@ -141,10 +135,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        if args.command == "sample":
-            return _cmd_sample(args)
         kind = f"probe:{args.name}" if args.command == "probe" else args.command
         config = _build_config(kind, args)
+        if KINDS[kind].run is None:
+            return _sample(config, args)
         result = run_experiment(config)
         stem = kind.replace(":", "_")
         args.out_dir.mkdir(parents=True, exist_ok=True)

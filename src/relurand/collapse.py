@@ -50,7 +50,6 @@ buffer, so the norms have the bits of np.linalg.norm(image, axis=0).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +210,9 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
     """
     if d < 2 or width < 8 or depth < 1 or n_pairs < 1:
         raise ValueError("require d >= 2, width >= 8, depth >= 1, n_pairs >= 1")
+    # imported here, not at module top: no other kind needs the executor,
+    # and the import costs every command's start-up several milliseconds
+    from concurrent.futures import ThreadPoolExecutor
     checkpoint_depths = (5, depth) if depth > 5 else (depth,)
 
     pair_rng = RngStream(master_seed, 0)

@@ -1,24 +1,27 @@
 """Experiment orchestration: config validation, deterministic trial dispatch,
 CSV/JSON emission.
 
-A config checks itself when it is made.  Each kind declares the keys it
-reads (_Kind.keys, SAMPLE_KEYS), and that table is the one rule for what
-a config of the kind may set (_accepted): from_dict, which the CLI and
-config files go through, rejects any other key, and a summary's `config`
-records exactly the accepted keys.  run_experiment runs each kind with
-BLAS on one thread (linalg.one_blas_thread), trial i on stream_id i (for
-sweep, j * trials + k for trial k at the j-th dimension), so output is a
-pure function of the config bytes.  Every trial kind (`attack`, `sweep`
-and each probe) runs its trials through one runner, _rows: _map_trials
-shares them among up to `workers` forked processes where that is safe,
-and otherwise runs them one after another, so each trial's row is the
-same either way; and _rows writes every `degenerate` row.  Each kind's
-summary is a function of its trials' rows.  Every kind that builds a
-net, and `sample`, takes its architecture from one rule (_arch: hidden
-widths `widths`, or (d, d) when empty).  `attack` and `sweep` run the
-same flip trials, each turned into its CSV row in one place (_flip_row),
-and summarize them in one place (_flip_stats): `attack`'s summary holds
-the statistics of the `sweep` row at its one d.
+A config checks itself when it is made.  KINDS is the one table of
+kinds, `sample` among them: each row names the kind's runner (None for
+`sample`, which saves a net and runs no experiment), every config key the
+runner reads (master_seed and workers only where read) and the kind's
+own check.  That table is the one rule for what a config of the kind may
+set (_accepted): from_dict, which the CLI and config files go through,
+rejects any other key, and a summary's `config` records exactly the
+accepted keys.  run_experiment runs each kind with BLAS on one thread
+(linalg.one_blas_thread), trial i on stream_id i (for sweep, j * trials
++ k for trial k at the j-th dimension), so output is a pure function of
+the config bytes.  Every trial kind (`attack`, `sweep` and each probe)
+runs its trials through one runner, _map_trials: it shares them among up
+to `workers` forked processes where that is safe, and otherwise runs
+them one after another, so each trial's row is the same either way; and
+it writes every `degenerate` row.  Each kind's summary is a function of
+its trials' rows.  Every kind that builds a net takes its architecture
+from one rule (_arch: hidden widths `widths`, or (d, d) when empty).
+`attack` and `sweep` run the same flip trials, each turned into its CSV
+row in one place (_flip_row), and summarize them in one place
+(_flip_stats): `attack`'s summary holds the statistics of the `sweep`
+row at its one d.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .network import forward  # noqa: F401  perfbench's tracer test rebinds harn
 from .rng import RngStream
 
 __all__ = ["ExperimentConfig", "TrialRecord", "run_experiment",
-           "write_csv", "write_summary_json", "KINDS", "PROBE_NAMES", "SAMPLE"]
+           "write_csv", "write_summary_json", "KINDS", "PROBE_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class ExperimentConfig:
             if hint in (float, Optional[float]) and v is not None:
                 v = float(v)
             object.__setattr__(self, key, v)
-        if self.kind not in KINDS and self.kind != SAMPLE:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind '{self.kind}'")
         for key, hint in _HINTS.items():
             v = getattr(self, key)
@@ -102,8 +105,9 @@ class ExperimentConfig:
             raise ConfigError("'radius' must be >= 0")
         if self.t_max is not None and self.t_max <= 0.0:
             raise ConfigError("'t_max' must be positive")
-        if self.kind in KINDS and KINDS[self.kind].invalid(self):
-            raise ConfigError(KINDS[self.kind].error)
+        message = KINDS[self.kind].check(self)
+        if message:
+            raise ConfigError(message)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -111,7 +115,7 @@ class ExperimentConfig:
         kind does not take (_accepted) is a ConfigError naming it and the
         kind, raised before any value is checked."""
         kind = data.get("kind")
-        if not (isinstance(kind, str) and (kind in KINDS or kind == SAMPLE)):
+        if not (isinstance(kind, str) and kind in KINDS):
             raise ConfigError(f"unknown experiment kind {kind!r}")
         foreign = set(data) - set(_accepted(kind))
         if foreign:
@@ -162,9 +166,9 @@ def _arch(cfg: ExperimentConfig, d: Optional[int] = None) -> Architecture:
 
 
 def _map_trials(cfg: ExperimentConfig, fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], with None in place of each trial whose input
-    is degenerate (fn raised DegenerateInput: f(x) = 0, a zero gradient, a
-    zero layer image); _rows writes that None as a `degenerate` row.
+    """[fn(0), ..., fn(n - 1)], with a `degenerate` row on stream i in place
+    of each trial i whose input is degenerate (fn raised DegenerateInput:
+    f(x) = 0, a zero gradient, a zero layer image).
 
     W = min(cfg.workers, n, usable CPUs) processes share the trials where a
     fork is safe (_fanout_width): the caller runs trials 0, W, 2W, ..., and
@@ -204,11 +208,12 @@ def _fanout_width(workers: int, n: int) -> int:
 
 
 def _trial(fn, i: int):
-    """fn(i), or None when trial i's input is degenerate."""
+    """fn(i), or a `degenerate` row on stream i when trial i's input is
+    degenerate: the only place one is made."""
     try:
         return fn(i)
     except DegenerateInput:
-        return None
+        return TrialRecord(i, {}, status="degenerate")
 
 
 def _fork_share(fn, indices):
@@ -283,18 +288,10 @@ def _trial_net(arch: Architecture, rng: RngStream):
     return lazy_network(arch, rng), x
 
 
-def _rows(cfg: ExperimentConfig, fn, n: int) -> list[TrialRecord]:
-    """The rows fn(0), ..., fn(n - 1) of n trials, run by _map_trials, with
-    a `degenerate` row on stream i for each trial i whose input is
-    degenerate: the only place one is made."""
-    return [TrialRecord(i, {}, status="degenerate") if row is None else row
-            for i, row in enumerate(_map_trials(cfg, fn, n))]
-
-
 def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
     """Trial i's row from flip_search on its net and input (_trial_net on
     stream i).  It raises DegenerateInput when f(x) = 0 or the gradient is
-    zero and there is no direction to search, which _rows writes as a
+    zero and there is no direction to search, which _map_trials writes as a
     `degenerate` row."""
     res = flip_search(*_trial_net(arch, RngStream(cfg.master_seed, i)), cfg.t_max)
     # the reference eta needs d >= 2; 1-d nets get NaN
@@ -336,7 +333,7 @@ def _flip_stats(d: int, rows: list[TrialRecord]) -> dict:
 
 def _run_attack(cfg: ExperimentConfig):
     arch = _arch(cfg)
-    rows = _rows(cfg, lambda i: _flip_row(cfg, arch, i), cfg.trials)
+    rows = _map_trials(cfg, lambda i: _flip_row(cfg, arch, i), cfg.trials)
     return rows, _flip_stats(cfg.d, rows)
 
 
@@ -347,10 +344,10 @@ def _run_sweep(cfg: ExperimentConfig):
     dimension index j runs on stream j * trials + k.
     """
     archs = [_arch(cfg, d) for d in cfg.dims]
-    trial_rows = _rows(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
-                       len(archs) * cfg.trials)
+    records = _map_trials(cfg, lambda i: _flip_row(cfg, archs[i // cfg.trials], i),
+                          len(archs) * cfg.trials)
     rows = [TrialRecord(j, {"d": d, "trials": cfg.trials,
-                            **_flip_stats(d, trial_rows[j * cfg.trials:(j + 1) * cfg.trials])})
+                            **_flip_stats(d, records[j * cfg.trials:(j + 1) * cfg.trials])})
             for j, d in enumerate(cfg.dims)]
     usable = [(r.values["d"], r.values["ratio_median"]) for r in rows
               if r.values["ratio_median"]]
@@ -395,8 +392,8 @@ def _per_trial(probe, freq=lambda row: row["violation_frequency"],
     over the rows that are not degenerate and whose bound applies (freq
     not None), and None when there is no such row."""
     def run(cfg: ExperimentConfig):
-        rows = _rows(cfg, lambda i: TrialRecord(i, probe(cfg, RngStream(cfg.master_seed, i))),
-                     cfg.trials)
+        rows = _map_trials(
+            cfg, lambda i: TrialRecord(i, probe(cfg, RngStream(cfg.master_seed, i))), cfg.trials)
         values = [r.values for r in rows if r.status == "ok"]
         freqs = [f for f in map(freq, values) if f is not None]
         return rows, {**summarize(values),
@@ -414,7 +411,7 @@ def _run_value_gradient(cfg: ExperimentConfig):
     """Trial k on a lazy net from stream k + 1, every net at the one input
     drawn from stream 0."""
     arch, x = _arch(cfg), sphere_input(cfg.d, RngStream(cfg.master_seed, 0))
-    rows = _rows(cfg, lambda k: TrialRecord(k + 1, probes.probe_value_gradient(
+    rows = _map_trials(cfg, lambda k: TrialRecord(k + 1, probes.probe_value_gradient(
         lazy_network(arch, RngStream(cfg.master_seed, k + 1)), x)), cfg.trials)
     return rows, probes.value_gradient_stats([r.values for r in rows], arch.ell, cfg.delta)
 
@@ -430,7 +427,7 @@ def _run_dist_equiv(cfg: ExperimentConfig):
     """Trial k's samples from streams 2k + 1 and 2k + 2, at the one input
     drawn from stream 0."""
     arch, x = _arch(cfg), sphere_input(cfg.d, RngStream(cfg.master_seed, 0))
-    rows = _rows(cfg, lambda k: TrialRecord(k, probes.probe_dist_equiv(
+    rows = _map_trials(cfg, lambda k: TrialRecord(k, probes.probe_dist_equiv(
         arch, x, RngStream(cfg.master_seed, 2 * k + 1), RngStream(cfg.master_seed, 2 * k + 2))),
         cfg.trials)
     return _summary_row(probes.dist_equiv_stats([r.values for r in rows]))
@@ -438,39 +435,42 @@ def _run_dist_equiv(cfg: ExperimentConfig):
 
 def _run_gaussian_spectral(cfg: ExperimentConfig):
     m, n = cfg.dims
-    rows = _rows(cfg, lambda k: TrialRecord(k, probes.probe_gaussian_spectral(
+    rows = _map_trials(cfg, lambda k: TrialRecord(k, probes.probe_gaussian_spectral(
         m, n, RngStream(cfg.master_seed, k))), cfg.trials)
     return _summary_row(probes.gaussian_spectral_stats([r.values for r in rows], m, n,
                                                        cfg.delta))
 
 
 class _Kind(NamedTuple):
-    run: Callable                  # config -> (rows, summary)
-    keys: tuple                    # the config keys run reads, besides master_seed and workers
-    invalid: Callable = lambda cfg: False   # config -> True if this kind cannot run it
-    error: str = ""                # the ConfigError message when invalid
+    run: Optional[Callable]        # config -> (rows, summary); None: the kind runs no experiment
+    keys: tuple                    # every config key the kind reads, and the only keys it takes
+    check: Callable = lambda cfg: None   # config -> why this kind cannot run it, or None
     help: str = ""                 # the CLI subcommand's help line; probes share `probe`'s
 
 
-# Every trial kind runs its trials through _rows, one probe_* call per
-# probe trial.  Probe functions are looked up on the module at call time,
-# never stored, so that a tracer rebinding probes.probe_* sees every call.
+# Every trial kind runs its trials through _map_trials, one probe_* call
+# per probe trial.  Probe functions are looked up on the module at call
+# time, never stored, so that a tracer rebinding probes.probe_* sees every
+# call.  `sample` saves the net of its config (cli) and runs nothing.
 # Every probe but sign_flip and gaussian_spectral reads _PROBE_KEYS.
-_PROBE_KEYS = ("d", "widths", "trials", "alert_level")
+_PROBE_KEYS = ("master_seed", "workers", "d", "widths", "trials", "alert_level")
 KINDS = {
-    "attack": _Kind(_run_attack, ("d", "widths", "trials", "t_max", "delta"),
+    "sample": _Kind(None, ("master_seed", "d", "widths"),
+                    help="build and save a random network"),
+    "attack": _Kind(_run_attack,
+                    ("master_seed", "workers", "d", "widths", "trials", "t_max", "delta"),
                     help="single-configuration flip searches"),
-    "sweep": _Kind(_run_sweep, ("dims", "widths", "trials", "t_max"),
-                   lambda cfg: not cfg.dims or len(set(cfg.dims)) < len(cfg.dims),
-                   "'dims' must be a nonempty list of distinct dimensions for sweep",
+    "sweep": _Kind(_run_sweep, ("master_seed", "workers", "dims", "widths", "trials", "t_max"),
+                   lambda cfg: (None if cfg.dims and len(set(cfg.dims)) == len(cfg.dims) else
+                                "'dims' must be a nonempty list of distinct dimensions for sweep"),
                    help="flip-ratio scaling across input dimensions"),
-    "collapse": _Kind(_run_collapse, ("d", "width", "depth", "n_pairs"),
-                      lambda cfg: cfg.d < 2 or cfg.width < 8,
-                      "collapse needs 'd' >= 2 and 'width' >= 8",
+    "collapse": _Kind(_run_collapse, ("master_seed", "d", "width", "depth", "n_pairs"),
+                      lambda cfg: (None if cfg.d >= 2 and cfg.width >= 8
+                                   else "collapse needs 'd' >= 2 and 'width' >= 8"),
                       help="deep-network collapse simulation"),
     "kernel": _Kind(_run_kernel, ("theta_0", "steps"),
-                    lambda cfg: not (0.0 <= cfg.theta_0 <= np.pi),
-                    "'theta_0' must lie in [0, pi] for kernel",
+                    lambda cfg: (None if 0.0 <= cfg.theta_0 <= np.pi
+                                 else "'theta_0' must lie in [0, pi] for kernel"),
                     help="closed-form kernel iteration"),
     "probe:value_gradient": _Kind(_run_value_gradient, _PROBE_KEYS + ("delta",)),
     "probe:scale_preservation": _Kind(_per_trial(
@@ -481,8 +481,8 @@ KINDS = {
         lambda cfg, rng: probes.probe_activation_margin(
             *_trial_net(_arch(cfg), rng), cfg.alpha)),
         _PROBE_KEYS + ("alpha",),
-        lambda cfg: not (0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)),
-        "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin"),
+        lambda cfg: (None if 0.0 < cfg.alpha < np.sqrt(np.pi / 8.0)
+                     else "'alpha' must lie in (0, sqrt(pi/8)) for probe:activation_margin")),
     "probe:gradient_smoothness": _Kind(_per_trial(
         lambda cfg, rng: probes.probe_gradient_smoothness(
             *_trial_net(_arch(cfg), rng), cfg.radius, cfg.n_samples, rng),
@@ -495,42 +495,41 @@ KINDS = {
             build_network(_arch(cfg), InitMode.STANDARD, rng), sphere_input(cfg.d, rng),
             cfg.radius, cfg.n_samples, rng)),
         _PROBE_KEYS + ("radius", "n_samples"),
-        lambda cfg: len(bottleneck_decomposition(_arch(cfg)).indices) < 2,
-        "'widths' must include a width below 'd' (two bottlenecks) for probe:segment_spectral"),
-    "probe:sign_flip": _Kind(_per_trial(_sign_flip, lambda row: None if row["bound"] is None
-                                        else float(row["empirical"] > row["bound"])),
-                             ("d", "trials", "alert_level", "radius", "n_draws")),
+        lambda cfg: (None if len(bottleneck_decomposition(_arch(cfg)).indices) >= 2 else
+                     "'widths' must include a width below 'd' (two bottlenecks) for "
+                     "probe:segment_spectral")),
+    "probe:sign_flip": _Kind(
+        _per_trial(_sign_flip, lambda row: None if row["bound"] is None
+                   else float(row["empirical"] > row["bound"])),
+        ("master_seed", "workers", "d", "trials", "alert_level", "radius", "n_draws")),
     "probe:dist_equiv": _Kind(_run_dist_equiv, _PROBE_KEYS),
     "probe:gaussian_spectral": _Kind(
-        _run_gaussian_spectral, ("dims", "trials", "delta", "alert_level"),
-        lambda cfg: len(cfg.dims) != 2, "'dims' must be [m, n] for probe:gaussian_spectral"),
+        _run_gaussian_spectral,
+        ("master_seed", "workers", "dims", "trials", "delta", "alert_level"),
+        lambda cfg: (None if len(cfg.dims) == 2
+                     else "'dims' must be [m, n] for probe:gaussian_spectral")),
 }
-
-# The kind of `relurand sample`'s config: validated like an experiment's,
-# but it saves a network instead of running trials.  It reads SAMPLE_KEYS.
-SAMPLE = "sample"
-SAMPLE_KEYS = ("d", "widths")
 
 PROBE_NAMES = tuple(k.removeprefix("probe:") for k in KINDS if k.startswith("probe:"))
 
 
 def _accepted(kind: str) -> tuple:
-    """Every key a config of a kind may set: kind, master_seed, workers and
-    the keys the kind reads.  from_dict rejects any other key, and a
-    summary's `config` records exactly these."""
-    return ("kind", "master_seed", "workers",
-            *(SAMPLE_KEYS if kind == SAMPLE else KINDS[kind].keys))
+    """Every key a config of a kind may set: kind and the keys the kind
+    reads.  from_dict rejects any other key, and a summary's `config`
+    records exactly these."""
+    return ("kind", *KINDS[kind].keys)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    if config.kind == SAMPLE:
-        raise ConfigError(f"kind '{SAMPLE}' builds a network and is no experiment to run")
+    run = KINDS[config.kind].run
+    if run is None:
+        raise ConfigError(f"kind '{config.kind}' builds a network and is no experiment to run")
     # A second OpenBLAS thread buys no kind any time: attack and sweep walk
     # matrix-vector products, a probe's products are a few hundred wide at
     # most (where two threads cost up to 1.9x the CPU and stall whenever the
     # other core is busy), and collapse pins its layer algebra anyway.
     with one_blas_thread():
-        rows, summary = KINDS[config.kind].run(config)
+        rows, summary = run(config)
     summary = {"config": {key: getattr(config, key) for key in _accepted(config.kind)},
                "version": f"relurand-{__version__}", **summary}
     return {"rows": rows, "summary": summary}

@@ -304,7 +304,8 @@ class TestPipelinedCollapse:
         # that layer t neither applies nor takes its squares in
         width, depth, n_pairs = 2000, 5, 5      # 20,000 normals a layer: drawn ahead
         events, outs = [], {}
-        submit, normal = collapse.ThreadPoolExecutor.submit, RngStream.normal
+        from concurrent.futures import ThreadPoolExecutor
+        submit, normal = ThreadPoolExecutor.submit, RngStream.normal
         apply, multiply = collapse.gaussian_times_apply, np.multiply
 
         def recording_submit(self, fn, t, n):
@@ -325,7 +326,7 @@ class TestPipelinedCollapse:
                 events.append(("squares", out))
             return multiply(*args, out=out)
 
-        monkeypatch.setattr(collapse.ThreadPoolExecutor, "submit", recording_submit)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
         monkeypatch.setattr(RngStream, "normal", recording_normal)
         monkeypatch.setattr(collapse, "gaussian_times_apply", recording_apply)
         monkeypatch.setattr(np, "multiply", recording_multiply)

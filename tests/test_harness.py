@@ -22,7 +22,6 @@ from relurand.cli import main
 from relurand.errors import ConfigError, DegenerateInput
 from relurand.harness import (
     KINDS,
-    SAMPLE,
     ExperimentConfig,
     TrialRecord,
     run_experiment,
@@ -32,7 +31,7 @@ from relurand.harness import (
 from relurand.linalg import _openblas_thread_calls
 
 
-# one tiny config of each kind
+# one tiny config of each kind with a runner
 _QUICK = {
     "attack": {"d": 16, "widths": [16, 16], "trials": 3},
     "sweep": {"dims": [8, 16], "trials": 3},
@@ -52,10 +51,17 @@ _QUICK = {
 }
 
 
+def _quick(kind):
+    """kind's _QUICK config, at seed 3 where the kind takes a seed."""
+    seed = {"master_seed": 3} if "master_seed" in KINDS[kind].keys else {}
+    return {**seed, **_QUICK[kind]}
+
+
 def _quick_argv(kind, out_dir):
-    """The CLI arguments of kind's _QUICK config at seed 3."""
-    argv = kind.split(":") + ["--seed", "3", "--out-dir", str(out_dir)]
-    for key, v in _QUICK[kind].items():
+    """The CLI arguments of kind's _QUICK config at seed 3 (_quick)."""
+    argv = kind.split(":") + ["--out-dir", str(out_dir)]
+    for key, v in _quick(kind).items():
+        key = "seed" if key == "master_seed" else key
         argv += ["--" + key.replace("_", "-")]
         argv += [str(x) for x in v] if isinstance(v, list) else [str(v)]
     return argv
@@ -117,7 +123,7 @@ class TestConfig:
             ExperimentConfig.from_dict({"kind": "attack", "delta": 2.0})
 
     def test_sample_is_no_experiment(self):
-        cfg = ExperimentConfig.from_dict({"kind": SAMPLE, "d": 8})
+        cfg = ExperimentConfig.from_dict({"kind": "sample", "d": 8})
         with pytest.raises(ConfigError, match="sample"):
             run_experiment(cfg)
 
@@ -132,7 +138,7 @@ class TestConfig:
             assert ExperimentConfig.from_dict({"kind": kind, **data}).kind == kind
             assert f"configs/{path.name}" in readme, path.name
             kinds.add(kind)
-        assert kinds == set(KINDS)
+        assert kinds == {kind for kind, spec in KINDS.items() if spec.run}
 
     def test_config_checks_itself_when_made(self):
         # no unchecked config exists: construction raises, and the seed is
@@ -155,13 +161,13 @@ class TestConfig:
     def test_round_trip_dict(self, tmp_path, capsys):
         # a summary's config holds exactly the keys its kind takes and
         # rebuilds the run's config, and a rerun from it writes the same CSV
-        for kind, extra in _QUICK.items():
+        for kind in _QUICK:
             stem = kind.replace(":", "_")
             assert main(_quick_argv(kind, tmp_path / "a")) == 0, kind
             config = json.loads((tmp_path / "a" / f"{stem}_summary.json").read_text())["config"]
             assert set(config) == set(harness._accepted(kind)), kind
             assert ExperimentConfig.from_dict(config) == \
-                ExperimentConfig.from_dict({"kind": kind, "master_seed": 3, **extra}), kind
+                ExperimentConfig.from_dict({"kind": kind, **_quick(kind)}), kind
             cfgfile = tmp_path / "cfg.json"
             cfgfile.write_text(json.dumps(config))
             assert main([*kind.split(":"), "--config", str(cfgfile),
@@ -174,8 +180,7 @@ class TestConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `(\w+(?: \w+)?)` \| (.*) \|$", readme, re.MULTILINE)
         table = {command: re.findall(r"`(\w+)`", keys) for command, keys in rows}
-        assert table == {SAMPLE: list(harness.SAMPLE_KEYS),
-                         **{kind.replace(":", " "): list(KINDS[kind].keys) for kind in KINDS}}
+        assert table == {kind.replace(":", " "): list(KINDS[kind].keys) for kind in KINDS}
 
 
 class TestRunExperiment:
@@ -275,8 +280,8 @@ class TestRunExperiment:
                        if key not in harness._accepted(kind)}
             outputs = []
             for i, cfg in enumerate((ExperimentConfig(kind=kind, master_seed=3, **extra),
-                                     ExperimentConfig(kind=kind, master_seed=3, **extra,
-                                                      **foreign))):
+                                     ExperimentConfig(**{"kind": kind, "master_seed": 3,
+                                                         **extra, **foreign}))):
                 out = run_experiment(cfg)
                 write_csv(out["rows"], tmp_path / f"{i}.csv")
                 del out["summary"]["config"]
@@ -285,9 +290,9 @@ class TestRunExperiment:
             assert foreign and outputs[0] == outputs[1], kind
 
     def test_probe_dispatch_all_names(self, tmp_path, capsys):
-        assert list(_QUICK) == list(KINDS)
-        for kind, extra in _QUICK.items():
-            cfg = ExperimentConfig.from_dict({"kind": kind, "master_seed": 3, **extra})
+        assert list(_QUICK) == [kind for kind, spec in KINDS.items() if spec.run]
+        for kind in _QUICK:
+            cfg = ExperimentConfig.from_dict({"kind": kind, **_quick(kind)})
             out = run_experiment(cfg)
             assert out["rows"], kind
             if kind.startswith("probe:"):
@@ -456,17 +461,17 @@ class TestCli:
 
     def test_every_config_key_is_a_flag(self, tmp_path, capsys):
         # each subcommand takes each key its kind takes as a flag, and its
-        # summary records every one; sample reads d, widths and the seed
+        # summary records every one; sample saves the net of d, widths and the seed
         keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
         assert {key for key, _, _ in _FLAGS.values()} == keys
-        for kind in (SAMPLE, *KINDS):
+        for kind in KINDS:
             taken = {flag: v for flag, v in _FLAGS.items() if v[0] in harness._accepted(kind)}
             out_dir = tmp_path / kind.replace(":", "_")
             argv = [*kind.split(":"), "--out-dir", str(out_dir)]
             for flag, (_, values, _) in taken.items():
                 argv += [flag, *values]
             assert main(argv) == 0, kind
-            if kind == SAMPLE:
+            if kind == "sample":
                 from relurand.network import load_network
                 net = load_network(out_dir / "network.rrnn")
                 assert (net.arch.input_dim, net.arch.hidden_widths, net.master_seed) == \
@@ -479,11 +484,11 @@ class TestCli:
     def test_every_other_flag_is_the_config_file_error(self, tmp_path, capsys):
         # a flag whose key the subcommand's kind does not take exits 1 before
         # any work, with the one stderr line of that key in a config file;
-        # of the 13 subcommands' 18 keys each, 84 pairs are taken
+        # of the 13 subcommands' 18 keys each, 80 pairs are taken
         cfgfile = tmp_path / "cfg.json"
         out = tmp_path / "out"
         rejected = 0
-        for kind in (SAMPLE, *KINDS):
+        for kind in KINDS:
             for flag, (key, values, value) in _FLAGS.items():
                 if key in harness._accepted(kind):
                     continue
@@ -497,7 +502,7 @@ class TestCli:
                 assert errs[0] == errs[1] == \
                     f"config error: kind '{kind}' takes no key(s) ['{key}']\n"
                 rejected += 1
-        assert 13 * 18 - rejected == 84
+        assert 13 * 18 - rejected == 80
 
     @pytest.mark.parametrize("argv, key", [
         ("attack --widths 0", "widths"),
@@ -518,6 +523,8 @@ class TestCli:
         # keys the kind does not take
         ("attack --d 8 --trials 3 --depth 7 --n-pairs 3 --theta0 1", "depth"),
         ("kernel --trials 3 --widths 4 4", "trials"),
+        ("kernel --steps 5 --seed 1", "master_seed"),
+        ("collapse --d 4 --width 16 --depth 2 --n-pairs 2 --workers 2", "workers"),
     ])
     def test_invalid_config_rejected_before_work(self, tmp_path, capsys, argv, key):
         rc = main(argv.split() + ["--out-dir", str(tmp_path)])
@@ -880,12 +887,11 @@ class TestFanOut:
                 raise DegenerateInput("zero gradient")
             return TrialRecord(i, {"i": i})
 
-        results = _map(workers, fn, 6)
-        assert results[4] is None and [r.values["i"] for r in results if r] == [0, 1, 2, 3, 5]
+        records = _map(workers, fn, 6)
         assert len(forks) == workers - 1
-        records = harness._rows(ExperimentConfig(kind="attack", workers=workers), fn, 6)
         assert [r.status for r in records] == ["ok"] * 4 + ["degenerate", "ok"]
         assert [r.seed for r in records] == list(range(6))
+        assert [r.values.get("i") for r in records] == [0, 1, 2, 3, None, 5]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_raise_in_a_child_reaches_the_caller(self, forks, workers):
@@ -957,7 +963,7 @@ class TestFanOut:
 def test_pinned_runs_independent_of_blas_threads(tmp_path):
     """tests/pinned_runs.py at one and at two OpenBLAS threads: every run
     exits 0, both passes print the same digests, and the runs cover every
-    kind and sample.  BLAS reads its thread count once, at import, so each
+    kind, sample among them.  BLAS reads its thread count once, at import, so each
     pass is a fresh process; the two run side by side.  pyproject.toml's
     RuntimeWarning filter reaches only this process, so the children get
     their own, and a RuntimeWarning fails the pass."""
@@ -978,7 +984,7 @@ def test_pinned_runs_independent_of_blas_threads(tmp_path):
         _, rc, *argv = line.split()
         assert rc == "0", line
         kinds.add(f"probe:{argv[1]}" if argv[0] == "probe" else argv[0])
-    assert kinds == {*KINDS, SAMPLE}
+    assert kinds == set(KINDS)
 
 
 def test_pinned_runs_compare(tmp_path):
@@ -1061,7 +1067,7 @@ _OTHER_KEYS = {"master_seed": st.integers(-3, 3), "workers": _sizes(1, 2),
 def _flat_configs(draw):
     """(kind, a config file's keys, the one key in it that the kind does not
     take, or None when there is none)."""
-    kind = draw(st.sampled_from(sorted(KINDS) + [SAMPLE]))
+    kind = draw(st.sampled_from(sorted(KINDS)))
     taken = harness._accepted(kind)
     config = draw(st.fixed_dictionaries(
         {k: v for k, v in _SIZE_KEYS.items() if k in taken},
