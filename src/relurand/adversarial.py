@@ -70,20 +70,22 @@ _REACH = 10.0
 _AT_BREAKPOINT = 1e-9
 
 
-def _next_breakpoint(P: np.ndarray, active: np.ndarray, t0: float) -> tuple[float, int]:
-    """Earliest t >= t0 at which a unit of one layer changes state, and the unit.
-
-    P holds the layer's preactivations as [A, B] columns, A + t B.  Only a
-    unit whose state disagrees with the sign of its slope B ever changes
-    state; a root that rounding put below t0 is clamped to t0.
-    """
+def _roots(P: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Each unit's root -A/B of its preactivation A + t B, from a layer's
+    [A, B] columns P and its states as signs (+1 active, -1 inactive), or
+    +inf where the unit never changes state: where the sign of its slope B
+    agrees with its state, or B is 0.  Where it can, -B sign = |B|, so
+    A sign / |B| is -A/B to the bit."""
     A, B = P[:, 0], P[:, 1]
-    moving = np.flatnonzero((active != (B > 0.0)) & (B != 0.0))
-    if moving.size == 0:
-        return np.inf, -1
-    roots = -A[moving] / B[moving]
-    k = int(np.argmin(roots))
-    return max(float(roots[k]), t0), int(moving[k])
+    return np.where(B * sign < 0.0, A * sign, np.inf) / np.abs(B)
+
+
+def _head(roots: np.ndarray, t0: float) -> tuple[float, int]:
+    """A layer's next breakpoint at or after t0, and its unit: the least
+    root, the lowest unit on a tie, clamped to t0 where rounding put it
+    below."""
+    i = int(roots.argmin())
+    return max(float(roots[i]), t0), i
 
 
 def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
@@ -104,42 +106,76 @@ def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
     change reaches layer j+1 as a rank-one update, and the layers above
     that are recomputed with 2-column products.  Above a layer left with
     no active unit the next layer is recomputed instead, so that it is
-    exactly 0 rather than the rounding residue of the updates.  The output
-    layer is the last entry of P, a 1 x 2 array.
+    exactly 0 rather than the rounding residue of the updates.
+
+    Each piece pays only for what its switch changed.  Between pieces
+    each hidden layer keeps its lines P (A and B as columns), its states
+    as 0/1 floats (so that P times them casts nothing) and as signs, its
+    number of active units, the raw roots of its units (_roots) and its
+    head (_head); the output line is kept as the two floats (c, e), before
+    the sign s.  A switch of unit i in layer j leaves the lines of layer j
+    and below as they are, and makes unit i's state agree with its slope:
+    its root becomes +inf and the layer takes its head again, while the
+    layers above get new lines and roots.  A head is clamped to the t0 at
+    which it is taken.  A layer below j keeps the head it took at an
+    earlier t0' <= t0, and that head is at least the t0 picked since, so
+    clamping it again at t0 would give it back unchanged: the heads are
+    those of recomputing every layer's roots at every piece.  The output
+    line takes the rank-one update when layer j is the top hidden layer
+    and keeps an active unit, and one product otherwise.
     """
-    P, active = [], []
+    weights = net.weights
+    P, masks, signs, counts = [], [], [], []
     cur = np.stack([x, u], axis=1)
-    for W in net.weights[:-1]:
+    for W in weights[:-1]:
         P.append(W @ cur)
-        active.append(P[-1][:, 0] > 0.0)
-        cur = P[-1] * active[-1][:, None]
-    P.append(net.weights[-1] @ cur)
-    ell = len(active)
-    roots = [_next_breakpoint(P[j], active[j], 0.0) for j in range(ell)]
+        masks.append((P[-1][:, 0] > 0.0).astype(np.float64))
+        signs.append(2.0 * masks[-1] - 1.0)
+        counts.append(int(np.count_nonzero(masks[-1])))
+        cur = P[-1] * masks[-1][:, None]
+    c, e = (weights[-1] @ cur)[0]
+    ell = len(P)
+    roots = [_roots(P[k], signs[k]) for k in range(ell)]
+    heads = [_head(r, 0.0) for r in roots]
     t0, pieces = 0.0, 0
     while True:
         pieces += 1
-        j = min(range(ell), key=lambda k: roots[k][0], default=None)
-        t1 = np.inf if j is None else roots[j][0]
-        c, e = s * P[ell][0]
-        if e < 0.0:
-            t_cross = max((level + c) / -e, t0)
+        j = min(range(ell), key=lambda k: heads[k][0], default=None)
+        t1 = np.inf if j is None else heads[j][0]
+        sc, se = s * c, s * e
+        if se < 0.0:
+            t_cross = max((level + sc) / -se, t0)
             if t_cross < t1 * (1.0 - _AT_BREAKPOINT):
                 return (t_cross if t_cross <= t_max else None), pieces
         if t1 > t_max:
             return None, pieces
-        i = roots[j][1]
-        on = P[j][i, 1] > 0.0
-        active[j][i] = on
-        if active[j].any():
-            P[j + 1] += (1.0 if on else -1.0) * np.outer(net.weights[j + 1][:, i], P[j][i])
+        i = heads[j][1]
+        a, b = P[j][i].tolist()
+        on = b > 0.0
+        masks[j][i] = on
+        signs[j][i] = 1.0 if on else -1.0
+        counts[j] += 1 if on else -1
+        roots[j][i] = np.inf
+        first = j + 1
+        if counts[j]:
+            # the unit's change, +-(a, b) times its column of the next layer
+            col = weights[j + 1][:, i]
+            a, b = (a, b) if on else (-a, -b)
+            if j + 1 < ell:
+                P[j + 1][:, 0] += col * a
+                P[j + 1][:, 1] += col * b
+            else:
+                c, e = c + col[0] * a, e + col[0] * b
             first = j + 2
-        else:
-            first = j + 1
-        for k in range(first, ell + 1):
-            P[k] = net.weights[k] @ (P[k - 1] * active[k - 1][:, None])
+        for k in range(first, ell):
+            P[k] = weights[k] @ (P[k - 1] * masks[k - 1][:, None])
+        if first <= ell:
+            c, e = ((weights[ell] * masks[ell - 1]) @ P[ell - 1])[0]
         t0 = t1
-        roots[j:] = [_next_breakpoint(P[k], active[k], t0) for k in range(j, ell)]
+        heads[j] = _head(roots[j], t0)
+        for k in range(j + 1, ell):
+            roots[k] = _roots(P[k], signs[k])
+            heads[k] = _head(roots[k], t0)
 
 
 def flip_search(net: Network, x: np.ndarray, t_max: Optional[float] = None) -> AttackResult:

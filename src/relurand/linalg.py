@@ -189,21 +189,25 @@ class _Side:
         grown = (self.k + min(self.k, self.dim - self.k)) * (self.dim + self._images.shape[1])
         return grown + other._basis.size + other._images.size > limit
 
-    def reveal(self, v: np.ndarray, other: "_Side", std: float, rng: RngStream) -> int:
+    def reveal(self, v: np.ndarray, other: "_Side", std: float, rng: RngStream,
+               unit: Optional[int] = None) -> int:
         """Add v's residual direction e to the basis, with its image
         other.basis^T (other.images e) + std (I - other.basis^T other.basis) g,
         g fresh normals, and return the number of normals drawn; nothing
         when the residual after two orthogonalization passes is at most
         _REVEAL_FLOOR ||v||.  An empty basis on either side skips its
-        products, whose terms are zero."""
+        products, whose terms are zero.  Where v is the unit vector e_unit,
+        the basis's column unit stands for its product with v, which it
+        equals to the bit."""
         # v may be a strided column, whose v @ v may sum in another order
-        # than np.linalg.norm's contiguous copy; r below is contiguous
-        norm = float(np.linalg.norm(v))
+        # than a contiguous copy's; np.linalg.norm takes the copy's, as here
+        c = np.ascontiguousarray(v)
+        norm = math.sqrt(c.dot(c))
         floor = _REVEAL_FLOOR * norm
         r = v
         if self.k:
             B = self._basis[:self.k]
-            r = v - B.T @ (B @ v)
+            r = v - B.T @ (B @ v if unit is None else np.ascontiguousarray(B[:, unit]))
             r -= B.T @ (B @ r)
             norm = math.sqrt(r @ r)
         if not norm > floor:
@@ -288,13 +292,15 @@ class LazyGaussian:
     def completed(self) -> bool:
         return self._dense is not None
 
-    def _reveal(self, side: _Side, other: _Side, V: np.ndarray) -> None:
+    def _reveal(self, side: _Side, other: _Side, V: np.ndarray,
+                unit: Optional[int] = None) -> None:
         """Reveal the new directions among V's columns on side, or complete
         W when a side spans its space or one more reveal would cost more
-        than the dense rest.  A column on a side of dimension n with k
-        directions, the other side of dimension m with k', costs two
-        orthogonalization passes (8 k n flops), its answer (2 k (n + m)),
-        its image (2 k' (n + m) + 4 k' m) and its draws."""
+        than the dense rest; V is e_unit where unit is given.  A column on
+        a side of dimension n with k directions, the other side of
+        dimension m with k', costs two orthogonalization passes (8 k n
+        flops), its answer (2 k (n + m)), its image (2 k' (n + m) + 4 k' m)
+        and its draws."""
         size = self.shape[0] * self.shape[1]
         n, m, k2 = side.dim, other.dim, other.k
         for v in (V.T if V.ndim == 2 else (V,)):
@@ -302,7 +308,7 @@ class LazyGaussian:
             self._spent += 8 * k * n + 2 * (k + k2) * (n + m) + 4 * k2 * m
             if self._spent > _NORMAL_FLOPS * size or side.outgrows(other, size):
                 break
-            self._spent += _NORMAL_FLOPS * side.reveal(v, other, self._std, self._rng)
+            self._spent += _NORMAL_FLOPS * side.reveal(v, other, self._std, self._rng, unit)
             if side.k == n:
                 break
         else:
@@ -348,15 +354,20 @@ class LazyGaussian:
         return (self._left.images.T @ (self._left.basis @ F.T)).T
 
     def __getitem__(self, key) -> np.ndarray:
-        """Column W[:, i], the only indexing supported."""
-        rows, i = key
-        if rows != slice(None):
-            raise IndexError("LazyGaussian supports W[:, i] only")
+        """Column W[:, i] for an integer i, the only indexing supported: W
+        @ e_i to the bit, read off the basis's column i instead of its
+        products with e_i."""
+        rows, i = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if not (isinstance(rows, slice) and rows == slice(None)
+                and isinstance(i, (int, np.integer)) and not isinstance(i, bool)):
+            raise IndexError(f"LazyGaussian supports W[:, i] with an integer i only, not {key!r}")
+        if self._dense is None:
+            e = np.zeros(self.shape[1])
+            e[i] = 1.0
+            self._reveal(self._right, self._left, e, i)
         if self._dense is not None:
             return self._dense[:, i]
-        e = np.zeros(self.shape[1])
-        e[i] = 1.0
-        return self @ e
+        return self._right.images.T @ np.ascontiguousarray(self._right.basis[:, i])
 
 
 def spectral_norm(M: np.ndarray) -> float:

@@ -42,6 +42,10 @@ GUARDS = [
     "sweep --dims 8 16 --widths 12 6 --trials 5",
     # trials shared with a forked child: the bytes of workers 1
     "attack --d 16 --trials 6 --workers 2",
+    # layers die mid-walk, and lazy layers complete
+    "attack --d 20 --widths 4 4 4 --trials 40",
+    # narrow layers walked in a forked child
+    "attack --d 30 --widths 3 3 --trials 40 --workers 2",
     "probe dist_equiv --d 16 --widths 16 16 --trials 40 --workers 2",
 ]
 

@@ -1,15 +1,18 @@
 import functools
+import sys
+from typing import Optional
 
 import numpy as np
 import pytest
 from scipy.stats import beta
 
-from relurand.adversarial import flip_search, paper_eta, verify_theorem1
+from relurand.adversarial import (_AT_BREAKPOINT, _REACH, _walk, flip_search, paper_eta,
+                                  verify_theorem1)
 from relurand.errors import DegenerateInput
 from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.linalg import ks_critical_value, ks_two_sample
-from relurand.network import (Architecture, InitMode, build_network, forward, gradient,
-                              lazy_network, network_from_weights, sphere_input)
+from relurand.network import (Architecture, InitMode, Network, build_network, forward,
+                              gradient, lazy_network, network_from_weights, sphere_input)
 from relurand.rng import RngStream
 
 
@@ -236,6 +239,133 @@ class TestRayWalk:
                 continue
             assert np.sign(_f_along(net, x, u, [res.t_star * (1 + 1e-9)])[0]) == -s
             assert hits.size == 0 or hits[0] >= res.t_star
+
+
+def _oracle_next_breakpoint(P: np.ndarray, active: np.ndarray, t0: float) -> tuple[float, int]:
+    """Earliest t >= t0 at which a unit of one layer changes state, and the unit.
+
+    P holds the layer's preactivations as [A, B] columns, A + t B.  Only a
+    unit whose state disagrees with the sign of its slope B ever changes
+    state; a root that rounding put below t0 is clamped to t0.
+    """
+    A, B = P[:, 0], P[:, 1]
+    moving = np.flatnonzero((active != (B > 0.0)) & (B != 0.0))
+    if moving.size == 0:
+        return np.inf, -1
+    roots = -A[moving] / B[moving]
+    k = int(np.argmin(roots))
+    return max(float(roots[k]), t0), int(moving[k])
+
+
+def _oracle_walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
+                 t_max: float) -> tuple[Optional[float], int]:
+    """The ray walk as it was before it kept each layer's roots between
+    pieces: after every switch it recomputes the roots of every layer at
+    and above the switched one, and the output line as a 1 x 2 array."""
+    P, active = [], []
+    cur = np.stack([x, u], axis=1)
+    for W in net.weights[:-1]:
+        P.append(W @ cur)
+        active.append(P[-1][:, 0] > 0.0)
+        cur = P[-1] * active[-1][:, None]
+    P.append(net.weights[-1] @ cur)
+    ell = len(active)
+    roots = [_oracle_next_breakpoint(P[j], active[j], 0.0) for j in range(ell)]
+    t0, pieces = 0.0, 0
+    while True:
+        pieces += 1
+        j = min(range(ell), key=lambda k: roots[k][0], default=None)
+        t1 = np.inf if j is None else roots[j][0]
+        c, e = s * P[ell][0]
+        if e < 0.0:
+            t_cross = max((level + c) / -e, t0)
+            if t_cross < t1 * (1.0 - _AT_BREAKPOINT):
+                return (t_cross if t_cross <= t_max else None), pieces
+        if t1 > t_max:
+            return None, pieces
+        i = roots[j][1]
+        on = P[j][i, 1] > 0.0
+        active[j][i] = on
+        if active[j].any():
+            P[j + 1] += (1.0 if on else -1.0) * np.outer(net.weights[j + 1][:, i], P[j][i])
+            first = j + 2
+        else:
+            first = j + 1
+        for k in range(first, ell + 1):
+            P[k] = net.weights[k] @ (P[k - 1] * active[k - 1][:, None])
+        t0 = t1
+        roots[j:] = [_oracle_next_breakpoint(P[k], active[k], t0) for k in range(j, ell)]
+
+
+def _walks(walk, net, x):
+    """walk's (t, pieces) along flip_search's ray, to the flip and to level
+    |f(x)| as verify_theorem1 walks it, or None at a degenerate input."""
+    trace = forward(net, x)
+    g = gradient(net, trace)
+    g_norm = float(np.linalg.norm(g))
+    if trace.output == 0.0 or g_norm == 0.0:
+        return None
+    s = np.sign(trace.output)
+    u = -s * g / g_norm
+    t_max = _REACH * float(np.linalg.norm(x))
+    return walk(net, x, u, s, 0.0, t_max), walk(net, x, u, s, abs(trace.output), t_max)
+
+
+class TestWalkOracle:
+    """_walk against _oracle_walk, the walk it replaced, on the same nets:
+    equal crossings and piece counts with ==, and on lazy nets the same
+    queries, so that both copies of a net end with the same revealed
+    directions."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+    @pytest.mark.parametrize("d, widths, trials", [
+        (500, (500, 500), 6), (100, (100,) * 8, 8), (30, (3, 3), 40), (20, (4, 4, 4), 40),
+        (64, (200, 16, 200), 20),
+    ], ids=["wide", "deep", "narrow", "dying", "bottleneck"])
+    def test_same_crossings_and_pieces(self, d, widths, trials, lazy, monkeypatch):
+        # a layer with no active unit, met by the oracle's search after a
+        # switch: a non-degenerate input starts with none
+        dead = []
+        oracle_next = _oracle_next_breakpoint
+
+        def counting(P, active, t0):
+            dead.append(not active.any())
+            return oracle_next(P, active, t0)
+
+        monkeypatch.setattr(sys.modules[__name__], "_oracle_next_breakpoint", counting)
+        arch = Architecture(d, widths)
+        walked = completed = 0
+        for k in range(trials):
+            nets = []
+            for walk in (_walk, _oracle_walk):
+                rng = RngStream(1, k)
+                if lazy:
+                    net, x = _trial_net(arch, rng)
+                else:
+                    x = sphere_input(d, rng)
+                    net = build_network(arch, InitMode.STANDARD, rng)
+                nets.append((_walks(walk, net, x), [(W.revealed, W.completed)
+                                                    for W in net.weights[:-1] if lazy]))
+            assert nets[0] == nets[1], k
+            walked += nets[0][0] is not None
+            completed += sum(done for _, done in nets[0][1])
+        assert walked >= trials // 2
+        if widths == (4, 4, 4):
+            # seed 1 reaches both rare paths: the recompute above a dead
+            # layer, and on lazy nets layers that complete mid-walk
+            assert any(dead)
+            assert completed > 0 if lazy else completed == 0
+
+    def test_flip_search_and_theorem1_walk_like_the_oracle(self):
+        # the public entry points, on the attack workload's lazy nets
+        arch = Architecture(500, (500, 500))
+        for k in range(4):
+            res = flip_search(*_trial_net(arch, RngStream(2, k)))
+            check = verify_theorem1(*_trial_net(arch, RngStream(2, k)))
+            net, x = _trial_net(arch, RngStream(2, k))
+            flip, level = _walks(_oracle_walk, net, x)
+            assert (res.t_star, res.evaluations) == flip
+            assert check.magnitude_ok and check.ratio == level[0] / float(np.linalg.norm(x))
 
 
 class TestLazyNetwork:

@@ -287,6 +287,49 @@ class TestLazyGaussian:
         with pytest.raises(IndexError):
             W[0, 1]
 
+    def test_column_skips_its_product_to_the_bit(self):
+        # one copy asks W[:, i] where the other asks W @ e_i, amid the same
+        # right and left queries: the same answers, reveals, flops and
+        # draws, before completion and after it
+        copies = []
+        for column in (True, False):
+            rng = _CountingStream(17)
+            W = LazyGaussian(60, 50, 0.7, rng)
+            q = RngStream(18)
+            steps = []
+            for k in range(36):
+                if k % 3 == 0:
+                    i = 7 * k % 50
+                    if column:
+                        answer = W[:, i]
+                    else:
+                        e = np.zeros(50)
+                        e[i] = 1.0
+                        answer = W @ e
+                elif k % 3 == 1:
+                    answer = W @ q.normal((50, 2))
+                else:
+                    answer = q.normal(60) @ W
+                steps.append((answer.tobytes(), W.revealed, W._spent, rng.draws, W.completed))
+            copies.append(steps)
+        assert copies[0] == copies[1]
+        assert not copies[0][15][-1] and copies[0][16][-1]   # the 17th query completes W
+
+    @pytest.mark.parametrize("complete", [False, True], ids=["lazy", "completed"])
+    @pytest.mark.parametrize("key", [
+        3, np.int64(3), (slice(None), slice(1, 3)), (slice(None), [1, 2]), (slice(None), 1.0),
+        (slice(None), True), (slice(1, None), 1), (0, 1), (slice(None),), (slice(None), 1, 0),
+    ], ids=["row", "np-row", "column-slice", "column-list", "float", "bool", "row-slice",
+            "entry", "rows-only", "three-axes"])
+    def test_only_an_integer_column_indexes(self, key, complete):
+        W = LazyGaussian(6, 5, 1.0, RngStream(19))
+        if complete:
+            _mixed_queries(W, 20, n=12)
+            assert W.completed
+        with pytest.raises(IndexError, match=r"W\[:, i\] with an integer i only"):
+            W[key]
+        assert W[:, 2].shape == W[:, np.int64(2)].shape == (6,)
+
     def test_revealed_span_and_zero_draw_nothing(self):
         rng = _CountingStream(6)
         W = LazyGaussian(30, 20, 1.0, rng)
