@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .network import (  # noqa: F401
     Architecture,
-    InitMode,
     Network,
     bottleneck_decomposition,
     build_network,

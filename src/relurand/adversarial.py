@@ -62,8 +62,8 @@ def paper_eta(ell: int, d: int, delta: float, grad_norm: float) -> float:
     return float(-(2.0 ** ell) * np.log(d) * np.sqrt(np.log(1.0 / delta)) / grad_norm ** 2)
 
 
-# The default reach of a search, t_max = _REACH ||x||, far beyond the
-# predicted ratio ~ d^{-1/2}.
+# Every search walks up to t = _REACH ||x||, far beyond the predicted
+# ratio ~ d^{-1/2}.
 _REACH = 10.0
 
 # A crossing this close to a breakpoint, relative, is taken to lie on it.
@@ -89,8 +89,8 @@ def _head(roots: np.ndarray, t0: float) -> tuple[float, int]:
 
 
 def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
-          t_max: float) -> tuple[Optional[float], int]:
-    """inf{t in [0, t_max] : s f(x + t u) < -level}, or None, and the number
+          reach: float) -> tuple[Optional[float], int]:
+    """inf{t in [0, reach] : s f(x + t u) < -level}, or None, and the number
     of linear pieces walked.
 
     Along the ray f is piecewise linear.  Inside one piece every
@@ -146,8 +146,8 @@ def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
         if se < 0.0:
             t_cross = max((level + sc) / -se, t0)
             if t_cross < t1 * (1.0 - _AT_BREAKPOINT):
-                return (t_cross if t_cross <= t_max else None), pieces
-        if t1 > t_max:
+                return (t_cross if t_cross <= reach else None), pieces
+        if t1 > reach:
             return None, pieces
         i = heads[j][1]
         a, b = P[j][i].tolist()
@@ -178,20 +178,18 @@ def _walk(net: Network, x: np.ndarray, u: np.ndarray, s: float, level: float,
             heads[k] = _head(roots[k], t0)
 
 
-def flip_search(net: Network, x: np.ndarray, t_max: Optional[float] = None) -> AttackResult:
+def flip_search(net: Network, x: np.ndarray) -> AttackResult:
     """Minimal step along the attack direction at which the output sign flips.
 
     Walks the linear pieces of f along the ray x + t * direction (Hanin &
     Rolnick 2019) and returns the exact first t at which the output takes
-    the opposite sign; an exactly zero output does not count.  The walk
-    stops there: f is evaluated once, at x, where a zero preactivation is
-    inactive in forward as at the walk's start.  evaluations counts the
-    pieces walked.  The default t_max is _REACH ||x||.
+    the opposite sign within the reach _REACH ||x||; an exactly zero
+    output does not count.  The walk stops there: f is evaluated once, at
+    x, where a zero preactivation is inactive in forward as at the walk's
+    start.  evaluations counts the pieces walked.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))
-    if t_max is None:
-        t_max = _REACH * x_norm
     trace = forward(net, x)
     f_x = trace.output
     g = gradient(net, trace)
@@ -202,7 +200,7 @@ def flip_search(net: Network, x: np.ndarray, t_max: Optional[float] = None) -> A
     s = np.sign(f_x)
     direction = -s * g / g_norm
 
-    t_star, pieces = _walk(net, x, direction, s, 0.0, t_max)
+    t_star, pieces = _walk(net, x, direction, s, 0.0, _REACH * x_norm)
     flipped = t_star is not None
     return AttackResult(f_x, g_norm, cos_grad_x, direction, t_star,
                         t_star / x_norm if flipped else None, flipped, pieces)
@@ -219,11 +217,11 @@ class Theorem1Check:
 def verify_theorem1(net: Network, x: np.ndarray) -> Theorem1Check:
     """Both flip conditions: the sign flips and |f| regains |f(x)|.
 
-    After flip_search at its default t_max = _REACH ||x||, walks the same
-    ray exactly to the first t at which the flipped output reaches level
-    |f(x)|, that is s f(x + t u) < -|f(x)|, within that reach, and reports
-    the ratio there; magnitude_ok is whether that t exists.  flip_ratio is
-    flip_search's t*/||x||.
+    After flip_search, walks the same ray exactly, within the same reach
+    _REACH ||x||, to the first t at which the flipped output reaches level
+    |f(x)|, that is s f(x + t u) < -|f(x)|, and reports the ratio there;
+    magnitude_ok is whether that t exists.  flip_ratio is flip_search's
+    t*/||x||.
     """
     x = np.asarray(x, dtype=np.float64)
     x_norm = float(np.linalg.norm(x))

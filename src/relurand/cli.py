@@ -5,16 +5,17 @@ except that the kinds probe:<name> are probe <name>.  Every subcommand
 builds one ExperimentConfig, which checks itself, before any work.  Each
 subcommand takes the keys its kind reads (harness._accepted), each as a
 flag (n_draws -> --n-draws), except that master_seed is --seed and
-theta_0 is --theta0.  A JSON config file (--config, such as
-configs/*.json) provides the same keys, and a kind only if it is the
-subcommand's; flags override config keys one-for-one.
+theta_0 is --theta0; a flag is spelled out in full, never abbreviated.
+A JSON config file (--config, such as configs/*.json) provides the same
+keys, and a kind only if it is the subcommand's; flags override config
+keys one-for-one.
 Every subcommand parses every flag, so a key its kind does not take,
 like a malformed value (a flag's text is read as its key's type), is the
 same config error from a flag as from a file.  Integers, the seed among
 them, lie in [-2**63, 2**63), where distinct seeds give distinct
 streams.  Outputs go to --out-dir, which is created if missing.  The
 kind without a runner, sample, saves the net of its d, widths and
-master_seed as network.rrnn there, or to --out, and runs nothing.
+master_seed as network.rrnn there and runs nothing.
 Exit codes: 0 success, 1 config error, a run that ran out of memory or
 a run that raised any other RelurandError (one stderr line; none writes
 output), 2 I/O error or a command line argparse cannot parse (an unknown
@@ -43,7 +44,7 @@ from .harness import (
     write_csv,
     write_summary_json,
 )
-from .network import InitMode, build_network, save_network
+from .network import build_network, save_network
 from .rng import RngStream
 
 __all__ = ["main"]
@@ -77,9 +78,9 @@ def _build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _parse(text: str, hint):
-    """A flag's text as a number of its key's type (float for
-    Optional[float]), or the text itself where it spells none, for
-    ExperimentConfig to reject as it would the same value in a file."""
+    """A flag's text as a number of its key's type, or the text itself
+    where it spells none, for ExperimentConfig to reject as it would the
+    same value in a file."""
     try:
         return int(text) if hint is int else float(text)
     except ValueError:
@@ -88,13 +89,12 @@ def _parse(text: str, hint):
 
 def _sample(config: ExperimentConfig, args: argparse.Namespace) -> int:
     arch = _arch(config)
-    mode = InitMode.DEPTH_COLLAPSE if args.mode == "depth-collapse" else InitMode.STANDARD
-    net = build_network(arch, mode, RngStream(config.master_seed, 0))
-    out = args.out if args.out else args.out_dir / "network.rrnn"
+    net = build_network(arch, RngStream(config.master_seed, 0))
+    out = args.out_dir / "network.rrnn"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_network(net, out)
     print(f"wrote {out} (d={arch.input_dim}, widths={list(arch.hidden_widths)}, "
-          f"mode={mode.name}, seed={config.master_seed})")
+          f"seed={config.master_seed})")
     return 0
 
 
@@ -119,14 +119,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = {kind: sub.add_parser(kind, parents=[common], help=spec.help)
-                for kind, spec in KINDS.items() if not kind.startswith("probe:")}
-    commands["sample"].add_argument("--mode", choices=["standard", "depth-collapse"],
-                                    default="standard")
-    commands["sample"].add_argument("--out", type=Path, default=None)
+    # flags are spelled out in full, so that an unknown flag such as --out
+    # exits 2 rather than pass as an abbreviation of --out-dir
+    for kind, spec in KINDS.items():
+        if not kind.startswith("probe:"):
+            sub.add_parser(kind, parents=[common], help=spec.help, allow_abbrev=False)
 
-    p_probe = sub.add_parser("probe", parents=[common], help="Monte Carlo bound probes")
-    p_probe.add_argument("name", choices=list(PROBE_NAMES))
+    sub.add_parser("probe", parents=[common], help="Monte Carlo bound probes",
+                   allow_abbrev=False).add_argument("name", choices=list(PROBE_NAMES))
 
     return parser
 

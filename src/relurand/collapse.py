@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gaussian_times, gaussian_times_apply, gaussian_times_factor, one_blas_thread
-from .network import InitMode, init_std
 from .rng import RngStream
 
 __all__ = [
@@ -194,6 +193,9 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
                       master_seed: int, pairs=None) -> CollapseReport:
     """Propagate input pairs through a deep 2/fan-in network, layer by layer.
 
+    Every weight entry has std sqrt(2/fan_in), computed here: the nets of
+    network draw 1/sqrt(fan_in), and this module builds none of them.
+
     No weight matrix is formed: each layer samples, from its own derived
     stream, only the width x 2 n_pairs image of the current columns
     (linalg.gaussian_times).  A layer draws width x min(fan_in, 2 n_pairs)
@@ -232,7 +234,7 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
         c = np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)
         angles[p] = np.arccos(c)
 
-    w_out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(master_seed, 1).normal(width)
+    w_out = np.sqrt(2.0 / width) * RngStream(master_seed, 1).normal(width)
 
     layer_cos = np.full((n_pairs, depth), np.nan)   # NaN where a norm is 0
     layer_norms = np.zeros((2 * n_pairs, depth))
@@ -264,8 +266,7 @@ def collapse_simulate(d: int, width: int, depth: int, n_pairs: int,
             if ahead and t < depth:
                 # the other buffer was consumed by layer t - 1
                 pending = helper.submit(draw, t + 1, sizes[t])
-            cur = gaussian_times_apply(G, R, inverse, init_std(fan_in, InitMode.DEPTH_COLLAPSE),
-                                       out=image)
+            cur = gaussian_times_apply(G, R, inverse, np.sqrt(2.0 / fan_in), out=image)
             np.maximum(cur, 0.0, out=cur)
             # np.linalg.norm(cur, axis=0), its squares in the consumed buffer
             squares = buffers[t % 2].reshape((width, k), order="F")

@@ -43,8 +43,8 @@ from .adversarial import flip_search, paper_eta
 from .collapse import collapse_simulate, kernel_iterate
 from .errors import ConfigError, DegenerateInput, RelurandError
 from .linalg import one_blas_thread
-from .network import (Architecture, InitMode, bottleneck_decomposition, build_network,
-                      lazy_network, sphere_input)
+from .network import (Architecture, bottleneck_decomposition, build_network, lazy_network,
+                      sphere_input)
 from .network import forward  # noqa: F401  perfbench's tracer test rebinds harness.forward
 from .rng import RngStream
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     radius: float = 1.0
     alpha: float = 0.1
     delta: float = 0.1
-    t_max: Optional[float] = None
     dims: tuple[int, ...] = ()
     theta_0: float = float(np.pi / 2)
     steps: int = 100
@@ -86,7 +85,7 @@ class ExperimentConfig:
                 v = tuple(v)
             if not _has_type(v, hint):
                 raise ConfigError(f"'{key}' must be {_TYPE_NAMES[hint]}")
-            if hint in (float, Optional[float]) and v is not None:
+            if hint is float:
                 v = float(v)
             object.__setattr__(self, key, v)
         if self.kind not in KINDS:
@@ -97,14 +96,12 @@ class ExperimentConfig:
                 raise ConfigError(f"'{key}' must be positive")
             if hint == tuple[int, ...] and any(e < 1 for e in v):
                 raise ConfigError(f"every entry of '{key}' must be positive")
-            if hint in (float, Optional[float]) and v is not None and not math.isfinite(v):
+            if hint is float and not math.isfinite(v):
                 raise ConfigError(f"'{key}' must be finite")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("'delta' must lie in (0, 1)")
         if self.radius < 0.0:
             raise ConfigError("'radius' must be >= 0")
-        if self.t_max is not None and self.t_max <= 0.0:
-            raise ConfigError("'t_max' must be positive")
         message = KINDS[self.kind].check(self)
         if message:
             raise ConfigError(message)
@@ -129,7 +126,6 @@ _HINTS = typing.get_type_hints(ExperimentConfig)
 # would share every stream.
 _TYPE_NAMES = {str: "a string", int: "an integer in [-2**63, 2**63)",
                float: "a number (if an integer, in [-2**63, 2**63))",
-               Optional[float]: "a number (if an integer, in [-2**63, 2**63)) or null",
                tuple[int, ...]: "a list of integers in [-2**63, 2**63)"}
 
 
@@ -138,8 +134,6 @@ def _has_type(value, hint) -> bool:
     and an integer lies in [-2**63, 2**63)."""
     if hint == tuple[int, ...]:
         return isinstance(value, tuple) and all(_has_type(v, int) for v in value)
-    if hint == Optional[float]:
-        return value is None or _has_type(value, float)
     if isinstance(value, bool):
         return False
     if isinstance(value, (int, np.integer)):
@@ -293,7 +287,7 @@ def _flip_row(cfg: ExperimentConfig, arch: Architecture, i: int) -> TrialRecord:
     stream i).  It raises DegenerateInput when f(x) = 0 or the gradient is
     zero and there is no direction to search, which _map_trials writes as a
     `degenerate` row."""
-    res = flip_search(*_trial_net(arch, RngStream(cfg.master_seed, i)), cfg.t_max)
+    res = flip_search(*_trial_net(arch, RngStream(cfg.master_seed, i)))
     # the reference eta needs d >= 2; 1-d nets get NaN
     eta = (paper_eta(arch.ell, arch.input_dim, cfg.delta, res.grad_norm)
            if arch.input_dim >= 2 else float("nan"))
@@ -458,9 +452,9 @@ KINDS = {
     "sample": _Kind(None, ("master_seed", "d", "widths"),
                     help="build and save a random network"),
     "attack": _Kind(_run_attack,
-                    ("master_seed", "workers", "d", "widths", "trials", "t_max", "delta"),
+                    ("master_seed", "workers", "d", "widths", "trials", "delta"),
                     help="single-configuration flip searches"),
-    "sweep": _Kind(_run_sweep, ("master_seed", "workers", "dims", "widths", "trials", "t_max"),
+    "sweep": _Kind(_run_sweep, ("master_seed", "workers", "dims", "widths", "trials"),
                    lambda cfg: (None if cfg.dims and len(set(cfg.dims)) == len(cfg.dims) else
                                 "'dims' must be a nonempty list of distinct dimensions for sweep"),
                    help="flip-ratio scaling across input dimensions"),
@@ -492,7 +486,7 @@ KINDS = {
     "probe:segment_spectral": _Kind(_per_trial(
         # whole masked segment products need dense weights: the net, then x
         lambda cfg, rng: probes.probe_segment_spectral(
-            build_network(_arch(cfg), InitMode.STANDARD, rng), sphere_input(cfg.d, rng),
+            build_network(_arch(cfg), rng), sphere_input(cfg.d, rng),
             cfg.radius, cfg.n_samples, rng)),
         _PROBE_KEYS + ("radius", "n_samples"),
         lambda cfg: (None if len(bottleneck_decomposition(_arch(cfg)).indices) >= 2 else

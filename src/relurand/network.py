@@ -1,19 +1,19 @@
 """Random ReLU networks: construction, evaluation, gradients, decompositions.
 
 A network is f(x) = W_{l+1} relu(W_l relu(... relu(W_1 x))), no biases,
-scalar output.  Standard initialization draws layer i entries from
-N(0, 1/d_{i-1}); depth-collapse initialization uses variance 2/fan-in at
-every layer.  A unit is active exactly when its preactivation is
-positive, so an exactly-zero preactivation is inactive, as relu(0) = 0
-implies.  Under gaussian weights such a tie needs a whole layer dead
-below it, an event of probability about 2^-w for a layer of w units.
+scalar output.  Layer i's entries are drawn from N(0, 1/d_{i-1}).  The
+net is positively homogeneous in each layer's scale, so no sign, flip,
+ratio or cosine sees another scale, such as collapse's 2/fan-in.  A unit
+is active exactly when its preactivation is positive, so an exactly-zero
+preactivation is inactive, as relu(0) = 0 implies.  Under gaussian
+weights such a tie needs a whole layer dead below it, an event of
+probability about 2^-w for a layer of w units.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .rng import RngStream
 
 __all__ = [
     "Architecture",
-    "InitMode",
     "Network",
     "ForwardTrace",
     "GradDecomposition",
@@ -42,19 +41,21 @@ __all__ = [
 ]
 
 
-class InitMode(Enum):
-    STANDARD = 0        # layer i entries ~ N(0, 1/d_{i-1})
-    DEPTH_COLLAPSE = 1  # layer entries ~ N(0, 2/fan_in), all layers
-
-
 @dataclass(frozen=True)
 class Architecture:
-    """Shape of a network: d_0 = input_dim, hidden widths d_1..d_l, output 1."""
+    """Shape of a network: d_0 = input_dim, hidden widths d_1..d_l, output 1.
+    Every dimension is an integer (int or np.integer, not a bool), stored as
+    int; any other value is a ValueError naming it."""
 
     input_dim: int
     hidden_widths: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for i, v in enumerate((self.input_dim, *self.hidden_widths)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                name = f"hidden width {i}" if i else "input_dim"
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if self.input_dim < 1 or any(w < 1 for w in self.hidden_widths):
             raise ValueError("all dimensions must be >= 1")
@@ -80,7 +81,6 @@ class Network:
     weights of a lazy_network are LazyGaussian, not ndarray."""
 
     arch: Architecture
-    mode: InitMode
     weights: tuple[np.ndarray, ...]  # W_1..W_{l+1}, weights[i]: d_{i+1} x d_i
     master_seed: int = 0
     stream_id: int = 0
@@ -124,34 +124,33 @@ class BottleneckDecomposition:
     widths: tuple[int, ...]
 
 
-def init_std(fan_in: int, mode: InitMode) -> float:
-    """Standard deviation of a weight entry of a layer with fan_in inputs."""
-    if mode is InitMode.STANDARD:
-        return 1.0 / np.sqrt(fan_in)
-    return np.sqrt(2.0 / fan_in)
+def init_std(fan_in: int) -> float:
+    """Standard deviation 1/sqrt(fan_in) of a weight entry of a layer with
+    fan_in inputs."""
+    return 1.0 / np.sqrt(fan_in)
 
 
-def build_network(arch: Architecture, mode: InitMode, rng: RngStream) -> Network:
-    """Sample all weight matrices for the given mode from rng."""
+def build_network(arch: Architecture, rng: RngStream) -> Network:
+    """Sample all weight matrices from rng."""
     dims = arch.dims
     weights = tuple(
-        gaussian_matrix(dims[i + 1], dims[i], init_std(dims[i], mode), rng)
+        gaussian_matrix(dims[i + 1], dims[i], init_std(dims[i]), rng)
         for i in range(arch.ell + 1)
     )
-    return Network(arch, mode, weights, rng.master_seed, rng.stream_id)
+    return Network(arch, weights, rng.master_seed, rng.stream_id)
 
 
 def lazy_network(arch: Architecture, rng: RngStream) -> Network:
-    """A standard network whose hidden weights are LazyGaussian layers
+    """A network whose hidden weights are LazyGaussian layers
     that draw from rng only as they are queried; the output row is dense
     and drawn now.  Everything that reaches the weights through W @ V,
     v @ W and W[:, i] (forward, gradient, the flip search's walk) runs on
     it unchanged; whole-matrix uses such as save_network do not."""
     dims = arch.dims
-    std = [init_std(d, InitMode.STANDARD) for d in dims[:-1]]
+    std = [init_std(d) for d in dims[:-1]]
     weights = tuple(LazyGaussian(dims[i + 1], dims[i], std[i], rng) for i in range(arch.ell))
     weights += (gaussian_matrix(1, dims[-2], std[-1], rng),)
-    return Network(arch, InitMode.STANDARD, weights, rng.master_seed, rng.stream_id)
+    return Network(arch, weights, rng.master_seed, rng.stream_id)
 
 
 def sphere_input(d: int, rng: RngStream) -> np.ndarray:
@@ -160,14 +159,14 @@ def sphere_input(d: int, rng: RngStream) -> np.ndarray:
 
 
 def network_from_weights(weights) -> Network:
-    """Test-oriented constructor of a standard-mode network from explicit
+    """Test-oriented constructor of a network from explicit
     weight matrices W_1..W_{l+1}, the last a single row."""
     weights = tuple(np.atleast_2d(np.asarray(W, dtype=np.float64)) for W in weights)
     input_dim = weights[0].shape[1]
     hidden = tuple(W.shape[0] for W in weights[:-1])
     if weights[-1].shape[0] != 1:
         raise ValueError("output layer must have a single row")
-    return Network(Architecture(input_dim, hidden), InitMode.STANDARD, weights)
+    return Network(Architecture(input_dim, hidden), weights)
 
 
 def forward(net: Network, x: np.ndarray) -> ForwardTrace:
@@ -257,7 +256,7 @@ _HEADER = struct.Struct("<IBBI")  # version, mode byte, tie byte (always 0), l
 
 
 def save_network(net: Network, path) -> None:
-    """Binary format version 2: magic 'RRNN', u32 LE version, mode byte,
+    """Binary format version 2: magic 'RRNN', u32 LE version, mode byte 0,
     tie byte 0, u32 LE l, l+2 dims as u32 LE, each W_i row-major f64 LE,
     u64 LE master seed, u64 LE stream id.  A weight that is not a dense
     ndarray, such as a LazyGaussian, is a ValueError before any file opens."""
@@ -266,7 +265,7 @@ def save_network(net: Network, path) -> None:
             raise ValueError(f"weight {i + 1} is a {type(W).__name__}, not a dense ndarray")
     dims = net.arch.dims
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + _HEADER.pack(_VERSION, net.mode.value, 0, net.arch.ell))
+        fh.write(_MAGIC + _HEADER.pack(_VERSION, 0, 0, net.arch.ell))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         for W in net.weights:
             # from the array's own buffer: tobytes() would copy the whole weight
@@ -275,10 +274,11 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    """Read a network file of format version 2 with tie byte 0; any other
-    version or tie byte is a FormatError.  `relurand sample` redraws the
-    net of a version 1 file it wrote from the d, widths, mode and seed the
-    file records."""
+    """Read a network file of format version 2 with mode byte 0 or 1 and
+    tie byte 0; any other version, mode byte or tie byte is a FormatError.
+    A file of mode byte 1 loads as its stored weights.  `relurand sample`
+    redraws the net of a version 1 file of mode byte 0 that it wrote from
+    the d, widths and seed the file records."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -298,10 +298,10 @@ def load_network(path) -> Network:
         raise FormatError(f"unsupported format version {version} (supported: {_VERSION})")
     if tie_byte != 0:
         raise FormatError(f"unsupported tie byte {tie_byte} (supported: 0)")
-    try:
-        mode = InitMode(mode_byte)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    # mode byte 1 marks a 2/fan-in net (`sample --mode depth-collapse` once
+    # wrote one); its stored weights carry that scale, so it loads as they are
+    if mode_byte > 1:
+        raise FormatError(f"unsupported mode byte {mode_byte} (supported: 0, 1)")
     ndims = ell + 2
     dims = struct.unpack(f"<{ndims}I", take(4 * ndims, "dimensions"))
     if dims[-1] != 1 or min(dims) < 1:
@@ -314,5 +314,4 @@ def load_network(path) -> Network:
     seed, stream_id = struct.unpack("<2Q", take(16, "master seed and stream id"))
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes after the network")
-    arch = Architecture(dims[0], dims[1:-1])
-    return Network(arch, mode, tuple(weights), seed, stream_id)
+    return Network(Architecture(dims[0], dims[1:-1]), tuple(weights), seed, stream_id)

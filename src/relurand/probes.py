@@ -29,7 +29,6 @@ from .linalg import (
 from .network import (
     Architecture,
     ForwardTrace,
-    InitMode,
     Network,
     bottleneck_decomposition,
     forward,
@@ -263,7 +262,7 @@ def _bernoulli_product_norm(arch: Architecture, p: float, rng: RngStream) -> flo
     active = [int(rng.bernoulli(p, dims[i]).sum()) for i in range(arch.ell, 0, -1)]
     if 0 in active:
         return 0.0
-    scale = np.prod([init_std(fan_in, InitMode.STANDARD) for fan_in in dims[:-1]])
+    scale = np.prod([init_std(fan_in) for fan_in in dims[:-1]])
     return float(scale * np.prod(rng.chi(active + [dims[0]])))
 
 
@@ -272,7 +271,7 @@ def probe_dist_equiv(arch: Architecture, x: np.ndarray, rng_a: RngStream,
     """One trial of the mask-randomization distributional identity: a
     gradient norm of each sample that dist_equiv_stats compares.
 
-    Sample A: ||grad f(x)|| of a standard lazy net (network.lazy_network)
+    Sample A: ||grad f(x)|| of a lazy net (network.lazy_network)
     from rng_a, with data-dependent masks at x.  Sample B: the norm of the
     same weight product with iid Bernoulli(p) masks from rng_b; its weights
     are independent of its masks, so the norm is a product of chi draws

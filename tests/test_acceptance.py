@@ -13,7 +13,6 @@ from relurand.collapse import collapse_simulate, kernel_mc_estimate, kernel_map,
 from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.network import (
     Architecture,
-    InitMode,
     build_network,
     forward,
     grad_difference_decomposition,
@@ -43,7 +42,7 @@ def test_01_gradient_difference_decomposition_exact():
         ell = int(float(rng.uniform()) * 3) + 1
         widths = tuple(int(32 + float(rng.uniform()) * 480) for _ in range(ell))
         d = int(32 + float(rng.uniform()) * 480)
-        net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
+        net = build_network(Architecture(d, widths), rng)
         x = rng.normal(d)
         y = x + 0.3 * rng.normal(d)
         tx = forward(net, x)
@@ -62,7 +61,7 @@ def test_02_euler_identity_and_homogeneity():
         rng = RngStream(1002, k)
         d = int(16 + float(rng.uniform()) * 100)
         widths = (d, d)
-        net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
+        net = build_network(Architecture(d, widths), rng)
         x = rng.normal(d)
         t = forward(net, x)
         g = gradient(net, t)
@@ -78,7 +77,7 @@ def test_02_euler_identity_and_homogeneity():
 def test_03_gradient_vs_finite_differences():
     rng = RngStream(1003)
     d = 100
-    net = build_network(Architecture(d, (100, 100)), InitMode.STANDARD, rng)
+    net = build_network(Architecture(d, (100, 100)), rng)
     x = rng.sphere_point(d, norm=np.sqrt(d))
     t = forward(net, x)
     g = gradient(net, t)
@@ -108,7 +107,7 @@ def test_04_flip_rate_and_dimension_scaling():
     good = 0
     for k in range(200):
         rng = RngStream(101, k)
-        net = build_network(arch, InitMode.STANDARD, rng)
+        net = build_network(arch, rng)
         x = rng.sphere_point(500, norm=np.sqrt(500))
         res = flip_search(net, x)
         if res.flipped and res.ratio <= 0.5:
@@ -137,7 +136,7 @@ def test_06_scale_preservation_no_violations():
     violations = 0
     for k in range(100):
         rng = RngStream(1006, k)
-        net = build_network(Architecture(512, (512, 512)), InitMode.STANDARD, rng)
+        net = build_network(Architecture(512, (512, 512)), rng)
         x = rng.sphere_point(512, norm=np.sqrt(512))
         rep = probe_scale_preservation(net, x, 0.0, 1, rng)
         violations += rep["norm_violations"]
@@ -149,7 +148,7 @@ def test_07_activation_margin_bound():
     viol = pairs = 0
     for k in range(200):
         rng = RngStream(1007, k)
-        net = build_network(Architecture(512, (512, 512, 512)), InitMode.STANDARD, rng)
+        net = build_network(Architecture(512, (512, 512, 512)), rng)
         x = rng.sphere_point(512, norm=np.sqrt(512))
         rep = probe_activation_margin(net, x, 0.1)
         viol += rep["violations"]

@@ -11,8 +11,8 @@ from relurand.adversarial import (_AT_BREAKPOINT, _REACH, _walk, flip_search, pa
 from relurand.errors import DegenerateInput
 from relurand.harness import ExperimentConfig, _trial_net, run_experiment
 from relurand.linalg import ks_critical_value, ks_two_sample
-from relurand.network import (Architecture, InitMode, Network, build_network, forward,
-                              gradient, lazy_network, network_from_weights, sphere_input)
+from relurand.network import (Architecture, Network, build_network, forward, gradient,
+                              lazy_network, network_from_weights, sphere_input)
 from relurand.rng import RngStream
 
 
@@ -53,7 +53,7 @@ class TestFlipSearch:
     def test_minimality_of_t_star(self):
         for seed in range(20):
             rng = RngStream(seed)
-            net = build_network(Architecture(100, (100, 100)), InitMode.STANDARD, rng)
+            net = build_network(Architecture(100, (100, 100)), rng)
             x = rng.sphere_point(100, norm=10.0)
             tol = 1e-6 * 10.0
             res = flip_search(net, x)
@@ -68,7 +68,7 @@ class TestFlipSearch:
         good = 0
         for k in range(40):
             rng = RngStream(101, k)
-            net = build_network(arch, InitMode.STANDARD, rng)
+            net = build_network(arch, rng)
             x = rng.sphere_point(500, norm=np.sqrt(500))
             res = flip_search(net, x)
             if res.flipped and res.ratio <= 0.5:
@@ -196,7 +196,7 @@ class TestRayWalk:
         d = 100
         for seed in range(20):
             rng = RngStream(seed)
-            net = build_network(Architecture(d, (d, d)), InitMode.STANDARD, rng)
+            net = build_network(Architecture(d, (d, d)), rng)
             x = rng.sphere_point(d, norm=np.sqrt(d))
             res = flip_search(net, x)
             tol, t_max = 1e-6 * np.sqrt(d), 10 * np.sqrt(d)
@@ -225,7 +225,7 @@ class TestRayWalk:
         # coincide with the death of the last contributing unit; neither flips
         for seed in range(60):
             rng = RngStream(13, seed)
-            net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
+            net = build_network(Architecture(d, widths), rng)
             x = rng.sphere_point(d, norm=np.sqrt(d))
             try:
                 res = flip_search(net, x)
@@ -343,7 +343,7 @@ class TestWalkOracle:
                     net, x = _trial_net(arch, rng)
                 else:
                     x = sphere_input(d, rng)
-                    net = build_network(arch, InitMode.STANDARD, rng)
+                    net = build_network(arch, rng)
                 nets.append((_walks(walk, net, x), [(W.revealed, W.completed)
                                                     for W in net.weights[:-1] if lazy]))
             assert nets[0] == nets[1], k
@@ -377,7 +377,7 @@ class TestLazyNetwork:
         for k in range(trials):
             rng = RngStream(7001, k)
             x = sphere_input(d, rng)
-            res = flip_search(build_network(arch, InitMode.STANDARD, rng), x)
+            res = flip_search(build_network(arch, rng), x)
             dense.append((abs(res.f_x), res.grad_norm, res.ratio))
         rows = run_experiment(ExperimentConfig.from_dict(
             {"kind": "attack", "d": d, "widths": [d, d], "trials": trials,
@@ -449,7 +449,7 @@ class TestExactLaws:
                 net, x = _trial_net(arch, rng)
             else:
                 x = sphere_input(d, rng)
-                net = build_network(arch, InitMode.STANDARD, rng)
+                net = build_network(arch, rng)
             g = gradient(net, forward(net, x))
             if g.any():
                 cosines.append(g @ x / (np.linalg.norm(g) * np.linalg.norm(x)))

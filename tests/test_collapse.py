@@ -14,7 +14,6 @@ from relurand.collapse import (
     sin_cos_gap,
 )
 from relurand.linalg import _gram_factor, gaussian_times
-from relurand.network import InitMode, init_std
 from relurand.rng import RngStream
 
 
@@ -145,9 +144,8 @@ class TestCollapseSimulate:
         pairs = list(zip(points[0::2], points[1::2]))
         rep = collapse_simulate(d, width, 1, len(pairs), master_seed=seed, pairs=pairs)
         X = np.stack([v for p in pairs for v in p], axis=1)
-        cur = np.maximum(gaussian_times(X, width, init_std(d, InitMode.DEPTH_COLLAPSE),
-                                        RngStream(seed, 2)), 0.0)
-        out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(seed, 1).normal(width) @ cur
+        cur = np.maximum(gaussian_times(X, width, np.sqrt(2.0 / d), RngStream(seed, 2)), 0.0)
+        out = np.sqrt(2.0 / width) * RngStream(seed, 1).normal(width) @ cur
         norms = rep.layer_norms[:, 0]
         assert np.array_equal(norms, np.linalg.norm(cur, axis=0)) and np.any(norms == 0.0)
         for p in range(len(pairs)):
@@ -229,14 +227,14 @@ def _serial_collapse(d, width, depth, n_pairs, master_seed, pairs=None):
     for p, (a, b) in enumerate(pairs):
         c = np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)
         angles[p] = np.arccos(c)
-    w_out = init_std(width, InitMode.DEPTH_COLLAPSE) * RngStream(master_seed, 1).normal(width)
+    w_out = np.sqrt(2.0 / width) * RngStream(master_seed, 1).normal(width)
     layer_cos = np.full((n_pairs, depth), np.nan)
     layer_norms = np.zeros((2 * n_pairs, depth))
     norm_ratios = np.zeros((2 * n_pairs, depth))
     constancy = np.zeros((n_pairs, len(checkpoint_depths)))
     cur, fan_in, prev_norms = X, d, np.linalg.norm(X, axis=0)
     for t in range(1, depth + 1):
-        std = init_std(fan_in, InitMode.DEPTH_COLLAPSE)
+        std = np.sqrt(2.0 / fan_in)
         cur = np.maximum(_serial_gaussian_times(cur, width, std, RngStream(master_seed, t + 1)),
                          0.0)
         norms = np.linalg.norm(cur, axis=0)

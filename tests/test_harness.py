@@ -10,7 +10,6 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -68,8 +67,9 @@ def _quick_argv(kind, out_dir):
 
 
 def _command_taking(key):
-    """The argv words of the first subcommand whose kind takes key."""
-    return next(kind for kind in KINDS if key in harness._accepted(kind)).split(":")
+    """The argv words of the first subcommand whose kind takes key, or of
+    attack for a key that no kind takes."""
+    return next((kind for kind in KINDS if key in harness._accepted(kind)), "attack").split(":")
 
 
 # flag -> (key, words on the command line, value in a summary) for every
@@ -78,7 +78,7 @@ _FLAGS = {
     "--seed": ("master_seed", ["7"], 7), "--d": ("d", ["5"], 5),
     "--widths": ("widths", ["3", "4"], [3, 4]), "--trials": ("trials", ["2"], 2),
     "--radius": ("radius", ["0.25"], 0.25), "--alpha": ("alpha", ["0.2"], 0.2),
-    "--delta": ("delta", ["0.3"], 0.3), "--t-max": ("t_max", ["2.5"], 2.5),
+    "--delta": ("delta", ["0.3"], 0.3),
     "--dims": ("dims", ["6", "7"], [6, 7]), "--theta0": ("theta_0", ["1.0"], 1.0),
     "--steps": ("steps", ["3"], 3), "--n-pairs": ("n_pairs", ["4"], 4),
     "--width": ("width", ["9"], 9), "--depth": ("depth", ["2"], 2),
@@ -99,7 +99,7 @@ def _range_cases():
             yield key, 0, f"'{key}' must be positive"
         elif hint == tuple[int, ...]:
             yield key, [4, 0], f"every entry of '{key}' must be positive"
-        elif hint in (float, Optional[float]):
+        elif hint is float:
             yield key, float("nan"), f"'{key}' must be finite"
         else:
             yield key, None, f"no range rule for the type of '{key}'"
@@ -484,7 +484,7 @@ class TestCli:
     def test_every_other_flag_is_the_config_file_error(self, tmp_path, capsys):
         # a flag whose key the subcommand's kind does not take exits 1 before
         # any work, with the one stderr line of that key in a config file;
-        # of the 13 subcommands' 18 keys each, 80 pairs are taken
+        # of the 13 subcommands' 17 keys each, 78 pairs are taken
         cfgfile = tmp_path / "cfg.json"
         out = tmp_path / "out"
         rejected = 0
@@ -502,7 +502,7 @@ class TestCli:
                 assert errs[0] == errs[1] == \
                     f"config error: kind '{kind}' takes no key(s) ['{key}']\n"
                 rejected += 1
-        assert 13 * 18 - rejected == 80
+        assert 13 * 17 - rejected == 78
 
     @pytest.mark.parametrize("argv, key", [
         ("attack --widths 0", "widths"),
@@ -513,9 +513,6 @@ class TestCli:
         ("probe activation_margin --alpha 0", "alpha"),
         ("probe segment_spectral --d 16 --widths 16", "widths"),
         ("collapse --d 1", "d"),
-        ("attack --t-max -1", "t_max"),
-        ("attack --t-max 0", "t_max"),
-        ("attack --t-max inf", "t_max"),
         ("probe sign_flip --radius nan", "radius"),
         ("probe sign_flip --radius -1", "radius"),
         ("kernel --theta0 nan", "theta_0"),
@@ -525,12 +522,25 @@ class TestCli:
         ("kernel --trials 3 --widths 4 4", "trials"),
         ("kernel --steps 5 --seed 1", "master_seed"),
         ("collapse --d 4 --width 16 --depth 2 --n-pairs 2 --workers 2", "workers"),
+        # options that are gone: argparse exits 2, as for any unknown flag
+        ("sample --mode depth-collapse", None),
+        ("sample --out x.rrnn", None),
+        ("attack --t-max 2", None),
     ])
-    def test_invalid_config_rejected_before_work(self, tmp_path, capsys, argv, key):
-        rc = main(argv.split() + ["--out-dir", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("config error:") and f"'{key}'" in err
+    def test_invalid_config_rejected_before_work(self, tmp_path, capsys, monkeypatch, argv,
+                                                 key):
+        monkeypatch.chdir(tmp_path)   # where a relative --out would write
+        if key is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv.split() + ["--out-dir", str(tmp_path)])
+            assert exc.value.code == 2
+            flag = argv.split(maxsplit=1)[1]
+            assert f"error: unrecognized arguments: {flag}\n" in capsys.readouterr().err
+        else:
+            rc = main(argv.split() + ["--out-dir", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("config error:") and f"'{key}'" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, config, key", [
@@ -538,7 +548,6 @@ class TestCli:
         ("--d 100000000000000000000000", '{"d": 100000000000000000000000}', "d"),
         ("--widths 8 x", '{"widths": [8, "x"]}', "widths"),
         ("--radius abc", '{"radius": "abc"}', "radius"),
-        ("--t-max none", '{"t_max": "none"}', "t_max"),
         # RngStream keys on the seed mod 2^64: these would run seed 0's streams
         ("--seed 18446744073709551616", '{"master_seed": 18446744073709551616}',
          "master_seed"),
@@ -578,7 +587,9 @@ class TestCli:
     @pytest.mark.parametrize("config, key", [
         ('{"d": NaN}', "d"), ('{"trials": 2.5}', "trials"), ('{"workers": true}', "workers"),
         ('{"widths": 5}', "widths"), ('{"widths": [4, NaN]}', "widths"),
-        ('{"radius": "1"}', "radius"), ('{"t_max": [1]}', "t_max"),
+        ('{"radius": "1"}', "radius"),
+        # an old file's key that no kind takes any more
+        ('{"t_max": 2}', "t_max"),
         pytest.param('{"radius": 1%s}' % ("0" * 400), "radius", id="radius-10**400"),
         ('{"kind": "collapse", "d": 8, "widths": [8], "trials": 2}', "kind"),
     ])
@@ -617,15 +628,6 @@ class TestCli:
         assert all(int(r["degenerate"]) > 0 for r in rows)
         assert all(float(r["flip_rate"]) == int(r["flips"]) / 20 for r in rows)
 
-    def test_sweep_honours_t_max(self, tmp_path, capsys):
-        rc = main(["sweep", "--dims", "8", "16", "--trials", "5", "--t-max", "1e-9",
-                   "--out-dir", str(tmp_path)])
-        assert rc == 0
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        assert [int(r["flips"]) for r in rows] == [0, 0]
-
     def test_empty_widths_mean_d_d(self, tmp_path, capsys):
         # one default in every kind: attack without widths runs the (d, d)
         # net, and sample without widths saves it
@@ -637,9 +639,8 @@ class TestCli:
             assert rc == 0
             csvs.add((tmp_path / name / "attack.csv").read_bytes())
         assert len(csvs) == 1
-        out = tmp_path / "net.rrnn"
-        assert main(["sample", "--d", "12", "--seed", "4", "--out", str(out)]) == 0
-        assert load_network(out).arch.hidden_widths == (12, 12)
+        assert main(["sample", "--d", "12", "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+        assert load_network(tmp_path / "network.rrnn").arch.hidden_widths == (12, 12)
 
     def test_no_bound_applies_frequency_is_null(self, tmp_path, capsys):
         # r = 100 > R = 2 at every trial, so no row has a bound: the run has
@@ -713,29 +714,25 @@ class TestCli:
 
     def test_sample_writes_loadable_network(self, tmp_path, capsys):
         from relurand.network import load_network
-        out = tmp_path / "net.rrnn"
         rc = main(["sample", "--d", "8", "--widths", "6", "4",
-                   "--seed", "2", "--out", str(out)])
+                   "--seed", "2", "--out-dir", str(tmp_path)])
         assert rc == 0
-        net = load_network(out)
+        net = load_network(tmp_path / "network.rrnn")
         assert net.arch.input_dim == 8
         assert net.arch.hidden_widths == (6, 4)
 
-    @pytest.mark.parametrize("mode", ["standard", "depth-collapse"])
-    def test_sample_writes_the_seeded_build(self, tmp_path, capsys, mode):
-        # a version 1 file that sample wrote is regenerated from its d,
-        # widths, mode and seed only because sample draws exactly this net
-        from relurand.network import (Architecture, InitMode, build_network,
-                                      load_network, save_network)
+    def test_sample_writes_the_seeded_build(self, tmp_path, capsys):
+        # a version 1 file that sample wrote (mode byte 0) is regenerated
+        # from its d, widths and seed only because sample draws exactly this net
+        from relurand.network import Architecture, build_network, load_network, save_network
         from relurand.rng import RngStream
-        out = tmp_path / "net.rrnn"
         rc = main(["sample", "--d", "7", "--widths", "5", "3", "--seed", "11",
-                   "--mode", mode, "--out", str(out)])
+                   "--out-dir", str(tmp_path)])
         assert rc == 0
-        init = InitMode.DEPTH_COLLAPSE if mode == "depth-collapse" else InitMode.STANDARD
-        net = build_network(Architecture(7, (5, 3)), init, RngStream(11, 0))
+        out = tmp_path / "network.rrnn"
+        net = build_network(Architecture(7, (5, 3)), RngStream(11, 0))
         loaded = load_network(out)
-        assert (loaded.mode, loaded.master_seed, loaded.stream_id) == (init, 11, 0)
+        assert (loaded.master_seed, loaded.stream_id) == (11, 0)
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, net.weights))
         save_network(net, tmp_path / "built.rrnn")
         assert out.read_bytes() == (tmp_path / "built.rrnn").read_bytes()
@@ -829,9 +826,9 @@ class TestSummaryFromCsv:
                 json.loads((tmp_path / f"{kind}_summary.json").read_text()))
 
     def test_attack(self, tmp_path, capsys):
-        # narrow layers and a short reach: trials of every status
+        # narrow layers: trials of every status
         rows, summary = self._run(tmp_path, ["attack", "--d", "4", "--widths", "3", "3",
-                                             "--trials", "30", "--t-max", "2"])
+                                             "--trials", "30"])
         assert {r.status for r in rows} == {"ok", "not_flipped", "degenerate"}
         stats = harness._flip_stats(4, rows)
         assert {k: summary[k] for k in stats} == stats
@@ -1060,7 +1057,7 @@ _SIZE_KEYS = {"d": _sizes(1, 8), "widths": st.lists(_sizes(1, 8), max_size=3),
               "steps": _sizes(1, 20), "n_pairs": _sizes(1, 3), "n_samples": _sizes(1, 3)}
 _OTHER_KEYS = {"master_seed": st.integers(-3, 3), "workers": _sizes(1, 2),
                "radius": _REALS, "alpha": _REALS, "delta": _REALS, "theta_0": _REALS,
-               "alert_level": _REALS, "t_max": st.one_of(st.none(), _REALS)}
+               "alert_level": _REALS}
 
 
 @st.composite

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from relurand.errors import FormatError
 from relurand.network import (
     Architecture,
-    InitMode,
     Network,
     bottleneck_decomposition,
     build_network,
@@ -25,7 +24,7 @@ from relurand.rng import RngStream
 
 def random_net(seed, d=20, widths=(16, 12)):
     rng = RngStream(seed)
-    return build_network(Architecture(d, widths), InitMode.STANDARD, rng), rng
+    return build_network(Architecture(d, widths), rng), rng
 
 
 class TestBuild:
@@ -40,15 +39,11 @@ class TestBuild:
             net, _ = random_net(seed, d=100, widths=(100,))
             assert 0.8 <= np.sum(net.weights[0] ** 2) / 100 <= 1.2
 
-    def test_depth_collapse_variance(self):
-        # entry variance 2/fan-in at every layer
-        sums = np.zeros(2)
-        for seed in range(40):
-            rng = RngStream(seed)
-            net = build_network(Architecture(5, (7,)), InitMode.DEPTH_COLLAPSE, rng)
-            sums += [net.weights[0].var(), net.weights[1].var()]
-        assert sums[0] / 40 == pytest.approx(2 / 5, rel=0.2)
-        assert sums[1] / 40 == pytest.approx(2 / 7, rel=0.4)
+    def test_integer_dimensions_stored_as_int(self):
+        arch = Architecture(np.int64(5), (np.int64(3), 4))
+        assert arch.dims == (5, 3, 4, 1) and all(type(v) is int for v in arch.dims)
+        net = build_network(arch, RngStream(3))
+        assert [W.shape for W in net.weights] == [(3, 5), (4, 3), (1, 4)]
 
     @pytest.mark.parametrize("count", [0, 1, 2, 4])
     def test_weight_count_must_be_depth_plus_one(self, count):
@@ -57,13 +52,19 @@ class TestBuild:
         shapes = [(3, 4), (2, 3), (1, 2), (1, 1)]
         weights = tuple(np.ones(shape) for shape in shapes[:count])
         with pytest.raises(ValueError, match="expected 3"):
-            Network(arch, InitMode.STANDARD, weights)
+            Network(arch, weights)
 
     @pytest.mark.parametrize("build, message", [
         pytest.param(lambda: Architecture(3, (2, 0)), "all dimensions must be >= 1",
                      id="zero-width"),
-        pytest.param(lambda: Network(Architecture(2, (3,)), InitMode.STANDARD,
-                                     (np.ones((3, 2)), np.ones((1, 4)))),
+        # a float dimension is refused, never truncated
+        pytest.param(lambda: Architecture(5, (2.7,)), "hidden width 1 must be an integer, got 2.7",
+                     id="float-width"),
+        pytest.param(lambda: Architecture(5.5, (3,)), "input_dim must be an integer, got 5.5",
+                     id="float-input-dim"),
+        pytest.param(lambda: Architecture(4, (3, True)), "hidden width 2 must be an integer",
+                     id="bool-width"),
+        pytest.param(lambda: Network(Architecture(2, (3,)), (np.ones((3, 2)), np.ones((1, 4)))),
                      r"weight 2 has shape \(1, 4\), expected \(1, 3\)", id="output-shape"),
         pytest.param(lambda: network_from_weights([np.ones((3, 2)), np.ones((2, 3))]),
                      "output layer must have a single row", id="two-row-output"),
@@ -232,7 +233,6 @@ class TestSerialization:
         save_network(net, path)
         loaded = load_network(path)
         assert loaded.arch == net.arch
-        assert loaded.mode == net.mode
         assert loaded.master_seed == net.master_seed
         for a, b in zip(net.weights, loaded.weights):
             assert np.array_equal(a, b)
@@ -272,13 +272,14 @@ class TestSerialization:
         with pytest.raises(FormatError, match="99"):
             load_network(path)
 
-    def test_bad_mode_byte(self, tmp_path):
+    @pytest.mark.parametrize("mode_byte", [2, 7, 255])
+    def test_bad_mode_byte(self, tmp_path, mode_byte):
         path = tmp_path / "net.rrnn"
         save_network(network_from_weights([[[1.0]], [[1.0]]]), path)
         data = bytearray(path.read_bytes())
-        data[8] = 7
+        data[8] = mode_byte
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="7 is not a valid InitMode"):
+        with pytest.raises(FormatError, match=rf"^unsupported mode byte {mode_byte} "):
             load_network(path)
 
     def test_output_dimension_must_be_one(self, tmp_path):
@@ -298,7 +299,7 @@ class TestFormatVersions:
         # version 1 layout: no l, no stream id
         dims = net.arch.dims
         return b"".join([
-            b"RRNN", struct.pack("<I", 1), bytes([net.mode.value, 0]),
+            b"RRNN", struct.pack("<I", 1), bytes([0, 0]),
             struct.pack(f"<{len(dims)}I", *dims),
             *(np.ascontiguousarray(W, dtype="<f8").tobytes() for W in net.weights),
             struct.pack("<Q", net.master_seed),
@@ -307,7 +308,7 @@ class TestFormatVersions:
     @pytest.mark.parametrize("widths", [(), (6,), (6, 4, 5)])
     def test_v1_read(self, tmp_path, widths):
         # version 1 is no longer read; `relurand sample` regenerates such a file
-        net = build_network(Architecture(9, widths), InitMode.DEPTH_COLLAPSE, RngStream(41, 7))
+        net = build_network(Architecture(9, widths), RngStream(41, 7))
         path = tmp_path / "v1.rrnn"
         path.write_bytes(self.v1_bytes(net))
         with pytest.raises(FormatError, match="version 1 "):
@@ -320,11 +321,12 @@ class TestFormatVersions:
         pytest.param(2, id="TiePolicy.TIES_TO_ZERO"),
     ])
     def test_v2_round_trip(self, tmp_path, old_tie_byte):
-        net = build_network(Architecture(5, (3, 1, 4)), InitMode.STANDARD, RngStream(42, 12345))
+        net = build_network(Architecture(5, (3, 1, 4)), RngStream(42, 12345))
         path = tmp_path / "v2.rrnn"
         save_network(net, path)
         data = path.read_bytes()
         assert struct.unpack("<I", data[4:8]) == (2,)      # version
+        assert data[8] == 0                                # mode byte
         assert data[9] == 0                                # tie byte
         assert struct.unpack("<I", data[10:14]) == (3,)    # l, stored
         # a file saved under an old policy differs only in its tie byte;
@@ -337,14 +339,18 @@ class TestFormatVersions:
                 load_network(path)
             old[9] = 0
             path.write_bytes(bytes(old))
-        loaded = load_network(path)
-        assert loaded.arch == net.arch and loaded.mode == net.mode
-        assert (loaded.master_seed, loaded.stream_id) == (42, 12345)
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
-        # the loaded network saves to the same bytes
-        again = tmp_path / "again.rrnn"
-        save_network(loaded, again)
-        assert again.read_bytes() == data
+        # mode byte 1, as `sample --mode depth-collapse` once wrote: the
+        # stored weights load as they are, and save again with mode byte 0
+        for mode_byte in (0, 1):
+            old[8] = mode_byte
+            path.write_bytes(bytes(old))
+            loaded = load_network(path)
+            assert loaded.arch == net.arch
+            assert (loaded.master_seed, loaded.stream_id) == (42, 12345)
+            assert all(np.array_equal(a, b) for a, b in zip(net.weights, loaded.weights))
+            again = tmp_path / "again.rrnn"
+            save_network(loaded, again)
+            assert again.read_bytes() == data
 
     def test_nonzero_tie_byte_rejected(self, tmp_path):
         # files once recorded ties-to-one (1) and ties-to-zero (2) policies

@@ -12,7 +12,6 @@ from relurand.linalg import (gaussian_matrix, gaussian_times, ks_critical_value,
                              spectral_norm)
 from relurand.network import (
     Architecture,
-    InitMode,
     bottleneck_decomposition,
     build_network,
     forward,
@@ -41,7 +40,7 @@ from test_linalg import _CountingStream
 
 def net_and_input(seed, d=64, widths=(64, 64)):
     rng = RngStream(seed)
-    net = build_network(Architecture(d, widths), InitMode.STANDARD, rng)
+    net = build_network(Architecture(d, widths), rng)
     return net, rng.sphere_point(d, norm=np.sqrt(d)), rng
 
 
@@ -441,7 +440,7 @@ def _dense_value_gradient(arch, trials, master_seed):
     out = []
     for k in range(trials):
         rng = RngStream(master_seed, k + 1)
-        net = build_network(arch, InitMode.STANDARD, rng)
+        net = build_network(arch, rng)
         trace = forward(net, x)
         out.append((abs(trace.output), float(np.linalg.norm(gradient(net, trace)))))
     return np.array(out).T
